@@ -48,7 +48,10 @@ void PredictionCache::Shard::push_front(int slot) {
 }
 
 bool PredictionCache::lookup(std::uint64_t key, int* label, bool count_miss) {
-  if (per_shard_capacity_ == 0) return false;
+  if (per_shard_capacity_ == 0) {
+    if (count_miss) note_miss(key);
+    return false;
+  }
   Shard& shard = shard_of(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   auto it = shard.index.find(key);
@@ -67,7 +70,8 @@ bool PredictionCache::lookup(std::uint64_t key, int* label, bool count_miss) {
 }
 
 void PredictionCache::note_miss(std::uint64_t key) {
-  if (per_shard_capacity_ == 0) return;
+  // A disabled cache (capacity 0) still has its one shard, so its misses
+  // count too and hits + misses + coalesced == queries holds without it.
   Shard& shard = shard_of(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   ++shard.stats.misses;

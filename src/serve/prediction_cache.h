@@ -46,7 +46,7 @@ class PredictionCache {
  public:
   /// `capacity` is the total entry budget across all shards (rounded up to
   /// give every shard at least one slot). capacity == 0 disables the cache:
-  /// lookups miss without counting and inserts drop.
+  /// every lookup misses (and is counted, like any miss) and inserts drop.
   explicit PredictionCache(std::size_t capacity, int num_shards = 8);
 
   PredictionCache(const PredictionCache&) = delete;

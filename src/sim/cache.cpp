@@ -1,105 +1,101 @@
 #include "sim/cache.h"
 
-#include <cassert>
+#include <stdexcept>
 
 namespace irgnn::sim {
 
-SetAssociativeCache::SetAssociativeCache(int size_bytes, int associativity,
-                                         int line_bytes)
-    : associativity_(associativity) {
-  num_sets_ = size_bytes / (associativity * line_bytes);
-  assert(num_sets_ > 0);
-  ways_.assign(static_cast<std::size_t>(num_sets_) * associativity_, Way{});
+namespace {
+
+/// log2 of a positive power of two; throws std::invalid_argument otherwise.
+int exact_log2(long long value, const char* what) {
+  if (value <= 0 || (value & (value - 1)) != 0)
+    throw std::invalid_argument(what);
+  int shift = 0;
+  while ((1ll << shift) < value) ++shift;
+  return shift;
 }
 
-bool SetAssociativeCache::access(std::uint64_t line) {
-  Way* set = &ways_[static_cast<std::size_t>(set_of(line)) * associativity_];
-  for (int w = 0; w < associativity_; ++w) {
-    if (set[w].valid && set[w].line == line) {
-      set[w].lru = ++tick_;
-      set[w].prefetched = false;  // demand touch clears the tag
+}  // namespace
+
+SetAssociativeCache::SetAssociativeCache(int size_bytes, int associativity,
+                                         int line_bytes)
+    : associativity_(static_cast<std::size_t>(associativity)) {
+  const long long ways_bytes =
+      static_cast<long long>(associativity) * line_bytes;
+  const long long num_sets = ways_bytes > 0 ? size_bytes / ways_bytes : 0;
+  set_mask_ = (1ull << exact_log2(num_sets,
+                                  "cache set count must be a power of two")) -
+              1;
+  const std::size_t ways = static_cast<std::size_t>(num_sets) * associativity_;
+  tags_.assign(ways, kEmpty);
+  lru_.assign(ways, 0);
+  prefetched_.assign(ways, 0);
+}
+
+bool SetAssociativeCache::access(std::uint64_t line, bool* was_prefetched) {
+  const std::size_t base = set_base(line);
+  for (std::size_t w = base; w < base + associativity_; ++w) {
+    if (tags_[w] == line) {
+      lru_[w] = ++tick_;
+      if (was_prefetched) *was_prefetched = prefetched_[w] != 0;
+      prefetched_[w] = 0;  // demand touch clears the tag
       return true;
     }
+    if (tags_[w] == kEmpty) break;
   }
   return false;
 }
 
-void SetAssociativeCache::insert(std::uint64_t line, bool prefetched) {
-  Way* set = &ways_[static_cast<std::size_t>(set_of(line)) * associativity_];
-  Way* victim = &set[0];
-  for (int w = 0; w < associativity_; ++w) {
-    if (set[w].valid && set[w].line == line) {
-      set[w].lru = ++tick_;
-      return;  // already present
-    }
-    if (!set[w].valid) {
-      victim = &set[w];
+bool SetAssociativeCache::insert_if_absent(std::uint64_t line,
+                                           bool prefetched) {
+  const std::size_t base = set_base(line);
+  std::size_t victim = base;
+  for (std::size_t w = base; w < base + associativity_; ++w) {
+    if (tags_[w] == line) return false;
+    if (tags_[w] == kEmpty) {
+      victim = w;
       break;
     }
-    if (set[w].lru < victim->lru) victim = &set[w];
+    if (lru_[w] < lru_[victim]) victim = w;
   }
-  if (victim->valid && victim->prefetched) ++polluting_evictions_;
-  victim->valid = true;
-  victim->line = line;
-  victim->lru = ++tick_;
-  victim->prefetched = prefetched;
+  tags_[victim] = line;
+  lru_[victim] = ++tick_;
+  prefetched_[victim] = prefetched ? 1 : 0;
+  return true;
 }
 
 bool SetAssociativeCache::contains(std::uint64_t line) const {
-  const Way* set =
-      &ways_[static_cast<std::size_t>(set_of(line)) * associativity_];
-  for (int w = 0; w < associativity_; ++w)
-    if (set[w].valid && set[w].line == line) return true;
+  const std::size_t base = set_base(line);
+  for (std::size_t w = base; w < base + associativity_; ++w) {
+    if (tags_[w] == line) return true;
+    if (tags_[w] == kEmpty) break;
+  }
   return false;
 }
 
-bool SetAssociativeCache::is_prefetched(std::uint64_t line) const {
-  const Way* set =
-      &ways_[static_cast<std::size_t>(set_of(line)) * associativity_];
-  for (int w = 0; w < associativity_; ++w)
-    if (set[w].valid && set[w].line == line) return set[w].prefetched;
-  return false;
+CoreCacheModel::L2Variant::L2Variant(const MachineDesc& machine,
+                                     const PrefetcherConfig& prefetch)
+    : adjacent(prefetch.l2_adjacent),
+      streamer(prefetch.l2_streamer),
+      cache(machine.l2_size_bytes, machine.l2_assoc, machine.line_bytes) {}
+
+void CoreCacheModel::L2Variant::prefetch(std::uint64_t line) {
+  if (cache.insert_if_absent(line, /*prefetched=*/true))
+    ++stats.prefetches_issued;
 }
 
-CoreCacheModel::CoreCacheModel(const MachineDesc& machine,
-                               const PrefetcherConfig& prefetch)
-    : line_bytes_(machine.line_bytes),
-      prefetch_(prefetch),
-      l1_(machine.l1_size_bytes, machine.l1_assoc, machine.line_bytes),
-      l2_(machine.l2_size_bytes, machine.l2_assoc, machine.line_bytes) {}
-
-void CoreCacheModel::l2_fill(std::uint64_t line, bool prefetched) {
-  l2_.insert(line, prefetched);
-  if (prefetch_.l2_adjacent && !prefetched) {
-    // Fetch the 128-byte buddy (pair line) alongside demand fills.
-    std::uint64_t buddy = line ^ 1ull;
-    if (!l2_.contains(buddy)) {
-      l2_.insert(buddy, /*prefetched=*/true);
-      ++stats_.prefetches_issued;
-    }
+void CoreCacheModel::L2Variant::streamer_observe(std::uint64_t line,
+                                                 int page_shift) {
+  const std::uint64_t page = line >> page_shift;
+  StreamEntry* found = nullptr;
+  for (auto it = streams.rbegin(); it != streams.rend() && !found; ++it)
+    if (it->page == page) found = &*it;
+  if (!found) {
+    if (streams.size() > kMaxStreams) streams.clear();  // crude recycling
+    streams.push_back(StreamEntry{page});
+    found = &streams.back();
   }
-}
-
-void CoreCacheModel::issue_l1_prefetch(std::uint64_t line) {
-  if (!l1_.contains(line)) {
-    ++stats_.prefetches_issued;
-    l1_.insert(line, /*prefetched=*/true);
-    if (!l2_.contains(line)) l2_.insert(line, /*prefetched=*/true);
-  }
-}
-
-void CoreCacheModel::issue_l2_prefetch(std::uint64_t line) {
-  if (!l2_.contains(line)) {
-    ++stats_.prefetches_issued;
-    l2_.insert(line, /*prefetched=*/true);
-  }
-}
-
-void CoreCacheModel::streamer_observe(std::uint64_t line) {
-  std::uint64_t page = line / (4096 / line_bytes_);
-  if (stream_table_.size() > kMaxStreams && !stream_table_.count(page))
-    stream_table_.clear();  // crude monitor recycling
-  StreamEntry& entry = stream_table_[page];
+  StreamEntry& entry = *found;
   if (entry.confidence > 0) {
     int direction = line > entry.last_line   ? 1
                     : line < entry.last_line ? -1
@@ -107,8 +103,7 @@ void CoreCacheModel::streamer_observe(std::uint64_t line) {
     if (direction != 0 && direction == entry.direction) {
       if (++entry.confidence >= 2) {
         for (int d = 1; d <= kStreamDistance; ++d)
-          issue_l2_prefetch(line + static_cast<std::uint64_t>(
-                                       direction * d));
+          prefetch(line + static_cast<std::uint64_t>(direction * d));
       }
     } else if (direction != 0) {
       entry.direction = direction;
@@ -121,21 +116,71 @@ void CoreCacheModel::streamer_observe(std::uint64_t line) {
   entry.last_line = line;
 }
 
+void CoreCacheModel::L2Variant::demand(std::uint64_t line, int page_shift) {
+  if (streamer) streamer_observe(line, page_shift);
+  bool was_prefetched = false;
+  if (cache.access(line, &was_prefetched)) {
+    ++stats.l2_hits;
+    if (was_prefetched) ++stats.prefetch_hits;
+    return;
+  }
+  // Demand miss beyond L2: fill, and with the adjacent-line prefetcher
+  // fetch the 128-byte buddy (pair line) alongside.
+  ++stats.l2_misses;
+  cache.insert_if_absent(line, /*prefetched=*/false);
+  if (adjacent) prefetch(line ^ 1ull);
+}
+
+CoreCacheModel::CoreCacheModel(const MachineDesc& machine,
+                               const std::vector<PrefetcherConfig>& variants)
+    : line_shift_(exact_log2(machine.line_bytes,
+                             "line size must be a power of two")),
+      page_shift_(exact_log2(4096 / machine.line_bytes,
+                             "a 4KB page must hold a power of two of lines")),
+      dcu_next_line_(!variants.empty() && variants[0].dcu_next_line),
+      dcu_ip_(!variants.empty() && variants[0].dcu_ip),
+      l1_(machine.l1_size_bytes, machine.l1_assoc, machine.line_bytes) {
+  if (variants.empty())
+    throw std::invalid_argument("CoreCacheModel needs at least one variant");
+  l2_.reserve(variants.size());
+  for (const PrefetcherConfig& variant : variants) {
+    if (variant.dcu_next_line != dcu_next_line_ || variant.dcu_ip != dcu_ip_)
+      throw std::invalid_argument(
+          "CoreCacheModel variants must agree on the DCU prefetchers");
+    l2_.emplace_back(machine, variant);
+  }
+}
+
+CacheStats CoreCacheModel::stats(std::size_t v) const {
+  CacheStats out = l2_[v].stats;
+  out.accesses = l1_stats_.accesses;
+  out.l1_hits = l1_stats_.l1_hits;
+  out.prefetches_issued += l1_stats_.prefetches_issued;
+  out.prefetch_hits += l1_stats_.prefetch_hits;
+  return out;
+}
+
+void CoreCacheModel::issue_l1_prefetch(std::uint64_t line) {
+  if (!l1_.insert_if_absent(line, /*prefetched=*/true)) return;
+  ++l1_stats_.prefetches_issued;
+  for (L2Variant& l2 : l2_)
+    l2.cache.insert_if_absent(line, /*prefetched=*/true);
+}
+
 void CoreCacheModel::access(const MemoryAccess& access) {
-  ++stats_.accesses;
-  std::uint64_t line = access.address / static_cast<std::uint64_t>(line_bytes_);
+  ++l1_stats_.accesses;
+  std::uint64_t line = access.address >> line_shift_;
 
   // DCU IP-correlated prefetcher trains on every access.
-  if (prefetch_.dcu_ip) {
+  if (dcu_ip_) {
+    if (access.pc >= stride_table_.size())
+      stride_table_.resize(static_cast<std::size_t>(access.pc) + 1);
     StrideEntry& entry = stride_table_[access.pc];
     std::int64_t stride = static_cast<std::int64_t>(access.address) -
                           static_cast<std::int64_t>(entry.last_address);
     if (entry.last_address != 0 && stride != 0 && stride == entry.stride) {
-      if (++entry.confidence >= 2) {
-        std::uint64_t target =
-            (access.address + 2 * stride) / line_bytes_;
-        issue_l1_prefetch(target);
-      }
+      if (++entry.confidence >= 2)
+        issue_l1_prefetch((access.address + 2 * stride) >> line_shift_);
     } else {
       entry.stride = stride;
       entry.confidence = 0;
@@ -143,30 +188,20 @@ void CoreCacheModel::access(const MemoryAccess& access) {
     entry.last_address = access.address;
   }
 
-  bool was_prefetched = l1_.is_prefetched(line);
-  if (l1_.access(line)) {
-    ++stats_.l1_hits;
-    if (was_prefetched) ++stats_.prefetch_hits;
+  bool was_prefetched = false;
+  if (l1_.access(line, &was_prefetched)) {
+    ++l1_stats_.l1_hits;
+    if (was_prefetched) ++l1_stats_.prefetch_hits;
     return;
   }
 
   // DCU next-line prefetcher triggers on L1 demand misses.
-  if (prefetch_.dcu_next_line) issue_l1_prefetch(line + 1);
+  if (dcu_next_line_) issue_l1_prefetch(line + 1);
 
-  // L2 lookup.
-  if (prefetch_.l2_streamer) streamer_observe(line);
-  bool l2_was_prefetched = l2_.is_prefetched(line);
-  if (l2_.access(line)) {
-    ++stats_.l2_hits;
-    if (l2_was_prefetched) ++stats_.prefetch_hits;
-    l1_.insert(line, /*prefetched=*/false);
-    return;
-  }
-
-  // Demand miss beyond L2: fill both levels.
-  ++stats_.l2_misses;
-  l2_fill(line, /*prefetched=*/false);
-  l1_.insert(line, /*prefetched=*/false);
+  // Every variant's L2 sees the same miss; the L1 fill does not depend on
+  // whether L2 hit.
+  for (L2Variant& l2 : l2_) l2.demand(line, page_shift_);
+  l1_.insert_if_absent(line, /*prefetched=*/false);
 }
 
 }  // namespace irgnn::sim

@@ -12,10 +12,15 @@
 // prefetches (later demand-hit) from cache-polluting ones, and prefetch
 // traffic is accounted — this is what makes prefetchers *hurt* irregular
 // workloads, the effect the configuration space exploits.
+//
+// L1 contents, and therefore the stream of L1 misses and L1 prefetches that
+// reaches L2, depend only on the two DCU bits. A CoreCacheModel therefore
+// runs one L1 that drives up to four L2 variants (adjacent-line x streamer)
+// in lockstep: one pass over a trace yields the statistics of four
+// prefetcher masks, each exactly what a single-mask run would report.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/config.h"
@@ -30,7 +35,6 @@ struct CacheStats {
   std::uint64_t l2_misses = 0;           // demand misses going below L2
   std::uint64_t prefetches_issued = 0;   // lines requested by any prefetcher
   std::uint64_t prefetch_hits = 0;       // demand hits on prefetched lines
-  std::uint64_t prefetch_unused = 0;     // prefetched lines evicted untouched
 
   double l1_hit_rate() const {
     return accesses ? static_cast<double>(l1_hits) / accesses : 0.0;
@@ -52,81 +56,107 @@ struct CacheStats {
   }
 };
 
-/// LRU set-associative cache of 64-byte lines.
+/// LRU set-associative cache of lines. The geometry must give a power-of-two
+/// number of sets (the constructor throws std::invalid_argument otherwise),
+/// so a line's set is a mask of its low bits.
 class SetAssociativeCache {
  public:
   SetAssociativeCache(int size_bytes, int associativity, int line_bytes);
 
-  /// Looks up a line; on hit, updates LRU and returns true.
-  bool access(std::uint64_t line);
-  /// Inserts a line (evicting LRU); `prefetched` tags the line.
-  void insert(std::uint64_t line, bool prefetched);
+  /// Demand lookup. On a hit, updates LRU, stores in *was_prefetched
+  /// whether the line still carried the prefetch tag, clears the tag and
+  /// returns true.
+  bool access(std::uint64_t line, bool* was_prefetched = nullptr);
+  /// Inserts an absent line (evicting the set's LRU way), tagged when
+  /// `prefetched`, and returns true. A resident line is left untouched —
+  /// not re-tagged, LRU not refreshed — and the call returns false.
+  bool insert_if_absent(std::uint64_t line, bool prefetched);
   bool contains(std::uint64_t line) const;
-  /// True iff the line is present and still carries the prefetch tag; the
-  /// tag is cleared by a demand access.
-  bool is_prefetched(std::uint64_t line) const;
 
-  /// Number of prefetched-but-never-touched lines evicted so far.
-  std::uint64_t polluting_evictions() const { return polluting_evictions_; }
-
-  int num_sets() const { return num_sets_; }
+  int num_sets() const { return static_cast<int>(set_mask_ + 1); }
 
  private:
-  struct Way {
-    std::uint64_t line = ~0ull;
-    std::uint64_t lru = 0;
-    bool valid = false;
-    bool prefetched = false;
-  };
-  int set_of(std::uint64_t line) const {
-    return static_cast<int>(line % static_cast<std::uint64_t>(num_sets_));
+  static constexpr std::uint64_t kEmpty = ~0ull;  // no line is ever ~0
+
+  std::size_t set_base(std::uint64_t line) const {
+    return static_cast<std::size_t>(line & set_mask_) * associativity_;
   }
 
-  int num_sets_;
-  int associativity_;
-  std::vector<Way> ways_;  // num_sets_ * associativity_
+  std::uint64_t set_mask_;
+  std::size_t associativity_;
+  // num_sets * associativity ways, set-major. Ways fill in order and are
+  // never invalidated, so the occupied ways of a set are a prefix.
+  std::vector<std::uint64_t> tags_;
+  std::vector<std::uint64_t> lru_;
+  std::vector<std::uint8_t> prefetched_;
   std::uint64_t tick_ = 0;
-  std::uint64_t polluting_evictions_ = 0;
 };
 
-/// One core's private cache hierarchy plus prefetchers. Feed it a trace;
-/// read the stats.
+/// One core's private cache hierarchy plus prefetchers: one L1 and one L2
+/// per prefetcher variant. Feed it a trace; read the stats.
 class CoreCacheModel {
  public:
-  CoreCacheModel(const MachineDesc& machine, const PrefetcherConfig& prefetch);
+  /// One or more variants that agree on both DCU bits (they share the L1);
+  /// each gets its own L2 with its own adjacent-line and streamer bits.
+  /// Throws std::invalid_argument otherwise. The single-configuration form
+  /// is the one-variant case.
+  CoreCacheModel(const MachineDesc& machine,
+                 const std::vector<PrefetcherConfig>& variants);
+  CoreCacheModel(const MachineDesc& machine, const PrefetcherConfig& prefetch)
+      : CoreCacheModel(machine, std::vector<PrefetcherConfig>{prefetch}) {}
 
   void access(const MemoryAccess& access);
-  const CacheStats& stats() const { return stats_; }
+  /// Statistics of variant `v`: exactly what a one-variant model with that
+  /// configuration reports over the same accesses.
+  CacheStats stats(std::size_t v = 0) const;
 
  private:
-  void l2_fill(std::uint64_t line, bool prefetched);
+  // The L2 of one variant, with its streamer monitors and its share of the
+  // statistics (L2 hits/misses, L2 prefetches issued and hit).
+  struct L2Variant {
+    L2Variant(const MachineDesc& machine, const PrefetcherConfig& prefetch);
+
+    void prefetch(std::uint64_t line);
+    void demand(std::uint64_t line, int page_shift);
+    void streamer_observe(std::uint64_t line, int page_shift);
+
+    bool adjacent;
+    bool streamer;
+    SetAssociativeCache cache;
+    CacheStats stats;
+
+    struct StreamEntry {
+      std::uint64_t page = 0;
+      std::uint64_t last_line = 0;
+      int direction = 0;  // +1 forward, -1 backward
+      int confidence = 0;
+    };
+    // Per-4KB-page monitors, one per page seen since the last recycle; a
+    // new page arriving when more than kMaxStreams are live recycles them
+    // all. Few enough to search linearly.
+    std::vector<StreamEntry> streams;
+    static constexpr int kStreamDistance = 4;  // lines run-ahead
+    static constexpr std::size_t kMaxStreams = 32;
+  };
+
   void issue_l1_prefetch(std::uint64_t line);
-  void issue_l2_prefetch(std::uint64_t line);
-  void streamer_observe(std::uint64_t line);
 
-  const int line_bytes_;
-  PrefetcherConfig prefetch_;
+  int line_shift_;  // log2(line bytes)
+  int page_shift_;  // log2(lines per 4KB page)
+  bool dcu_next_line_;
+  bool dcu_ip_;
   SetAssociativeCache l1_;
-  SetAssociativeCache l2_;
-  CacheStats stats_;
+  std::vector<L2Variant> l2_;
+  CacheStats l1_stats_;  // accesses, L1 hits, L1 prefetches issued and hit
 
-  // DCU IP-correlated stride table (per access-site).
+  // DCU IP-correlated stride table, indexed by access site (pcs are small
+  // site ids; the table grows to the largest one seen).
   struct StrideEntry {
     std::uint64_t last_address = 0;
     std::int64_t stride = 0;
     int confidence = 0;
   };
-  std::unordered_map<std::uint32_t, StrideEntry> stride_table_;
-
-  // L2 streamer: per-4KB-page monitors.
-  struct StreamEntry {
-    std::uint64_t last_line = 0;
-    int direction = 0;  // +1 forward, -1 backward
-    int confidence = 0;
-  };
-  std::unordered_map<std::uint64_t, StreamEntry> stream_table_;
-  static constexpr int kStreamDistance = 4;  // lines run-ahead
-  static constexpr int kMaxStreams = 32;
+  std::vector<StrideEntry> stride_table_;
 };
 
 }  // namespace irgnn::sim

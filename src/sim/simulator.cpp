@@ -24,38 +24,39 @@ std::vector<int> threads_per_node(const MachineDesc& m,
   return tpn;
 }
 
-double sum(const std::vector<double>& v) {
-  double s = 0;
-  for (double x : v) s += x;
-  return s;
-}
-
 }  // namespace
 
 Simulator::PhaseCacheStats Simulator::core_stats(
     const WorkloadTraits& traits, std::size_t phase_index, int threads,
     const PrefetcherConfig& prefetch, double size_scale, int call_index) {
   int drift_call = traits.call_variability > 0.0 ? call_index : 0;
-  auto key = std::make_tuple(traits.region, phase_index, threads,
-                             prefetch.msr_mask(),
-                             static_cast<int>(size_scale * 100), drift_call);
+  auto key = std::make_tuple(traits.region, phase_index, threads, size_scale,
+                             drift_call);
   auto it = stats_cache_.find(key);
-  if (it != stats_cache_.end()) return it->second;
+  if (it != stats_cache_.end()) return it->second[prefetch.msr_mask()];
 
+  // Masks 4d..4d+3 share the DCU bits of d, hence one L1: one pass per DCU
+  // setting drives the four L2 variants (low mask bits) in lockstep.
   Trace trace =
       generate_trace(traits, phase_index, threads, size_scale, drift_call);
-  CoreCacheModel core(machine_, prefetch);
-  for (const MemoryAccess& access : trace.accesses) core.access(access);
-  const CacheStats& cs = core.stats();
-
-  PhaseCacheStats out;
-  out.l1_hit_rate = cs.l1_hit_rate();
-  out.l2_hit_rate = cs.l2_local_hit_rate();
-  out.beyond_l2_per_access = cs.beyond_l2_per_access();
-  out.prefetch_traffic_per_access = cs.prefetch_traffic_per_access();
-  out.prefetch_accuracy = cs.prefetch_accuracy();
-  stats_cache_.emplace(key, out);
-  return out;
+  std::array<PhaseCacheStats, 16> all;
+  for (int dcu = 0; dcu < 4; ++dcu) {
+    std::vector<PrefetcherConfig> variants;
+    for (int l2 = 0; l2 < 4; ++l2)
+      variants.push_back(PrefetcherConfig::from_msr_mask(4 * dcu + l2));
+    CoreCacheModel core(machine_, variants);
+    for (const MemoryAccess& access : trace.accesses) core.access(access);
+    for (int l2 = 0; l2 < 4; ++l2) {
+      const CacheStats cs = core.stats(l2);
+      PhaseCacheStats& out = all[4 * dcu + l2];
+      out.l1_hit_rate = cs.l1_hit_rate();
+      out.l2_hit_rate = cs.l2_local_hit_rate();
+      out.beyond_l2_per_access = cs.beyond_l2_per_access();
+      out.prefetch_traffic_per_access = cs.prefetch_traffic_per_access();
+      out.prefetch_accuracy = cs.prefetch_accuracy();
+    }
+  }
+  return stats_cache_.emplace(key, all).first->second[prefetch.msr_mask()];
 }
 
 SimResult Simulator::simulate_call(const WorkloadTraits& traits,
@@ -127,10 +128,6 @@ SimResult Simulator::simulate_call(const WorkloadTraits& traits,
 
     const double mem_per_access =
         cs.beyond_l2_per_access * (1.0 - l3_hit);
-    const double l3_miss_ratio =
-        cs.beyond_l2_per_access > 1e-12
-            ? mem_per_access / cs.beyond_l2_per_access
-            : 0.0;
 
     // --- Local / remote split by page mapping -------------------------------
     double t0_frac = static_cast<double>(tpn[0]) / T;  // threads on node 0

@@ -3,7 +3,9 @@
 // For one (workload, configuration, input size, call) the simulator:
 //   1. runs the phase's synthetic per-thread trace through the private
 //      L1/L2 + prefetcher model (memoized — cache behaviour only depends on
-//      threads/prefetchers/size/call, not on NUMA placement),
+//      threads/prefetchers/size/call, not on NUMA placement; each trace is
+//      generated once and simulated for all 16 prefetcher masks together,
+//      since the configuration space asks for every mask anyway),
 //   2. models the shared per-node L3 by capacity pressure from the threads
 //      placed on the node,
 //   3. splits memory traffic into local/remote according to the page
@@ -20,6 +22,7 @@
 // region.
 #pragma once
 
+#include <array>
 #include <map>
 #include <vector>
 
@@ -97,9 +100,11 @@ class Simulator {
                              double size_scale, int call_index);
 
   MachineDesc machine_;
-  // Memoized per-thread cache statistics.
-  std::map<std::tuple<std::string, std::size_t, int, int, int, int>,
-           PhaseCacheStats>
+  // Memoized per-thread cache statistics of one trace — keyed by (region,
+  // phase, threads, exact size scale, drift call) — for all 16 prefetcher
+  // masks, indexed by msr_mask().
+  std::map<std::tuple<std::string, std::size_t, int, double, int>,
+           std::array<PhaseCacheStats, 16>>
       stats_cache_;
 };
 

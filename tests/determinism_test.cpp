@@ -3,6 +3,7 @@
 // labels — is bit-identical no matter how many threads execute it.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "graph/graph_builder.h"
 #include "ml/cross_validation.h"
 #include "sim/exploration.h"
+#include "support/rng.h"
 #include "tensor/tensor.h"
 #include "workloads/suite.h"
 
@@ -107,6 +109,55 @@ TEST(DeterminismTest, ExplorationIsBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(labels1, labels8);
   EXPECT_EQ(sim::best_labels(serial, labels1),
             sim::best_labels(parallel8, labels8));
+}
+
+/// 64-bit digest of the raw bits of an exploration table's simulated
+/// outputs: every time[r][c], then every default counter, then every probe
+/// counter, in row order.
+std::uint64_t exploration_digest(const sim::ExplorationTable& table) {
+  std::uint64_t h = 0;
+  auto mix = [&](double x) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &x, sizeof bits);
+    h = hash_combine64(h, bits);
+  };
+  auto mix_counters = [&](const sim::PerfCounters& c) {
+    for (double x : {c.instructions, c.cycles, c.ipc, c.l1_miss_ratio,
+                     c.l2_miss_ratio, c.l3_miss_ratio, c.remote_access_ratio,
+                     c.bandwidth_utilization, c.package_power})
+      mix(x);
+  };
+  for (const auto& row : table.time)
+    for (double t : row) mix(t);
+  for (const auto& c : table.default_counters) mix_counters(c);
+  for (const auto& row : table.probe_counters)
+    for (const auto& c : row) mix_counters(c);
+  return h;
+}
+
+// Pins the exploration result itself, not only its thread-count invariance:
+// a change to the cache model, the trace generator or the timing model that
+// moves any simulated bit fails here. Update a digest only for a deliberate
+// change of the simulated numbers, and say why in CHANGES.md.
+TEST(DeterminismTest, ExplorationMatchesPinnedDigest) {
+  std::vector<sim::WorkloadTraits> suite;
+  for (const auto& spec : workloads::benchmark_suite())
+    suite.push_back(spec.traits);
+  std::vector<sim::WorkloadTraits> subset;
+  for (int r : {2, 9, 17, 28, 39}) subset.push_back(suite[r]);
+
+  constexpr std::uint64_t kSkylakeSuite = 0x63e362ff0f6f3ef3ull;
+  constexpr std::uint64_t kSandyBridgeSubset = 0xcd315a1de80f204cull;
+  for (int threads : {1, 4}) {
+    EXPECT_EQ(exploration_digest(sim::explore(sim::MachineDesc::skylake(),
+                                              suite, 1.0, threads)),
+              kSkylakeSuite)
+        << "Skylake suite at " << threads << " threads";
+    EXPECT_EQ(exploration_digest(sim::explore(
+                  sim::MachineDesc::sandy_bridge(), subset, 1.0, threads)),
+              kSandyBridgeSubset)
+        << "Sandy Bridge subset at " << threads << " threads";
+  }
 }
 
 TEST(DeterminismTest, MatmulIdenticalForEveryKernelParallelism) {

@@ -931,6 +931,57 @@ TEST(PredictionCacheTest, ZeroCapacityDisables) {
   int label = -1;
   cache.insert(7, 1);
   EXPECT_FALSE(cache.lookup(7, &label));
+  EXPECT_FALSE(cache.lookup(8, &label, /*count_miss=*/false));
+  cache.note_miss(8);
+  // Disabled, but still counting: every miss is recorded once.
+  const serve::CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.insertions, 0u);
+  EXPECT_EQ(stats.entries, 0u);
+}
+
+TEST(InferenceServerTest, DisabledCacheKeepsConservation) {
+  // cache_capacity = 0 with concurrent duplicate queries: every query is
+  // still exactly one miss or one coalesced waiter, every miss costs one
+  // forward, and the answers stay bit-identical to serial predict.
+  auto model = std::make_shared<const gnn::StaticModel>(small_config(0x0C));
+  const std::vector<int> expected = serial_predict(*model);
+  const auto& graphs = test_graphs();
+  for (bool background : {false, true}) {
+    serve::ServerConfig config;
+    config.background_loop = background;
+    config.cache_capacity = 0;
+    config.max_wait_us = 200;  // let duplicates meet an in-flight leader
+    serve::InferenceServer server(model, config);
+
+    constexpr int kClients = 4;
+    constexpr int kQueriesPerClient = 40;
+    std::vector<std::thread> clients;
+    std::atomic<int> wrong{0};
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        Rng rng(hash_combine64(0xD0C0, static_cast<std::uint64_t>(c)));
+        for (int q = 0; q < kQueriesPerClient; ++q) {
+          const std::size_t g = rng.next_below(3);  // heavy duplication
+          const serve::Response r = server.predict(graphs[g]);
+          if (!r.ok() || r.label != expected[g]) wrong.fetch_add(1);
+        }
+      });
+    }
+    for (auto& t : clients) t.join();
+    EXPECT_EQ(wrong.load(), 0) << "background=" << background;
+
+    const serve::ServerStats stats = server.stats();
+    EXPECT_EQ(stats.queries,
+              static_cast<std::uint64_t>(kClients * kQueriesPerClient));
+    EXPECT_EQ(stats.cache.hits, 0u);
+    EXPECT_EQ(stats.cache.hits + stats.cache.misses + stats.coalesced,
+              stats.queries)
+        << "background=" << background;
+    EXPECT_EQ(stats.forwards + stats.coalesced, stats.queries)
+        << "background=" << background;
+  }
 }
 
 TEST(PredictionCacheTest, ShardedCapacityHolds) {

@@ -1,13 +1,15 @@
 // Tests for the machine simulator: cache/LRU behaviour, each prefetcher,
-// the configuration space enumeration (320 / 288), NUMA timing properties,
-// counters, label reduction and cross-architecture translation. The
-// parameterized sweeps check mechanistic invariants across the whole
-// configuration space.
+// the shared-L1 lockstep of prefetcher variants, the configuration space
+// enumeration (320 / 288), NUMA timing properties, counters, label
+// reduction and cross-architecture translation. The parameterized sweeps
+// check mechanistic invariants across the whole configuration space.
 #include <algorithm>
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "support/rng.h"
 
@@ -26,21 +28,70 @@ TEST(CacheTest, LruEviction) {
   SetAssociativeCache cache(256, 2, 64);
   ASSERT_EQ(cache.num_sets(), 2);
   // Lines 0, 2, 4 map to set 0; two fit, the third evicts the LRU (0).
-  cache.insert(0, false);
-  cache.insert(2, false);
+  cache.insert_if_absent(0, false);
+  cache.insert_if_absent(2, false);
   EXPECT_TRUE(cache.access(0));  // touch 0: now 2 is LRU
-  cache.insert(4, false);
+  cache.insert_if_absent(4, false);
   EXPECT_TRUE(cache.contains(0));
   EXPECT_FALSE(cache.contains(2));
   EXPECT_TRUE(cache.contains(4));
 }
 
-TEST(CacheTest, PrefetchTagClearedByDemand) {
+TEST(CacheTest, FusedAccessReportsPrefetchTagOnceThenClearsIt) {
   SetAssociativeCache cache(1024, 4, 64);
-  cache.insert(7, /*prefetched=*/true);
-  EXPECT_TRUE(cache.is_prefetched(7));
-  EXPECT_TRUE(cache.access(7));
-  EXPECT_FALSE(cache.is_prefetched(7));
+  bool was_prefetched = false;
+  EXPECT_FALSE(cache.access(7, &was_prefetched));  // miss: nothing reported
+  EXPECT_FALSE(was_prefetched);
+  cache.insert_if_absent(7, /*prefetched=*/true);
+  EXPECT_TRUE(cache.access(7, &was_prefetched));
+  EXPECT_TRUE(was_prefetched);
+  EXPECT_TRUE(cache.access(7, &was_prefetched));  // the demand hit cleared it
+  EXPECT_FALSE(was_prefetched);
+  cache.insert_if_absent(9, /*prefetched=*/false);
+  EXPECT_TRUE(cache.access(9, &was_prefetched));
+  EXPECT_FALSE(was_prefetched);
+}
+
+TEST(CacheTest, InsertIfAbsentNeitherDoubleInsertsNorRefreshesLru) {
+  // 1 set x 4 ways.
+  SetAssociativeCache cache(256, 4, 64);
+  ASSERT_EQ(cache.num_sets(), 1);
+  EXPECT_TRUE(cache.insert_if_absent(1, false));
+  // Re-inserting a resident line is refused and touches nothing.
+  EXPECT_FALSE(cache.insert_if_absent(1, false));
+  EXPECT_FALSE(cache.insert_if_absent(1, true));
+  for (std::uint64_t line : {2, 3, 4})
+    EXPECT_TRUE(cache.insert_if_absent(line, false));
+  for (std::uint64_t line : {1, 2, 3, 4})
+    EXPECT_TRUE(cache.contains(line)) << line;
+  // 1 is still the LRU way, so 5 evicts it and nothing else.
+  EXPECT_TRUE(cache.insert_if_absent(5, false));
+  EXPECT_FALSE(cache.contains(1));
+  for (std::uint64_t line : {2, 3, 4, 5})
+    EXPECT_TRUE(cache.contains(line)) << line;
+}
+
+TEST(CacheTest, InsertIfAbsentLeavesThePrefetchTagAlone) {
+  SetAssociativeCache cache(1024, 4, 64);
+  EXPECT_TRUE(cache.insert_if_absent(7, /*prefetched=*/true));
+  EXPECT_FALSE(cache.insert_if_absent(7, /*prefetched=*/false));
+  EXPECT_TRUE(cache.insert_if_absent(8, /*prefetched=*/false));
+  EXPECT_FALSE(cache.insert_if_absent(8, /*prefetched=*/true));
+  bool was_prefetched = false;
+  EXPECT_TRUE(cache.access(7, &was_prefetched));
+  EXPECT_TRUE(was_prefetched);
+  EXPECT_TRUE(cache.access(8, &was_prefetched));
+  EXPECT_FALSE(was_prefetched);
+}
+
+TEST(CacheTest, GeometryMustGivePowerOfTwoSets) {
+  EXPECT_THROW(SetAssociativeCache(3 * 64 * 2, 2, 64), std::invalid_argument);
+  EXPECT_THROW(SetAssociativeCache(64, 2, 64), std::invalid_argument);
+  for (const auto& machine :
+       {MachineDesc::sandy_bridge(), MachineDesc::skylake()}) {
+    EXPECT_NO_THROW(CoreCacheModel(machine, PrefetcherConfig{}))
+        << machine.name;
+  }
 }
 
 MemoryAccess make_access(std::uint64_t address, std::uint32_t pc = 1) {
@@ -111,6 +162,73 @@ TEST(PrefetcherTest, RandomAccessMakesPrefetchingWasteful) {
   EXPECT_GT(core.stats().prefetches_issued, 1000u);
 }
 
+// --- Shared-L1 lockstep ------------------------------------------------------
+
+void expect_same_stats(const CacheStats& a, const CacheStats& b,
+                       const std::string& where) {
+  EXPECT_EQ(a.accesses, b.accesses) << where;
+  EXPECT_EQ(a.l1_hits, b.l1_hits) << where;
+  EXPECT_EQ(a.l2_hits, b.l2_hits) << where;
+  EXPECT_EQ(a.l2_misses, b.l2_misses) << where;
+  EXPECT_EQ(a.prefetches_issued, b.prefetches_issued) << where;
+  EXPECT_EQ(a.prefetch_hits, b.prefetch_hits) << where;
+}
+
+TEST(LockstepTest, SharedL1VariantsMatchSingleMaskRuns) {
+  struct TraceCase {
+    const char* region;
+    int threads;
+    int call;
+  };
+  // Streaming, irregular, and a drifting region at a later call.
+  const TraceCase cases[] = {{"sp rhs", 8, 0}, {"bfs 135", 4, 0},
+                             {"kmeans", 12, 3}};
+  for (const auto& machine :
+       {MachineDesc::sandy_bridge(), MachineDesc::skylake()}) {
+    for (const TraceCase& c : cases) {
+      const workloads::RegionSpec* spec = workloads::find_region(c.region);
+      ASSERT_NE(spec, nullptr) << c.region;
+      if (c.call > 0) {
+        ASSERT_GT(spec->traits.call_variability, 0.0) << c.region;
+      }
+      const Trace trace =
+          generate_trace(spec->traits, 0, c.threads, 1.0, c.call);
+      std::set<std::uint64_t> distinct_traffic;
+      for (int dcu = 0; dcu < 4; ++dcu) {
+        std::vector<PrefetcherConfig> variants;
+        for (int l2 = 0; l2 < 4; ++l2)
+          variants.push_back(PrefetcherConfig::from_msr_mask(4 * dcu + l2));
+        CoreCacheModel shared(machine, variants);
+        for (const MemoryAccess& a : trace.accesses) shared.access(a);
+        for (int l2 = 0; l2 < 4; ++l2) {
+          CoreCacheModel single(machine, variants[l2]);
+          for (const MemoryAccess& a : trace.accesses) single.access(a);
+          expect_same_stats(shared.stats(l2), single.stats(),
+                            machine.name + " " + c.region + " mask " +
+                                std::to_string(4 * dcu + l2));
+          distinct_traffic.insert(single.stats().prefetches_issued);
+        }
+      }
+      // The masks really differ on this trace; the equality above is not
+      // vacuous.
+      EXPECT_GT(distinct_traffic.size(), 4u) << machine.name << " "
+                                             << c.region;
+    }
+  }
+}
+
+TEST(LockstepTest, VariantsMustShareTheDcuBits) {
+  MachineDesc machine = MachineDesc::skylake();
+  EXPECT_THROW(CoreCacheModel(machine, std::vector<PrefetcherConfig>{}),
+               std::invalid_argument);
+  EXPECT_THROW(CoreCacheModel(machine, {PrefetcherConfig::from_msr_mask(0),
+                                        PrefetcherConfig::from_msr_mask(4)}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(CoreCacheModel(machine,
+                                 {PrefetcherConfig::from_msr_mask(8),
+                                  PrefetcherConfig::from_msr_mask(11)}));
+}
+
 TEST(ConfigTest, SpaceSizesMatchPaper) {
   EXPECT_EQ(enumerate_configurations(MachineDesc::sandy_bridge()).size(),
             320u);
@@ -179,6 +297,27 @@ TEST(SimulatorTest, DeterministicResults) {
   Configuration config = default_configuration(machine);
   EXPECT_DOUBLE_EQ(a.simulate(streaming_traits(), config).cycles,
                    b.simulate(streaming_traits(), config).cycles);
+}
+
+TEST(SimulatorTest, MemoKeysOnTheExactSizeScale) {
+  // One Simulator asked at two close input sizes must answer each exactly
+  // as a fresh Simulator would: the second size may not reuse the first
+  // size's memoized cache statistics.
+  MachineDesc machine = MachineDesc::skylake();
+  WorkloadTraits traits = streaming_traits();
+  traits.region = "test gather";
+  traits.phases[0].streams[0].irregularity = 0.6;  // size-sensitive jumps
+  Configuration config = default_configuration(machine);
+  Simulator shared(machine);
+  for (double scale : {1.0, 1.004}) {
+    SimResult reused = shared.simulate(traits, config, scale);
+    SimResult fresh = Simulator(machine).simulate(traits, config, scale);
+    EXPECT_EQ(reused.cycles, fresh.cycles) << "scale " << scale;
+    EXPECT_EQ(reused.counters.l1_miss_ratio, fresh.counters.l1_miss_ratio)
+        << "scale " << scale;
+    EXPECT_EQ(reused.counters.l3_miss_ratio, fresh.counters.l3_miss_ratio)
+        << "scale " << scale;
+  }
 }
 
 TEST(SimulatorTest, InterleaveBeatsLocalityForSharedBandwidthBound) {
