@@ -23,6 +23,11 @@ struct TrainOutcome {
   std::vector<double> epoch_loss;
   std::vector<int> predictions;
   std::vector<float> embedding;
+  /// Every trained parameter, concatenated in StaticModel::parameters()
+  /// order.
+  std::vector<float> parameters;
+  /// Every graph's embedding vector, concatenated in graph order.
+  std::vector<float> all_embeddings;
 };
 
 TrainOutcome train_with_threads(int num_threads) {
@@ -59,7 +64,13 @@ TrainOutcome train_with_threads(int num_threads) {
   TrainOutcome out;
   out.epoch_loss = stats.epoch_loss;
   out.predictions = model.predict(graphs);
-  out.embedding = model.embed(graphs)[0];
+  const std::vector<std::vector<float>> embeddings = model.embed(graphs);
+  out.embedding = embeddings[0];
+  for (const auto& e : embeddings)
+    out.all_embeddings.insert(out.all_embeddings.end(), e.begin(), e.end());
+  for (const tensor::Tensor& p : model.parameters())
+    out.parameters.insert(out.parameters.end(), p.data(),
+                          p.data() + p.numel());
   tensor::set_kernel_parallelism(0);
   return out;
 }
@@ -86,6 +97,33 @@ TEST(DeterminismTest, TrainingIsBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(t1.predictions, t8.predictions);
   EXPECT_TRUE(bits_equal(t1.embedding, t2.embedding));
   EXPECT_TRUE(bits_equal(t1.embedding, t8.embedding));
+}
+
+/// 64-bit digest of the raw bits of a training outcome: every epoch loss,
+/// every trained parameter, every prediction, every embedding.
+std::uint64_t training_digest(const TrainOutcome& t) {
+  std::uint64_t h = 0;
+  auto mix_bits = [&](const void* p, std::size_t size) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, p, size);
+    h = hash_combine64(h, bits);
+  };
+  for (double x : t.epoch_loss) mix_bits(&x, sizeof x);
+  for (float x : t.parameters) mix_bits(&x, sizeof x);
+  for (int x : t.predictions) mix_bits(&x, sizeof x);
+  for (float x : t.all_embeddings) mix_bits(&x, sizeof x);
+  return h;
+}
+
+// Pins the trained model itself, not only its thread-count invariance: a
+// kernel or autograd change that moves any float of training fails here.
+// Update the digest only for a deliberate change of the trained numbers,
+// and say why in CHANGES.md.
+TEST(DeterminismTest, TrainingMatchesPinnedDigest) {
+  constexpr std::uint64_t kTrainingDigest = 0xc657bbdb3d637b94ull;
+  for (int threads : {1, 4})
+    EXPECT_EQ(training_digest(train_with_threads(threads)), kTrainingDigest)
+        << "at " << threads << " threads";
 }
 
 TEST(DeterminismTest, ExplorationIsBitIdenticalAcrossThreadCounts) {
