@@ -9,11 +9,14 @@
 // Shapes mirror the GNN hot path: [nodes, hidden] activations against
 // [hidden, hidden] weights, plus square shapes for peak-throughput context.
 //
-// Two engine sections follow the kernel table: a GEMM before/after pitting
-// the PR 2 one-dot-per-element kernel against the register-blocked 4x2
-// micro-kernel (same packed panel, bit-identical outputs), and an inference
-// section measuring the tape-free batched predict path (graphs/sec,
-// ms/graph, malloc bytes per warm call — the last must read 0).
+// Engine sections follow the kernel table: a GEMM before/after pitting the
+// PR 2 one-dot-per-element kernel against the register-blocked 4x2
+// micro-kernel (same packed panel, bit-identical outputs), int8 against
+// float GEMM, the fused RGCN layer against the op chain it replaces
+// (forward + backward at a training-shard shape, bit-identical outputs and
+// gradients), and an inference section measuring the tape-free batched
+// predict path (graphs/sec, ms/graph, malloc bytes per warm call — the last
+// must read 0).
 //
 //   ./microbench_kernels --threads 1 --reps 9
 #include <algorithm>
@@ -201,6 +204,8 @@ int main(int argc, char** argv) {
   std::vector<GemmRecord> float_gemm_records;
   std::vector<GemmRecord> int8_gemm_records;
   double int8_median_speedup = 0.0;
+  double rgcn_unfused_ms = 0.0, rgcn_fused_ms = 0.0;
+  bool rgcn_identical = false;
   double infer_float_predict_ms = 0.0, infer_int8_predict_ms = 0.0;
   std::uint64_t infer_float_malloc = 0, infer_int8_malloc = 0;
 
@@ -322,6 +327,110 @@ int main(int argc, char** argv) {
     int8_table.print();
     std::printf("median int8 speedup over float: %.2fx\n",
                 int8_median_speedup);
+  }
+
+  // --- Fused RGCN layer vs the unfused op chain -------------------------------
+  // One training step's worth of one RGCN layer at a training-shard shape:
+  // forward, a weighted-sum loss, backward. The unfused side records the
+  // chain tensor::rgcn_layer replaces (matmul, then gather -> matmul ->
+  // index_add -> add per relation, then relu: 14 tape nodes); the fused
+  // side records one node. The loss tail is the same on both sides. Output
+  // and every gradient are verified bit-identical.
+  {
+    const int nodes = 380, hidden = 32;
+    const int edge_counts[] = {200, 120, 50};
+    std::vector<tensor::RelationEdges> relations(3);
+    for (int r = 0; r < 3; ++r) {
+      std::vector<int> in_degree(nodes, 0);
+      for (int i = 0; i < edge_counts[r]; ++i) {
+        relations[r].src.push_back(
+            static_cast<int>(rng.uniform(0.0, 1.0) * (nodes - 1)));
+        relations[r].dst.push_back(
+            static_cast<int>(rng.uniform(0.0, 1.0) * (nodes - 1)));
+        ++in_degree[relations[r].dst.back()];
+      }
+      for (int v : relations[r].dst)
+        relations[r].coeff.push_back(1.0f / static_cast<float>(in_degree[v]));
+    }
+    auto copy_of = [](const Tensor& t, bool requires_grad) {
+      return Tensor::from_data(
+          t.shape(), std::vector<float>(t.data(), t.data() + t.numel()),
+          requires_grad);
+    };
+    const Tensor h_init = Tensor::xavier({nodes, hidden}, rng);
+    std::vector<Tensor> w_init;
+    for (int w = 0; w < 4; ++w)
+      w_init.push_back(Tensor::xavier({hidden, hidden}, rng));
+    const Tensor upstream =
+        copy_of(Tensor::xavier({nodes, hidden}, rng), false);
+    const std::vector<int> one_segment(nodes, 0);
+    const Tensor ones = Tensor::full({hidden, 1}, 1.0f);
+
+    struct Side {
+      Tensor h, w0;
+      std::vector<Tensor> w;
+      Tensor y;
+    };
+    auto make_side = [&] {
+      Side side{copy_of(h_init, true), copy_of(w_init[0], true), {}, {}};
+      for (int r = 1; r < 4; ++r) side.w.push_back(copy_of(w_init[r], true));
+      return side;
+    };
+    auto step = [&](Side& side, bool fused) {
+      if (fused) {
+        side.y = tensor::rgcn_layer(side.h, side.w0, side.w, relations);
+      } else {
+        Tensor out = tensor::matmul(side.h, side.w0);
+        for (int r = 0; r < 3; ++r) {
+          Tensor messages = tensor::matmul(
+              tensor::gather_rows(side.h, relations[r].src), side.w[r]);
+          out = tensor::add(out, tensor::index_add_rows(
+                                     messages, relations[r].dst,
+                                     relations[r].coeff, nodes));
+        }
+        side.y = tensor::relu(out);
+      }
+      tensor::matmul(tensor::segment_mean(tensor::mul(side.y, upstream),
+                                          one_segment, 1),
+                     ones)
+          .backward();
+    };
+
+    Side unfused = make_side();
+    Side fused = make_side();
+    step(unfused, false);
+    step(fused, true);
+    auto same = [](const float* a, const float* b, std::int64_t n) {
+      return std::memcmp(a, b, static_cast<std::size_t>(n) * sizeof(float)) ==
+             0;
+    };
+    rgcn_identical =
+        same(unfused.y.data(), fused.y.data(), unfused.y.numel()) &&
+        same(unfused.h.grad(), fused.h.grad(), unfused.h.numel()) &&
+        same(unfused.w0.grad(), fused.w0.grad(), unfused.w0.numel());
+    for (int r = 0; r < 3; ++r)
+      rgcn_identical = rgcn_identical && same(unfused.w[r].grad(),
+                                              fused.w[r].grad(),
+                                              unfused.w[r].numel());
+    if (!rgcn_identical) ++failures;
+
+    Timing unfused_t = time_kernel(warmup, reps, [&] { step(unfused, false); });
+    Timing fused_t = time_kernel(warmup, reps, [&] { step(fused, true); });
+    rgcn_unfused_ms = unfused_t.median_ms;
+    rgcn_fused_ms = fused_t.median_ms;
+    Table rgcn_table({"layer shape", "unfused [ms]", "fused [ms]", "speedup",
+                      "bit-identical", "malloc B/rep"});
+    rgcn_table.add_row(
+        {"380 nodes, 200/120/50 edges, H=32", Table::fmt(rgcn_unfused_ms, 3),
+         Table::fmt(rgcn_fused_ms, 3),
+         Table::fmt(rgcn_unfused_ms / rgcn_fused_ms, 2),
+         rgcn_identical ? "yes" : "NO",
+         std::to_string((unfused_t.malloc_bytes + fused_t.malloc_bytes) /
+                        reps)});
+    std::printf("\n=== RGCN layer forward+backward: unfused op chain vs "
+                "tensor::rgcn_layer (threads=%d) ===\n",
+                threads);
+    rgcn_table.print();
   }
 
   // --- Inference engine -----------------------------------------------------
@@ -454,13 +563,18 @@ int main(int argc, char** argv) {
           f,
           "  ],\n"
           "  \"int8_gemm_median_speedup\": %.3f,\n"
+          "  \"rgcn_layer\": {\"shape\": \"380 nodes, 200/120/50 edges, "
+          "H=32\", \"unfused_ms\": %.4f, \"fused_ms\": %.4f, "
+          "\"speedup\": %.3f, \"bit_identical\": %s},\n"
           "  \"inference\": {\"float_predict_ms\": %.4f, "
           "\"int8_predict_ms\": %.4f, \"speedup\": %.3f,\n"
           "               \"float_malloc_b\": %llu, \"int8_malloc_b\": "
           "%llu},\n"
           "  \"failures\": %d\n"
           "}\n",
-          int8_median_speedup, infer_float_predict_ms, infer_int8_predict_ms,
+          int8_median_speedup, rgcn_unfused_ms, rgcn_fused_ms,
+          rgcn_unfused_ms / rgcn_fused_ms, rgcn_identical ? "true" : "false",
+          infer_float_predict_ms, infer_int8_predict_ms,
           infer_int8_predict_ms > 0.0
               ? infer_float_predict_ms / infer_int8_predict_ms
               : 0.0,

@@ -15,6 +15,9 @@
 
 namespace irgnn::gnn {
 
+static_assert(graph::kNumEdgeKinds <= tensor::kMaxRgcnRelations,
+              "an RGCN layer over every edge kind must fit one rgcn_layer");
+
 struct GraphBatch {
   std::vector<int> features;                 // per node, vocabulary index
   std::vector<RelationEdges> relations;      // size kNumEdgeKinds

@@ -73,11 +73,7 @@ class LayerNorm {
 
 /// Edge lists of one relation inside a (batched) graph, plus the RGCN
 /// normalization coefficients 1/c_{i,r} (inverse in-degree under relation r).
-struct RelationEdges {
-  std::vector<int> src;
-  std::vector<int> dst;
-  std::vector<float> coeff;  // per-edge 1/c_{dst,r}
-};
+using tensor::RelationEdges;
 
 /// One RGCN layer:  h_i' = sigma( W_0 h_i + sum_r sum_{j in N_r(i)}
 ///                               (1/c_{i,r}) W_r h_j )
@@ -93,20 +89,11 @@ class RGCNLayer {
       : self_weight_(std::move(self_weight)),
         relation_weights_(std::move(relation_weights)) {}
 
-  /// `h` is [num_nodes, dim]; `relations` has one entry per relation.
+  /// `h` is [num_nodes, dim]; `relations` has one entry per relation. One
+  /// fused tape node (tensor::rgcn_layer).
   Tensor forward(const Tensor& h,
                  const std::vector<RelationEdges>& relations) const {
-    Tensor out = tensor::matmul(h, self_weight_);
-    for (std::size_t r = 0; r < relation_weights_.size(); ++r) {
-      const RelationEdges& edges = relations[r];
-      if (edges.src.empty()) continue;
-      Tensor gathered = tensor::gather_rows(h, edges.src);
-      Tensor messages = tensor::matmul(gathered, relation_weights_[r]);
-      Tensor aggregated = tensor::index_add_rows(messages, edges.dst,
-                                                 edges.coeff, h.rows());
-      out = tensor::add(out, aggregated);
-    }
-    return tensor::relu(out);
+    return tensor::rgcn_layer(h, self_weight_, relation_weights_, relations);
   }
 
   std::vector<Tensor> parameters() const {

@@ -1,6 +1,7 @@
 #include "tensor/tensor.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cassert>
 #include <cmath>
@@ -63,22 +64,29 @@ std::shared_ptr<Node> make_node(Shape shape) {
 /// InferenceGuard the node stays tape-free: no parents, no closure, no grad
 /// propagation — parents' buffers can recycle the moment their handles die.
 std::shared_ptr<Node> make_op_node(
-    Shape shape, std::initializer_list<std::shared_ptr<Node>> parents,
+    Shape shape, const std::shared_ptr<Node>* parents, std::size_t count,
     support::InlineFunction<void(Node&), 64> backward) {
   auto node = make_node(shape);
   if (t_inference_mode) return node;
-  for (const auto& p : parents) node->requires_grad |= p->requires_grad;
+  for (std::size_t p = 0; p < count; ++p)
+    node->requires_grad |= parents[p]->requires_grad;
   if (node->requires_grad) {
     // Hard check, not an assert: overflowing the fixed parent array would
     // corrupt the adjacent inline closure storage in NDEBUG builds.
-    if (parents.size() > Node::kMaxParents)
+    if (count > Node::kMaxParents)
       throw std::logic_error("op exceeds Node::kMaxParents inputs");
-    int count = 0;
-    for (const auto& p : parents) node->parents[count++] = p;
-    node->num_parents = count;
+    for (std::size_t p = 0; p < count; ++p) node->parents[p] = parents[p];
+    node->num_parents = static_cast<int>(count);
     node->backward_fn = std::move(backward);
   }
   return node;
+}
+
+std::shared_ptr<Node> make_op_node(
+    Shape shape, std::initializer_list<std::shared_ptr<Node>> parents,
+    support::InlineFunction<void(Node&), 64> backward) {
+  return make_op_node(shape, parents.begin(), parents.size(),
+                      std::move(backward));
 }
 
 }  // namespace
@@ -628,6 +636,231 @@ Tensor index_add_rows(const Tensor& x, const std::vector<int>& dst,
     assert(dst[i] >= 0 && dst[i] < num_rows);
     simd::axpy(node->data.data() + dst[i] * d, coeff[i], x.data() + i * d, d);
   }
+  return Tensor(node);
+}
+
+namespace {
+
+/// What rgcn_layer's backward needs besides its parents and its output: the
+/// edge lists of the relations that have edges, concatenated in relation
+/// order. Recorded relation j owns edges [begin[j], begin[j + 1]) and its
+/// weight is parent 2 + j.
+struct RgcnTape {
+  support::PoolVector<int> src;
+  support::PoolVector<int> dst;
+  support::PoolVector<float> coeff;
+  std::array<std::int64_t, kMaxRgcnRelations + 1> begin{};
+  int num_relations = 0;
+  std::int64_t max_edges = 0;
+};
+
+/// rgcn_layer's backward: the unfused chain's node backwards in the order
+/// Tensor::backward() would run them (relu, then each relation from last to
+/// first, then the self matmul), with their arithmetic unchanged.
+void rgcn_backward(Node& out, std::int64_t m, std::int64_t k, std::int64_t n,
+                   const RgcnTape& tape) {
+  Node& H = *out.parents[0];
+  Node& W0 = *out.parents[1];
+  // Gradient at the pre-activation: relu's backward leaves 0 + G (y > 0) or
+  // 0 in its zeroed input gradient. Each add node of the chain passes that
+  // on as 0 + g, which is g bit for bit (g is never -0), so this one buffer
+  // is what every aggregate and the self matmul receive.
+  support::PoolVector<float> g(static_cast<std::size_t>(m * n));
+  {
+    const float* y = out.data.data();
+    const float* gy = out.grad.data();
+    const std::int64_t size = m * n;
+    const v8f zero = v8f::zero();
+    std::int64_t i = 0;
+    for (; i + simd::kLanes <= size; i += simd::kLanes)
+      v8f::where_gt_zero(v8f::load(y + i), zero + v8f::load(gy + i))
+          .store(g.data() + i);
+    for (; i < size; ++i) g[i] = y[i] > 0.0f ? 0.0f + gy[i] : 0.0f;
+  }
+  const float* pg = g.data();
+  if (tape.num_relations > 0) {
+    const std::int64_t cap = tape.max_edges;
+    support::PoolVector<float> gm(static_cast<std::size_t>(cap * n));
+    support::PoolVector<float> rows_t(static_cast<std::size_t>(k * cap));
+    support::PoolVector<float> drows(static_cast<std::size_t>(cap * k));
+    for (int j = tape.num_relations - 1; j >= 0; --j) {
+      Node& W = *out.parents[2 + j];
+      const std::int64_t e0 = tape.begin[j];
+      const std::int64_t e = tape.begin[j + 1] - e0;
+      const int* src = tape.src.data() + e0;
+      const int* dst = tape.dst.data() + e0;
+      const float* coeff = tape.coeff.data() + e0;
+      const std::int64_t flops = e * k * n;
+      // index_add_rows backward: gm[i,:] = 0 + coeff[i] * g[dst[i],:], the
+      // axpy into a zeroed row written directly.
+      for_row_blocks(e, e * n, [&](std::int64_t i0, std::int64_t i1) {
+        const v8f zero = v8f::zero();
+        for (std::int64_t i = i0; i < i1; ++i) {
+          float* grow = gm.data() + i * n;
+          const float* xrow = pg + static_cast<std::int64_t>(dst[i]) * n;
+          const v8f vs = v8f::broadcast(coeff[i]);
+          std::int64_t c = 0;
+          for (; c + simd::kLanes <= n; c += simd::kLanes)
+            (zero + vs * v8f::load(xrow + c)).store(grow + c);
+          for (; c < n; ++c) grow[c] = 0.0f + coeff[i] * xrow[c];
+        }
+      });
+      if (W.requires_grad) {
+        // The message matmul's dB: dW_r[l,:] += rows[i,l] * gm[i,:], i
+        // ascending, with the gathered rows packed transposed straight from
+        // h (rows_t[l,i] = h[src[i],l]).
+        for (std::int64_t i = 0; i < e; ++i) {
+          const float* hrow = H.data.data() + static_cast<std::int64_t>(src[i]) * k;
+          for (std::int64_t l = 0; l < k; ++l) rows_t[l * e + i] = hrow[l];
+        }
+        for_row_blocks(k, flops, [&](std::int64_t l0, std::int64_t l1) {
+          detail::gemm_axpy_panels(rows_t.data() + l0 * e, e, gm.data(), n,
+                                   l1 - l0, e, n, W.grad.data() + l0 * n, n);
+        });
+      }
+      if (H.requires_grad) {
+        // The message matmul's dA into the gathered rows' zeroed gradient,
+        // then the gather's scatter-add into h.grad in edge order.
+        std::fill(drows.begin(), drows.begin() + e * k, 0.0f);
+        const float* pw = W.data.data();
+        for_row_blocks(e, flops, [&](std::int64_t i0, std::int64_t i1) {
+          detail::gemm_dot_panels<true>(gm.data() + i0 * n, n, pw, n, i1 - i0,
+                                        k, n, drows.data() + i0 * k, k);
+        });
+        for (std::int64_t i = 0; i < e; ++i)
+          simd::add_inplace(
+              H.grad.data() + static_cast<std::int64_t>(src[i]) * k,
+              drows.data() + i * k, k);
+      }
+    }
+  }
+  // The self matmul is the chain's first node, so its backward runs last.
+  const std::int64_t flops = m * k * n;
+  if (H.requires_grad) {
+    const float* pw = W0.data.data();
+    for_row_blocks(m, flops, [&](std::int64_t i0, std::int64_t i1) {
+      detail::gemm_dot_panels<true>(pg + i0 * n, n, pw, n, i1 - i0, k, n,
+                                    H.grad.data() + i0 * k, k);
+    });
+  }
+  if (W0.requires_grad) {
+    support::PoolVector<float> ht;  // [k, m]
+    transpose_into(H.data.data(), m, k, ht);
+    for_row_blocks(k, flops, [&](std::int64_t l0, std::int64_t l1) {
+      detail::gemm_axpy_panels(ht.data() + l0 * m, m, pg, n, l1 - l0, m, n,
+                               W0.grad.data() + l0 * n, n);
+    });
+  }
+}
+
+}  // namespace
+
+Tensor rgcn_layer(const Tensor& h, const Tensor& self_weight,
+                  const std::vector<Tensor>& relation_weights,
+                  const std::vector<RelationEdges>& relations) {
+  assert(h.cols() == self_weight.rows());
+  assert(relations.size() >= relation_weights.size());
+  // Hard check: the parent array below has room for this many relations.
+  if (relation_weights.size() > static_cast<std::size_t>(kMaxRgcnRelations))
+    throw std::logic_error("rgcn_layer exceeds kMaxRgcnRelations relations");
+  const std::int64_t m = h.rows();
+  const std::int64_t k = h.cols();
+  const std::int64_t n = self_weight.cols();
+  const std::size_t num_relations = relation_weights.size();
+  std::int64_t max_edges = 0;
+  for (std::size_t r = 0; r < num_relations; ++r)
+    max_edges = std::max(
+        max_edges, static_cast<std::int64_t>(relations[r].src.size()));
+
+  // Tape inputs: h, W0, then the weight of every relation that has edges —
+  // an edgeless relation contributes nothing, so its weight gets no
+  // gradient buffer, as in the unfused chain. The edge lists are copied
+  // only when something will run backward.
+  std::array<std::shared_ptr<Node>, Node::kMaxParents> parents;
+  std::size_t num_parents = 0;
+  std::shared_ptr<RgcnTape> tape;
+  if (!inference_mode()) {
+    parents[num_parents++] = h.node();
+    parents[num_parents++] = self_weight.node();
+    bool requires_grad = h.requires_grad() || self_weight.requires_grad();
+    std::size_t total_edges = 0;
+    for (std::size_t r = 0; r < num_relations; ++r) {
+      if (relations[r].src.empty()) continue;
+      parents[num_parents++] = relation_weights[r].node();
+      requires_grad |= relation_weights[r].requires_grad();
+      total_edges += relations[r].src.size();
+    }
+    if (requires_grad) {
+      tape = support::make_pooled<RgcnTape>();
+      tape->src.reserve(total_edges);
+      tape->dst.reserve(total_edges);
+      tape->coeff.reserve(total_edges);
+      for (std::size_t r = 0; r < num_relations; ++r) {
+        const RelationEdges& edges = relations[r];
+        if (edges.src.empty()) continue;
+        tape->src.insert(tape->src.end(), edges.src.begin(), edges.src.end());
+        tape->dst.insert(tape->dst.end(), edges.dst.begin(), edges.dst.end());
+        tape->coeff.insert(tape->coeff.end(), edges.coeff.begin(),
+                           edges.coeff.end());
+        tape->begin[++tape->num_relations] =
+            static_cast<std::int64_t>(tape->src.size());
+      }
+      tape->max_edges = max_edges;
+    }
+  }
+  auto node = make_op_node(
+      {static_cast<int>(m), static_cast<int>(n)}, parents.data(), num_parents,
+      [m, k, n, tape](Node& out) { rgcn_backward(out, m, k, n, *tape); });
+
+  // Self term h W0, exactly matmul's forward.
+  const float* ph = h.data();
+  float* py = node->data.data();
+  support::PoolVector<float> wt;  // packed transposed weight [n, k]
+  transpose_into(self_weight.data(), k, n, wt);
+  for_row_blocks(m, m * k * n, [&](std::int64_t i0, std::int64_t i1) {
+    detail::gemm_dot_panels<false>(ph + i0 * k, k, wt.data(), k, i1 - i0, n,
+                                   k, py + i0 * n, n);
+  });
+  if (max_edges > 0) {
+    support::PoolVector<float> rows(static_cast<std::size_t>(max_edges * k));
+    support::PoolVector<float> msg(static_cast<std::size_t>(max_edges * n));
+    support::PoolVector<float> agg(static_cast<std::size_t>(m * n));
+    bool agg_zero = true;
+    for (std::size_t r = 0; r < num_relations; ++r) {
+      const RelationEdges& edges = relations[r];
+      const std::int64_t e = static_cast<std::int64_t>(edges.src.size());
+      if (e == 0) continue;
+      assert(edges.dst.size() == edges.src.size());
+      assert(edges.coeff.size() == edges.src.size());
+      // gather_rows then matmul, a row block at a time.
+      transpose_into(relation_weights[r].data(), k, n, wt);
+      for_row_blocks(e, e * k * n, [&](std::int64_t i0, std::int64_t i1) {
+        for (std::int64_t i = i0; i < i1; ++i) {
+          assert(edges.src[i] >= 0 && edges.src[i] < m);
+          const float* hrow = ph + static_cast<std::int64_t>(edges.src[i]) * k;
+          std::copy(hrow, hrow + k, rows.data() + i * k);
+        }
+        detail::gemm_dot_panels<false>(rows.data() + i0 * k, k, wt.data(), k,
+                                       i1 - i0, n, k, msg.data() + i0 * n, n);
+      });
+      // index_add_rows into a zeroed aggregate in edge order, then the add.
+      if (!agg_zero) std::fill(agg.begin(), agg.end(), 0.0f);
+      agg_zero = false;
+      for (std::int64_t i = 0; i < e; ++i) {
+        assert(edges.dst[i] >= 0 && edges.dst[i] < m);
+        simd::axpy(agg.data() + static_cast<std::int64_t>(edges.dst[i]) * n,
+                   edges.coeff[i], msg.data() + i * n, n);
+      }
+      simd::add_inplace(py, agg.data(), m * n);
+    }
+  }
+  // relu: max(x, 0) is the bits of std::max(0.0f, x), -0 and NaN included.
+  const std::int64_t size = m * n;
+  const v8f zero = v8f::zero();
+  std::int64_t i = 0;
+  for (; i + simd::kLanes <= size; i += simd::kLanes)
+    v8f::max(v8f::load(py + i), zero).store(py + i);
+  for (; i < size; ++i) py[i] = std::max(0.0f, py[i]);
   return Tensor(node);
 }
 

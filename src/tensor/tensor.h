@@ -50,10 +50,15 @@ struct Shape {
 
 class Tensor;
 
+/// Most relation types one rgcn_layer call can take (the program graph's
+/// control/data/call edge kinds; gnn/graph_batch.h static_asserts the fit).
+inline constexpr int kMaxRgcnRelations = 3;
+
 namespace detail {
 struct Node {
-  /// No tape op takes more than this many inputs (layer_norm: x/gamma/beta).
-  static constexpr int kMaxParents = 3;
+  /// No tape op takes more than this many inputs (rgcn_layer: h, the self
+  /// weight and one weight per relation).
+  static constexpr int kMaxParents = 2 + kMaxRgcnRelations;
 
   Shape shape;
   support::PoolVector<float> data;
@@ -208,6 +213,28 @@ Tensor gather_rows(const Tensor& x, const std::vector<int>& index);
 /// out[num_rows, d]; out[dst[e],:] += coeff[e] * x[e,:]
 Tensor index_add_rows(const Tensor& x, const std::vector<int>& dst,
                       const std::vector<float>& coeff, int num_rows);
+
+/// Edge lists of one relation: edge e carries coeff[e] * x[src[e],:] into
+/// row dst[e] (for the RGCN, coeff is 1/c_{dst,r}, the inverse in-degree
+/// under the relation).
+struct RelationEdges {
+  std::vector<int> src;
+  std::vector<int> dst;
+  std::vector<float> coeff;
+};
+
+/// One relational graph convolution as a single tape node:
+///   relu(h W0 + sum_r index_add_rows(gather_rows(h, src_r) W_r, dst_r,
+///                                    coeff_r, h.rows()))
+/// over the first relation_weights.size() entries of `relations`; relations
+/// without edges are skipped and their weights get no gradient. Forward and
+/// the hand-written backward perform exactly the float operations of that
+/// unfused op chain in the same order, so values and gradients are
+/// bit-identical to it; the fused node just skips the chain's intermediate
+/// tape nodes and their zero-filled data and gradient buffers.
+Tensor rgcn_layer(const Tensor& h, const Tensor& self_weight,
+                  const std::vector<Tensor>& relation_weights,
+                  const std::vector<RelationEdges>& relations);
 
 /// Mean over row segments: out[s,:] = mean over {i : segment[i]==s} of x[i,:].
 /// Empty segments produce zero rows.

@@ -118,8 +118,8 @@ TEST(FunctionRefTest, BorrowsCallable) {
 }
 
 // One representative training step over every vectorized kernel: two linear
-// layers, layer norm, segment pooling, an index_add scatter, NLL loss,
-// backward, Adam. Sizes are small enough that kernels stay on the serial
+// layers, layer norm, a fused RGCN layer over three relations, segment
+// pooling, an index_add scatter, NLL loss, backward, Adam. Sizes are small enough that kernels stay on the serial
 // path (the strict heap assertion needs the in-thread path; the pooled
 // multi-thread dispatch is covered by the model test below).
 struct StepFixture {
@@ -129,6 +129,20 @@ struct StepFixture {
   Tensor b1 = Tensor::zeros({1, 48}, true);
   Tensor gamma = Tensor::full({1, 48}, 1.0f, true);
   Tensor beta = Tensor::zeros({1, 48}, true);
+  Tensor w_self = Tensor::xavier({48, 48}, rng);
+  std::vector<Tensor> w_rel{Tensor::xavier({48, 48}, rng),
+                            Tensor::xavier({48, 48}, rng),
+                            Tensor::xavier({48, 48}, rng)};
+  std::vector<tensor::RelationEdges> relations = [] {
+    std::vector<tensor::RelationEdges> rels(3);
+    for (int r = 0; r < 3; ++r)
+      for (int i = 0; i < 10 + 7 * r; ++i) {
+        rels[r].src.push_back((i * 5 + r) % 24);
+        rels[r].dst.push_back((i * 11 + 3 * r) % 24);
+        rels[r].coeff.push_back(0.25f);
+      }
+    return rels;
+  }();
   Tensor w2 = Tensor::xavier({48, 5}, rng);
   Tensor b2 = Tensor::zeros({1, 5}, true);
   std::vector<int> seg = [] {
@@ -143,12 +157,15 @@ struct StepFixture {
   }();
   std::vector<float> scatter_coeff = std::vector<float>(24, 0.5f);
   std::vector<int> targets{0, 2, 4, 1};
-  tensor::Adam adam{{w1, b1, gamma, beta, w2, b2}, {.lr = 1e-3f}};
+  tensor::Adam adam{
+      {w1, b1, gamma, beta, w_self, w_rel[0], w_rel[1], w_rel[2], w2, b2},
+      {.lr = 1e-3f}};
 
   float step() {
     adam.zero_grad();
     Tensor h = tensor::add_bias_act(tensor::matmul(x, w1), b1, Act::Relu);
     h = tensor::layer_norm(h, gamma, beta);
+    h = tensor::rgcn_layer(h, w_self, w_rel, relations);
     h = tensor::index_add_rows(h, scatter_dst, scatter_coeff, 24);
     Tensor pooled = tensor::segment_mean(h, seg, 4);
     Tensor logits = tensor::add_bias_act(tensor::matmul(pooled, w2), b2,

@@ -8,7 +8,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "support/simd.h"
@@ -773,6 +775,123 @@ TEST(TensorTest, BackwardThroughSharedSubgraph) {
   Tensor loss = add(sq, sq);  // d/da = 2 * 2a = 12
   loss.backward();
   EXPECT_NEAR(a.grad()[0], 12.0f, 1e-4f);
+}
+
+// --- Fused RGCN layer --------------------------------------------------------
+
+/// The op chain rgcn_layer fuses, recorded node by node.
+Tensor unfused_rgcn(const Tensor& h, const Tensor& self_weight,
+                    const std::vector<Tensor>& relation_weights,
+                    const std::vector<RelationEdges>& relations) {
+  Tensor out = matmul(h, self_weight);
+  for (std::size_t r = 0; r < relation_weights.size(); ++r) {
+    const RelationEdges& edges = relations[r];
+    if (edges.src.empty()) continue;
+    Tensor messages = matmul(gather_rows(h, edges.src), relation_weights[r]);
+    out = add(out, index_add_rows(messages, edges.dst, edges.coeff, h.rows()));
+  }
+  return relu(out);
+}
+
+Tensor copy_of(const Tensor& t, bool requires_grad) {
+  return Tensor::from_data(t.shape(),
+                           std::vector<float>(t.data(), t.data() + t.numel()),
+                           requires_grad);
+}
+
+/// Bitwise equality; EXPECT_EQ on floats would let -0 pass for +0.
+bool same_bits(const float* a, const float* b, std::int64_t n) {
+  return std::memcmp(a, b, static_cast<std::size_t>(n) * sizeof(float)) == 0;
+}
+
+TEST(TensorTest, FusedRgcnLayerMatchesUnfusedChain) {
+  for (int d : {32, 13}) {  // 13: every 8-wide loop ends in a scalar tail
+    SCOPED_TRACE("d=" + std::to_string(d));
+    constexpr int kNodes = 11;
+    Rng rng(0xF05E + d);
+    // Relation 0 has repeated destinations, relation 1 has no edges, and no
+    // edge of any relation ends at node 10.
+    std::vector<RelationEdges> relations(3);
+    for (int i = 0; i < 23; ++i) {
+      relations[0].src.push_back(i * 7 % kNodes);
+      relations[0].dst.push_back(i * 3 % 10);
+    }
+    for (int i = 0; i < 6; ++i) {
+      relations[2].src.push_back(10 - i);
+      relations[2].dst.push_back(i * 4 % 10);
+    }
+    for (RelationEdges& rel : relations) {
+      std::vector<int> in_degree(kNodes, 0);
+      for (int v : rel.dst) ++in_degree[v];
+      for (int v : rel.dst) rel.coeff.push_back(1.0f / in_degree[v]);
+    }
+
+    Tensor h_init = Tensor::xavier({kNodes, d}, rng);
+    for (int j = 0; j < d; ++j) h_init.data()[4 * d + j] = 0.0f;  // zero row
+    h_init.data()[1] = -0.0f;
+    h_init.data()[2 * d + 5] = -0.0f;
+    // Column 0 of every weight is zero, so that pre-activation column sits
+    // at exactly 0 for every node: relu's derivative at its boundary.
+    std::vector<Tensor> w_init;
+    for (int w = 0; w < 4; ++w) {
+      w_init.push_back(Tensor::xavier({d, d}, rng));
+      for (int l = 0; l < d; ++l) w_init.back().data()[l * d] = 0.0f;
+    }
+    // Upstream weights for the loss, with signed zeros, so the incoming
+    // gradient holds +0 and -0 as well.
+    Tensor upstream = copy_of(Tensor::xavier({kNodes, d}, rng), false);
+    upstream.data()[d + 3] = -0.0f;
+    upstream.data()[2] = 0.0f;
+
+    struct Run {
+      Tensor h, y;
+      std::vector<Tensor> w;  // W0, W_0, W_1, W_2
+    };
+    auto run = [&](bool fused) {
+      Run r;
+      r.h = copy_of(h_init, true);
+      for (const Tensor& w : w_init) r.w.push_back(copy_of(w, true));
+      std::vector<Tensor> rel_w(r.w.begin() + 1, r.w.end());
+      r.y = fused ? rgcn_layer(r.h, r.w[0], rel_w, relations)
+                  : unfused_rgcn(r.h, r.w[0], rel_w, relations);
+      // The residual add runs backward first, so h.grad already holds its
+      // contribution when the layer's backward accumulates into it.
+      sum_all(mul(add(r.y, r.h), upstream)).backward();
+      return r;
+    };
+    Run ref = run(false);
+    Run fused = run(true);
+
+    // One tape node whose inputs are h, W0 and the two non-empty
+    // relations' weights.
+    EXPECT_EQ(fused.y.node()->num_parents, 4);
+    ASSERT_TRUE(same_bits(ref.y.data(), fused.y.data(), ref.y.numel()));
+    ASSERT_TRUE(ref.h.grad_allocated() && fused.h.grad_allocated());
+    EXPECT_TRUE(same_bits(ref.h.grad(), fused.h.grad(), ref.h.numel()))
+        << "h.grad";
+    for (int w : {0, 1, 3}) {
+      ASSERT_TRUE(ref.w[w].grad_allocated() && fused.w[w].grad_allocated())
+          << "weight " << w;
+      EXPECT_TRUE(
+          same_bits(ref.w[w].grad(), fused.w[w].grad(), ref.w[w].numel()))
+          << "weight " << w;
+    }
+    // The edgeless relation's weight never gets a gradient buffer.
+    EXPECT_FALSE(ref.w[2].grad_allocated());
+    EXPECT_FALSE(fused.w[2].grad_allocated());
+
+    // Tape-free under InferenceGuard, with the same output bits.
+    Tensor untaped;
+    {
+      InferenceGuard guard;
+      untaped = rgcn_layer(fused.h, fused.w[0],
+                           {fused.w[1], fused.w[2], fused.w[3]}, relations);
+    }
+    ASSERT_TRUE(same_bits(fused.y.data(), untaped.data(), fused.y.numel()));
+    EXPECT_FALSE(untaped.requires_grad());
+    EXPECT_EQ(untaped.node()->num_parents, 0);
+    EXPECT_FALSE(static_cast<bool>(untaped.node()->backward_fn));
+  }
 }
 
 }  // namespace
