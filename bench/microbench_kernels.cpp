@@ -329,7 +329,7 @@ int main(int argc, char** argv) {
                 int8_median_speedup);
   }
 
-  // --- Fused RGCN layer vs the unfused op chain -------------------------------
+  // --- Fused RGCN layer vs the unfused op chain ----------------------------
   // One training step's worth of one RGCN layer at a training-shard shape:
   // forward, a weighted-sum loss, backward. The unfused side records the
   // chain tensor::rgcn_layer replaces (matmul, then gather -> matmul ->

@@ -710,7 +710,8 @@ void rgcn_backward(Node& out, std::int64_t m, std::int64_t k, std::int64_t n,
         // ascending, with the gathered rows packed transposed straight from
         // h (rows_t[l,i] = h[src[i],l]).
         for (std::int64_t i = 0; i < e; ++i) {
-          const float* hrow = H.data.data() + static_cast<std::int64_t>(src[i]) * k;
+          const float* hrow =
+              H.data.data() + static_cast<std::int64_t>(src[i]) * k;
           for (std::int64_t l = 0; l < k; ++l) rows_t[l * e + i] = hrow[l];
         }
         for_row_blocks(k, flops, [&](std::int64_t l0, std::int64_t l1) {

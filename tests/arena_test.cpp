@@ -119,9 +119,10 @@ TEST(FunctionRefTest, BorrowsCallable) {
 
 // One representative training step over every vectorized kernel: two linear
 // layers, layer norm, a fused RGCN layer over three relations, segment
-// pooling, an index_add scatter, NLL loss, backward, Adam. Sizes are small enough that kernels stay on the serial
-// path (the strict heap assertion needs the in-thread path; the pooled
-// multi-thread dispatch is covered by the model test below).
+// pooling, an index_add scatter, NLL loss, backward, Adam. Sizes are small
+// enough that kernels stay on the serial path (the strict heap assertion
+// needs the in-thread path; the pooled multi-thread dispatch is covered by
+// the model test below).
 struct StepFixture {
   Rng rng{123};
   Tensor x = Tensor::xavier({24, 32}, rng);
