@@ -691,19 +691,12 @@ void rgcn_backward(Node& out, std::int64_t m, std::int64_t k, std::int64_t n,
       const int* dst = tape.dst.data() + e0;
       const float* coeff = tape.coeff.data() + e0;
       const std::int64_t flops = e * k * n;
-      // index_add_rows backward: gm[i,:] = 0 + coeff[i] * g[dst[i],:], the
-      // axpy into a zeroed row written directly.
+      // index_add_rows backward into the messages' zeroed gradient.
+      std::fill(gm.begin(), gm.begin() + e * n, 0.0f);
       for_row_blocks(e, e * n, [&](std::int64_t i0, std::int64_t i1) {
-        const v8f zero = v8f::zero();
-        for (std::int64_t i = i0; i < i1; ++i) {
-          float* grow = gm.data() + i * n;
-          const float* xrow = pg + static_cast<std::int64_t>(dst[i]) * n;
-          const v8f vs = v8f::broadcast(coeff[i]);
-          std::int64_t c = 0;
-          for (; c + simd::kLanes <= n; c += simd::kLanes)
-            (zero + vs * v8f::load(xrow + c)).store(grow + c);
-          for (; c < n; ++c) grow[c] = 0.0f + coeff[i] * xrow[c];
-        }
+        for (std::int64_t i = i0; i < i1; ++i)
+          simd::axpy(gm.data() + i * n, coeff[i],
+                     pg + static_cast<std::int64_t>(dst[i]) * n, n);
       });
       if (W.requires_grad) {
         // The message matmul's dB: dW_r[l,:] += rows[i,l] * gm[i,:], i
