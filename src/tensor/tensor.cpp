@@ -819,7 +819,6 @@ Tensor rgcn_layer(const Tensor& h, const Tensor& self_weight,
     support::PoolVector<float> rows(static_cast<std::size_t>(max_edges * k));
     support::PoolVector<float> msg(static_cast<std::size_t>(max_edges * n));
     support::PoolVector<float> agg(static_cast<std::size_t>(m * n));
-    bool agg_zero = true;
     for (std::size_t r = 0; r < num_relations; ++r) {
       const RelationEdges& edges = relations[r];
       const std::int64_t e = static_cast<std::int64_t>(edges.src.size());
@@ -838,8 +837,7 @@ Tensor rgcn_layer(const Tensor& h, const Tensor& self_weight,
                                        i1 - i0, n, k, msg.data() + i0 * n, n);
       });
       // index_add_rows into a zeroed aggregate in edge order, then the add.
-      if (!agg_zero) std::fill(agg.begin(), agg.end(), 0.0f);
-      agg_zero = false;
+      std::fill(agg.begin(), agg.end(), 0.0f);
       for (std::int64_t i = 0; i < e; ++i) {
         assert(edges.dst[i] >= 0 && edges.dst[i] < m);
         simd::axpy(agg.data() + static_cast<std::int64_t>(edges.dst[i]) * n,
