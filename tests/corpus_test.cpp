@@ -199,6 +199,109 @@ TEST(IngestTest, DumpedSuiteMatchesBuildDatasetBitForBit) {
   fs::remove_all(dir);
 }
 
+/// Every field of an IngestResult folded into one value: graphs (name,
+/// nodes with text, edges), fingerprints, entries, file records (path,
+/// code, message, detail, counts), stats, corpus_hash and options_hash.
+std::uint64_t result_digest(const corpus::IngestResult& r) {
+  auto mix_string = [](std::uint64_t h, const std::string& s) {
+    h = hash_combine64(h, s.size());
+    for (char c : s) h = hash_combine64(h, static_cast<unsigned char>(c));
+    return h;
+  };
+  std::uint64_t h = hash_combine64(0xD16E57ull, r.graphs.size());
+  for (const graph::ProgramGraph& g : r.graphs) {
+    h = mix_string(h, g.name);
+    h = hash_combine64(h, g.nodes.size());
+    for (const graph::Node& n : g.nodes) {
+      h = hash_combine64(h, static_cast<std::uint64_t>(n.kind));
+      h = hash_combine64(h, static_cast<std::uint64_t>(n.feature));
+      h = mix_string(h, n.text);
+    }
+    h = hash_combine64(h, g.edges.size());
+    for (const graph::Edge& e : g.edges)
+      for (std::int64_t v : {std::int64_t{e.src}, std::int64_t{e.dst},
+                             static_cast<std::int64_t>(e.kind),
+                             std::int64_t{e.position}})
+        h = hash_combine64(h, static_cast<std::uint64_t>(v));
+  }
+  h = hash_combine64(h, r.fingerprints.size());
+  for (std::uint64_t fp : r.fingerprints) h = hash_combine64(h, fp);
+  h = hash_combine64(h, r.entries.size());
+  for (const corpus::CorpusEntry& e : r.entries) {
+    h = mix_string(h, e.name);
+    for (std::uint64_t v : {e.fingerprint, std::uint64_t{e.file_index},
+                            std::uint64_t{e.graph_index},
+                            std::uint64_t{e.duplicate}})
+      h = hash_combine64(h, v);
+  }
+  h = hash_combine64(h, r.files.size());
+  for (const corpus::FileRecord& f : r.files) {
+    h = mix_string(h, f.path);
+    h = hash_combine64(h, static_cast<std::uint64_t>(f.status.code()));
+    h = mix_string(h, f.status.message());
+    h = mix_string(h, f.detail);
+    h = hash_combine64(h, f.regions);
+    h = hash_combine64(h, f.duplicates);
+  }
+  const corpus::IngestStats& s = r.stats;
+  for (std::uint64_t v : {s.files_scanned, s.files_ok, s.files_failed,
+                          s.regions_total, s.graphs_unique, s.duplicates,
+                          s.nodes_total, s.edges_total, r.corpus_hash,
+                          r.options_hash})
+    h = hash_combine64(h, v);
+  return h;
+}
+
+TEST(IngestTest, IngestMatchesPinnedDigest) {
+  // An 8-sequence dump (448 files, 119 distinct contents) plus a nested
+  // subdirectory holding a malformed file, an empty file and byte copies
+  // of both.
+  const std::string dir = temp_dir("digest");
+  corpus::SuiteDumpOptions dump_options;
+  dump_options.num_sequences = 8;
+  dump_options.seed = 0xDA7A;
+  std::size_t files = 0;
+  ASSERT_TRUE(corpus::dump_suite(dir, dump_options, &files).ok());
+  ASSERT_EQ(files, 448u);
+  const fs::path nested = fs::path(dir) / "zz_nested" / "deeper";
+  fs::create_directories(nested);
+  for (const char* name : {"bad.ir", "copy_of_bad.ir"}) {
+    std::ofstream out(nested / name, std::ios::binary);
+    out << "module m {\n  func @f( {{{ nonsense\n";
+  }
+  for (const char* name : {"copy_of_empty.ir", "empty.ir"})
+    std::ofstream(nested / name, std::ios::binary);
+
+  // Generated on the ingest that parsed every file separately; any change
+  // to the result, however it is computed, must leave these values alone.
+  // The 2600-byte bound refuses the larger dumped files before any read.
+  struct Case {
+    bool dedup;
+    std::uint64_t max_file_bytes;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {true, 64ull << 20, 0x74f4176074c6eed8ull},
+      {false, 64ull << 20, 0x3aace43e961710b6ull},
+      {true, 2600, 0x742d8e0bdf5a63c0ull},
+      {false, 2600, 0x23885737319bfe15ull},
+  };
+  for (const Case& c : cases)
+    for (int threads : {1, 4}) {
+      corpus::IngestOptions options;
+      options.num_threads = threads;
+      options.dedup = c.dedup;
+      options.max_file_bytes = c.max_file_bytes;
+      corpus::IngestResult result;
+      ASSERT_TRUE(corpus::ingest_directory(dir, options, &result).ok());
+      EXPECT_EQ(result.stats.files_scanned, 452u);
+      EXPECT_EQ(result_digest(result), c.digest)
+          << "dedup " << c.dedup << ", max_file_bytes " << c.max_file_bytes
+          << ", " << threads << " threads";
+    }
+  fs::remove_all(dir);
+}
+
 TEST(DatasetCacheTest, RepeatedWritesAreByteIdentical) {
   std::vector<std::string> names, contents;
   small_corpus(&names, &contents);
