@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <filesystem>
 #include <unordered_map>
 
@@ -11,6 +12,7 @@
 #include "graph/region_extractor.h"
 #include "ir/parser.h"
 #include "ir/verifier.h"
+#include "support/inline_function.h"
 #include "support/rng.h"
 #include "support/thread_pool.h"
 
@@ -43,7 +45,8 @@ std::uint64_t hash_string(const std::string& s) {
   return hash_bytes(s.data(), s.size());
 }
 
-/// The per-file pipeline output, produced in parallel, consumed serially.
+/// The pipeline output for one distinct content (or one failed read),
+/// produced in parallel, consumed serially.
 struct FileWork {
   Status status = Status::Ok();
   std::string detail;
@@ -57,8 +60,6 @@ struct FileWork {
 /// file's bytes. Never throws out: every failure lands in work->status.
 void pipeline_one(const std::string& contents, const IngestOptions& options,
                   FileWork* work) {
-  work->content_hash = hash_string(contents);
-
   std::string parse_error;
   auto module = ir::parse_module(contents, &parse_error);
   if (!module) {
@@ -127,26 +128,43 @@ bool structurally_equal(const graph::ProgramGraph& a,
   return true;
 }
 
-/// Serial fold of the parallel per-file results: dedup in index order,
-/// record construction, corpus_hash accumulation.
+/// Where one input file's outcome lives: the FileWork of its content's
+/// first occurrence (or of its own failed read), plus its content hash.
+struct FileRef {
+  std::uint32_t work = 0;
+  std::uint64_t content_hash = 0;
+};
+
+constexpr std::size_t kUnfolded = ~std::size_t{0};
+
+/// Serial fold in file-index order: dedup, record construction,
+/// corpus_hash accumulation. A file whose bytes equal an earlier file's
+/// replays that first occurrence: the same status, detail, region names and
+/// fingerprints; with dedup on, each region is a duplicate of the graph the
+/// first occurrence's region resolved to (dedup would match it, and nothing
+/// earlier in the candidate list), and with dedup off, a copy of that graph.
+/// That is exactly what parsing the same bytes again would produce.
 void fold_results(const std::vector<std::string>& names,
+                  const std::vector<FileRef>& refs,
                   std::vector<FileWork>& works, const IngestOptions& options,
                   IngestResult* out) {
   // fingerprint -> indices into out->graphs holding that fingerprint
   // (a vector, not a single slot, so fingerprint collisions keep both).
   std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> seen;
+  // works[w]'s first entry in out->entries, once its first file is folded.
+  std::vector<std::size_t> first_entry(works.size(), kUnfolded);
   std::uint64_t corpus_hash = hash_combine64(0x1D5C00ull, names.size());
 
   out->files.reserve(names.size());
   for (std::size_t f = 0; f < names.size(); ++f) {
-    FileWork& work = works[f];
+    FileWork& work = works[refs[f].work];
     corpus_hash = hash_combine64(corpus_hash, hash_string(names[f]));
-    corpus_hash = hash_combine64(corpus_hash, work.content_hash);
+    corpus_hash = hash_combine64(corpus_hash, refs[f].content_hash);
 
     FileRecord record;
     record.path = names[f];
     record.status = work.status;
-    record.detail = std::move(work.detail);
+    record.detail = work.detail;
     ++out->stats.files_scanned;
     if (!work.status.ok()) {
       ++out->stats.files_failed;
@@ -154,6 +172,32 @@ void fold_results(const std::vector<std::string>& names,
       continue;
     }
     ++out->stats.files_ok;
+
+    std::size_t& first = first_entry[refs[f].work];
+    if (first != kUnfolded) {
+      for (std::size_t r = 0; r < work.region_fingerprints.size(); ++r) {
+        CorpusEntry entry = out->entries[first + r];
+        entry.file_index = static_cast<std::uint32_t>(f);
+        ++record.regions;
+        ++out->stats.regions_total;
+        if (options.dedup) {
+          entry.duplicate = true;
+          ++record.duplicates;
+          ++out->stats.duplicates;
+        } else {
+          graph::ProgramGraph copy = out->graphs[entry.graph_index];
+          entry.graph_index = static_cast<std::uint32_t>(out->graphs.size());
+          out->stats.nodes_total += copy.nodes.size();
+          out->stats.edges_total += copy.edges.size();
+          out->fingerprints.push_back(entry.fingerprint);
+          out->graphs.push_back(std::move(copy));
+        }
+        out->entries.push_back(std::move(entry));
+      }
+      out->files.push_back(std::move(record));
+      continue;
+    }
+    first = out->entries.size();
 
     for (std::size_t r = 0; r < work.region_graphs.size(); ++r) {
       CorpusEntry entry;
@@ -198,6 +242,100 @@ void fold_results(const std::vector<std::string>& names,
   out->options_hash = options_hash(options);
 }
 
+/// The record of a file refused by the size bound before any read.
+void refuse_oversize(std::uint64_t size, FileWork* work) {
+  work->status = Status::InvalidArgument("file exceeds size bound");
+  work->detail = "size " + std::to_string(size) + " > max_file_bytes";
+  work->content_hash = hash_combine64(0xB16F11Eull, size);
+}
+
+/// Files whose bytes the driver holds at once, beyond the distinct contents.
+constexpr std::size_t kWindowFiles = 512;
+
+/// Produces file i's bytes: points *bytes at them — at memory that outlives
+/// the ingest, or at *storage after filling it — and returns true; or fills
+/// *failed (status, detail, content_hash) and returns false.
+using ReadFile = support::FunctionRef<bool(
+    std::size_t i, std::string* storage, const std::string** bytes,
+    FileWork* failed)>;
+
+/// The one ingest driver behind ingest_buffers and ingest_directory. It
+/// works through the files one window at a time:
+///   1. read the window in parallel and hash each file's bytes;
+///   2. classify serially in index order: a file whose bytes equal (in full,
+///      so a hash collision never merges two files) an earlier file's maps
+///      to that first occurrence; any other file is a new distinct content;
+///   3. run pipeline_one in parallel on the window's new contents only.
+/// Only the distinct contents' bytes outlive their window (to compare later
+/// files against); fold_results then replays every byte-duplicate.
+void ingest_files(const std::vector<std::string>& names, ReadFile read,
+                  const IngestOptions& options, IngestResult* out) {
+  const std::size_t n = names.size();
+  std::vector<FileRef> refs(n);
+  // One FileWork per distinct content or failed read, with its bytes
+  // (null for a failed read); `kept` owns the bytes the driver read itself.
+  std::vector<FileWork> works;
+  std::vector<const std::string*> bytes;
+  std::deque<std::string> kept;
+  // content hash -> works with that hash (several only on a collision)
+  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> by_hash;
+
+  const std::size_t window = std::min(n, kWindowFiles);
+  std::vector<std::string> storage(window);
+  std::vector<const std::string*> read_bytes(window);
+  std::vector<FileWork> slots(window);
+  std::vector<std::uint32_t> fresh;
+  for (std::size_t begin = 0; begin < n; begin += window) {
+    const std::size_t count = std::min(window, n - begin);
+    support::ThreadPool::global().parallel_for(
+        0, static_cast<std::int64_t>(count), options.num_threads,
+        [&](std::int64_t i) {
+          slots[i] = FileWork{};
+          if (read(begin + i, &storage[i], &read_bytes[i], &slots[i]))
+            slots[i].content_hash = hash_string(*read_bytes[i]);
+          else
+            read_bytes[i] = nullptr;
+        });
+
+    fresh.clear();
+    for (std::size_t i = 0; i < count; ++i) {
+      FileRef& ref = refs[begin + i];
+      ref.content_hash = slots[i].content_hash;
+      if (!read_bytes[i]) {
+        ref.work = static_cast<std::uint32_t>(works.size());
+        works.push_back(std::move(slots[i]));
+        bytes.push_back(nullptr);
+        continue;
+      }
+      std::vector<std::uint32_t>& same_hash = by_hash[ref.content_hash];
+      auto match = std::find_if(
+          same_hash.begin(), same_hash.end(),
+          [&](std::uint32_t w) { return *bytes[w] == *read_bytes[i]; });
+      if (match != same_hash.end()) {
+        ref.work = *match;
+        continue;
+      }
+      ref.work = static_cast<std::uint32_t>(works.size());
+      same_hash.push_back(ref.work);
+      fresh.push_back(ref.work);
+      if (read_bytes[i] == &storage[i]) {
+        kept.push_back(std::move(storage[i]));
+        read_bytes[i] = &kept.back();
+      }
+      bytes.push_back(read_bytes[i]);
+      works.emplace_back();
+    }
+
+    support::ThreadPool::global().parallel_for(
+        0, static_cast<std::int64_t>(fresh.size()), options.num_threads,
+        [&](std::int64_t j) {
+          pipeline_one(*bytes[fresh[j]], options, &works[fresh[j]]);
+        });
+  }
+
+  fold_results(names, refs, works, options, out);
+}
+
 }  // namespace
 
 std::uint64_t options_hash(const IngestOptions& options) {
@@ -218,38 +356,36 @@ Status ingest_buffers(const std::vector<std::string>& names,
   if (names.size() != contents.size())
     return Status::InvalidArgument("names/contents size mismatch");
   *out = IngestResult{};
-
-  std::vector<FileWork> works(names.size());
-  support::ThreadPool::global().parallel_for(
-      0, static_cast<std::int64_t>(names.size()), options.num_threads,
-      [&](std::int64_t i) {
+  ingest_files(
+      names,
+      [&](std::size_t i, std::string*, const std::string** bytes,
+          FileWork* failed) {
         if (contents[i].size() > options.max_file_bytes) {
-          works[i].status = Status::InvalidArgument("file exceeds size bound");
-          works[i].detail = "size " + std::to_string(contents[i].size()) +
-                            " > max_file_bytes";
-          works[i].content_hash = hash_combine64(0xB16F11Eull,
-                                                 contents[i].size());
-          return;
+          refuse_oversize(contents[i].size(), failed);
+          return false;
         }
-        pipeline_one(contents[i], options, &works[i]);
-      });
-
-  fold_results(names, works, options, out);
+        *bytes = &contents[i];
+        return true;
+      },
+      options, out);
   return Status::Ok();
 }
 
 namespace {
 
 /// The sorted-relative-path walk ingest and hash_corpus_dir share: readdir
-/// order never leaks into results.
+/// order never leaks into results. Paths are keyed lexically by where they
+/// sit under `dir`, so a symlinked file is named by its in-corpus path,
+/// never by its resolved target.
 Status list_corpus(const std::string& dir, std::vector<std::string>* names,
                    std::vector<fs::path>* paths) {
   std::error_code ec;
   if (!fs::is_directory(dir, ec) || ec)
     return Status::InvalidArgument("corpus path is not a readable directory");
+  const fs::path root(dir);
   std::vector<fs::path> found;
   for (auto it = fs::recursive_directory_iterator(
-           dir, fs::directory_options::skip_permission_denied, ec);
+           root, fs::directory_options::skip_permission_denied, ec);
        it != fs::recursive_directory_iterator(); it.increment(ec)) {
     if (ec) return Status::Internal("corpus directory walk failed");
     if (!it->is_regular_file(ec) || ec) {
@@ -262,7 +398,7 @@ Status list_corpus(const std::string& dir, std::vector<std::string>* names,
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::vector<std::string> rel(found.size());
   for (std::size_t i = 0; i < found.size(); ++i)
-    rel[i] = fs::relative(found[i], dir, ec).generic_string();
+    rel[i] = found[i].lexically_relative(root).generic_string();
   std::sort(order.begin(), order.end(),
             [&](std::size_t a, std::size_t b) { return rel[a] < rel[b]; });
   names->resize(order.size());
@@ -287,9 +423,7 @@ bool read_corpus_file(const fs::path& path, std::uint64_t max_file_bytes,
     return false;
   }
   if (size > max_file_bytes) {
-    work->status = Status::InvalidArgument("file exceeds size bound");
-    work->detail = "size " + std::to_string(size) + " > max_file_bytes";
-    work->content_hash = hash_combine64(0xB16F11Eull, size);
+    refuse_oversize(size, work);
     return false;
   }
   contents->assign(size, '\0');
@@ -318,20 +452,15 @@ Status ingest_directory(const std::string& dir, const IngestOptions& options,
   std::vector<fs::path> paths;
   Status status = list_corpus(dir, &names, &paths);
   if (!status.ok()) return status;
-
-  // The parallel stage reads file bytes itself (streaming: no whole-corpus
-  // buffer), but record order and dedup stay index-driven.
-  std::vector<FileWork> works(paths.size());
-  support::ThreadPool::global().parallel_for(
-      0, static_cast<std::int64_t>(paths.size()), options.num_threads,
-      [&](std::int64_t i) {
-        std::string contents;
-        if (read_corpus_file(paths[i], options.max_file_bytes, &contents,
-                             &works[i]))
-          pipeline_one(contents, options, &works[i]);
-      });
-
-  fold_results(names, works, options, out);
+  ingest_files(
+      names,
+      [&](std::size_t i, std::string* storage, const std::string** bytes,
+          FileWork* failed) {
+        *bytes = storage;
+        return read_corpus_file(paths[i], options.max_file_bytes, storage,
+                                failed);
+      },
+      options, out);
   return Status::Ok();
 }
 
@@ -344,18 +473,21 @@ Status hash_corpus_dir(const std::string& dir, std::uint64_t max_file_bytes,
 
   // Bytes only — no parse, no graphs — folded exactly as fold_results does,
   // so the result equals IngestResult::corpus_hash for the same directory.
-  std::vector<FileWork> works(paths.size());
+  std::vector<std::uint64_t> hashes(paths.size());
   support::ThreadPool::global().parallel_for(
       0, static_cast<std::int64_t>(paths.size()), 0, [&](std::int64_t i) {
         std::string contents;
-        if (read_corpus_file(paths[i], max_file_bytes, &contents, &works[i]))
-          works[i].content_hash = hash_string(contents);
+        FileWork failed;
+        hashes[i] = read_corpus_file(paths[i], max_file_bytes, &contents,
+                                     &failed)
+                        ? hash_string(contents)
+                        : failed.content_hash;
       });
 
   std::uint64_t h = hash_combine64(0x1D5C00ull, names.size());
   for (std::size_t f = 0; f < names.size(); ++f) {
     h = hash_combine64(h, hash_string(names[f]));
-    h = hash_combine64(h, works[f].content_hash);
+    h = hash_combine64(h, hashes[f]);
   }
   *out = h;
   return Status::Ok();

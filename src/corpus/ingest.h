@@ -4,10 +4,12 @@
 // ingest_directory walks a directory of textual-IR files — the format
 // ir::print_module emits and ir::parse_module round-trips — and runs every
 // file through the parse → verify → region-extract → graph-build →
-// fingerprint-dedup pipeline. Three contracts:
+// fingerprint-dedup pipeline. Four contracts:
 //
-//   Deterministic at every thread count. Files are sorted by relative path
-//   and the pipeline is partitioned by file *index* across the shared
+//   Deterministic at every thread count. Files are sorted by their path
+//   under the corpus root (lexically: a symlinked file is keyed by where it
+//   sits in the corpus, not by its target) and the pipeline is partitioned
+//   by file *index* across the shared
 //   support::ThreadPool; the dedup pass runs serially in that index order,
 //   so graph order, dedup winners and every per-file Status record are
 //   bit-identical whether one thread ingests or sixteen do.
@@ -20,6 +22,13 @@
 //   Dedup is collision-safe. Two regions merge only when their fingerprints
 //   AND their full structural contents match; a 64-bit fingerprint collision
 //   between genuinely different graphs keeps both.
+//
+//   Each distinct content is parsed once. Files are read and hashed one
+//   fixed window at a time; a file whose bytes equal an earlier file's
+//   (compared in full, so a hash collision never merges two files) replays
+//   that first occurrence's outcome — status, detail, regions, dedup
+//   winners — instead of being parsed again. Memory holds the distinct
+//   contents' bytes plus one window, never the whole corpus.
 //
 // The result feeds the mmap-able on-disk dataset cache (dataset_cache.h),
 // core::load_corpus_dataset, and the --corpus traffic source of
@@ -65,7 +74,7 @@ struct CorpusEntry {
 /// Per-input-file outcome. status.ok() means every region of the file made
 /// it into the corpus; otherwise `detail` carries the diagnostic.
 struct FileRecord {
-  std::string path;  // relative to the corpus root (sorted key)
+  std::string path;  // lexically relative to the corpus root (sorted key)
   Status status = Status::Ok();
   std::string detail;
   std::uint32_t regions = 0;     // regions extracted from this file

@@ -19,6 +19,8 @@
 #include "corpus/ingest.h"
 #include "corpus/suite_dump.h"
 #include "graph/fingerprint.h"
+#include "graph/region_extractor.h"
+#include "ir/parser.h"
 #include "ir/printer.h"
 #include "support/rng.h"
 #include "workloads/suite.h"
@@ -300,6 +302,113 @@ TEST(IngestTest, IngestMatchesPinnedDigest) {
           << ", " << threads << " threads";
     }
   fs::remove_all(dir);
+}
+
+TEST(IngestTest, ByteIdenticalFilesParseOnce) {
+  // Three distinct modules, each with byte copies; a near-duplicate of a.ir
+  // that differs by one trailing byte; a malformed file and its byte copy.
+  const std::string a = region_text(0), b = region_text(1),
+                    c = region_text(2);
+  const std::string bad = "module {{{ nonsense";
+  const std::vector<std::string> names = {
+      "a.ir",      "a_copy1.ir", "a_copy2.ir", "a_near.ir", "b.ir",
+      "bad.ir",    "bad_copy.ir", "c.ir",      "c_copy.ir", "z_b_copy.ir"};
+  const std::vector<std::string> contents = {a, a, a, a + "\n", b,
+                                             bad, bad, c, c, b};
+
+  std::size_t distinct_regions = 0;
+  for (const std::string* text : {&a, &b, &c, &contents[3]}) {
+    auto module = ir::parse_module(*text);
+    ASSERT_NE(module, nullptr);
+    distinct_regions += graph::find_omp_regions(*module).size();
+  }
+
+  for (int threads : {1, 4}) {
+    corpus::IngestOptions options;
+    options.num_threads = threads;
+    const std::uint64_t built_before = corpus::graphs_built();
+    corpus::IngestResult result;
+    ASSERT_TRUE(
+        corpus::ingest_buffers(names, contents, options, &result).ok());
+    EXPECT_EQ(corpus::graphs_built() - built_before, distinct_regions)
+        << threads << " threads";
+
+    // The near-duplicate was parsed on its own: a record of its own, every
+    // region present, and (being structurally a.ir) resolved by graph dedup.
+    const corpus::FileRecord& near_record = result.files[3];
+    EXPECT_TRUE(near_record.status.ok());
+    EXPECT_EQ(near_record.regions, result.files[0].regions);
+    EXPECT_EQ(near_record.duplicates, near_record.regions);
+
+    // The malformed copy carries the original's code and diagnostic.
+    EXPECT_FALSE(result.files[5].status.ok());
+    EXPECT_EQ(result.files[6].status.code(), result.files[5].status.code());
+    EXPECT_STREQ(result.files[6].status.message(),
+                 result.files[5].status.message());
+    EXPECT_EQ(result.files[6].detail, result.files[5].detail);
+    EXPECT_FALSE(result.files[6].detail.empty());
+
+    // ingest_directory over the same bytes agrees record for record.
+    const std::string dir = temp_dir("parse_once");
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      std::ofstream out(dir + "/" + names[i], std::ios::binary);
+      out << contents[i];
+    }
+    corpus::IngestResult from_disk;
+    ASSERT_TRUE(corpus::ingest_directory(dir, options, &from_disk).ok());
+    fs::remove_all(dir);
+    EXPECT_EQ(result_digest(from_disk), result_digest(result));
+    ASSERT_EQ(from_disk.files.size(), result.files.size());
+    for (std::size_t i = 0; i < result.files.size(); ++i) {
+      EXPECT_EQ(from_disk.files[i].path, result.files[i].path);
+      EXPECT_EQ(from_disk.files[i].status.code(),
+                result.files[i].status.code());
+      EXPECT_EQ(from_disk.files[i].detail, result.files[i].detail);
+      EXPECT_EQ(from_disk.files[i].regions, result.files[i].regions);
+      EXPECT_EQ(from_disk.files[i].duplicates, result.files[i].duplicates);
+    }
+  }
+}
+
+TEST(IngestTest, SymlinkedFilesAreKeyedByTheirCorpusPath) {
+  // corpus/link.ir points at ../other/x.ir, outside the corpus root.
+  const fs::path base = temp_dir("symlink");
+  const fs::path root = base / "corpus";
+  fs::create_directories(root / "sub");
+  fs::create_directories(base / "other");
+  const std::vector<std::string> names = {"a.ir", "link.ir", "sub/b.ir"};
+  const std::vector<std::string> contents = {region_text(0), region_text(1),
+                                             region_text(2)};
+  for (const auto& [name, text] :
+       {std::pair{root / "a.ir", contents[0]},
+        std::pair{base / "other" / "x.ir", contents[1]},
+        std::pair{root / "sub" / "b.ir", contents[2]}}) {
+    std::ofstream out(name, std::ios::binary);
+    out << text;
+  }
+  fs::create_symlink(fs::path("..") / "other" / "x.ir", root / "link.ir");
+
+  corpus::IngestResult expected;
+  ASSERT_TRUE(corpus::ingest_buffers(names, contents, {}, &expected).ok());
+
+  const fs::path cwd = fs::current_path();
+  fs::current_path(base);
+  for (const std::string& spelling :
+       {std::string("corpus"), std::string("corpus/"),
+        std::string("./corpus"), root.string()}) {
+    corpus::IngestResult result;
+    ASSERT_TRUE(corpus::ingest_directory(spelling, {}, &result).ok());
+    ASSERT_EQ(result.files.size(), names.size()) << spelling;
+    for (std::size_t i = 0; i < names.size(); ++i)
+      EXPECT_EQ(result.files[i].path, names[i]) << spelling;
+    EXPECT_EQ(result_digest(result), result_digest(expected)) << spelling;
+    std::uint64_t dir_hash = 0;
+    ASSERT_TRUE(
+        corpus::hash_corpus_dir(spelling, 64ull << 20, &dir_hash).ok());
+    EXPECT_EQ(dir_hash, expected.corpus_hash) << spelling;
+  }
+  fs::current_path(cwd);
+  fs::remove_all(base);
 }
 
 TEST(DatasetCacheTest, RepeatedWritesAreByteIdentical) {
