@@ -522,8 +522,8 @@ int main(int argc, char** argv) {
     std::printf("(csv written to %s)\n", csv.c_str());
 
   // --- Machine-readable results (CI artifact) -------------------------------
-  // Same hand-written fprintf style as serve_throughput --json: flat
-  // sections, one line per record, no serializer dependency.
+  // Hand-written fprintf JSON: flat sections, one line per record, no
+  // serializer dependency.
   const std::string json_path = parser.get_string("json");
   if (!json_path.empty()) {
     std::FILE* f = std::fopen(json_path.c_str(), "w");

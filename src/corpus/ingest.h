@@ -31,8 +31,8 @@
 //   contents' bytes plus one window, never the whole corpus.
 //
 // The result feeds the mmap-able on-disk dataset cache (dataset_cache.h),
-// core::load_corpus_dataset, and the --corpus traffic source of
-// serve_throughput / net_loadgen.
+// core::load_corpus_dataset, irgnn_ingest and the benchmark's pipeline
+// workload.
 #pragma once
 
 #include <cstdint>

@@ -81,10 +81,6 @@ void Router::drain_and_fold(InferenceServer& server) {
   retired_.forwards += last.forwards;
   retired_.batches += last.batches;
   retired_.coalesced += last.coalesced;
-  retired_.warm_enqueued += last.warm_enqueued;
-  retired_.warm_completed += last.warm_completed;
-  retired_.warm_shed += last.warm_shed;
-  retired_.warm_suppressed += last.warm_suppressed;
   retired_.shed += last.shed;
   retired_.rejected += last.rejected;
   retired_.deadline_exceeded += last.deadline_exceeded;
@@ -139,32 +135,6 @@ StatusOr<InferenceServer::Future> Router::submit(const Request& request) {
   std::shared_ptr<InferenceServer> server = route(request.model, &status);
   if (!server) return status;
   return server->submit(request);
-}
-
-Status Router::register_warm_group(
-    std::string_view model,
-    const std::vector<const graph::ProgramGraph*>& siblings) {
-  // Same name resolution as route(), minus the traffic counters:
-  // registration is configuration, and routed/model_not_found stay honest
-  // counts of query routing.
-  if (stopped_.load(std::memory_order_acquire))
-    return Status::ShuttingDown("router is shutting down");
-  const std::shared_ptr<const ServerMap> servers =
-      std::atomic_load(&servers_);
-  std::shared_ptr<InferenceServer> server;
-  if (model.empty()) {
-    if (servers->size() != 1)
-      return Status::ModelNotFound(
-          servers->empty() ? "no model published"
-                           : "group names no model and several are served");
-    server = servers->begin()->second;
-  } else {
-    auto it = servers->find(model);
-    if (it == servers->end()) return Status::ModelNotFound();
-    server = it->second;
-  }
-  server->register_warm_group(siblings);
-  return Status::Ok();
 }
 
 Response Router::predict(const Request& request) {
@@ -261,10 +231,6 @@ void Router::fold(const ServerStats& in, RouterStats& out) {
   out.cache_hits += in.cache.hits;
   out.cache_misses += in.cache.misses;
   out.coalesced += in.coalesced;
-  out.warm_enqueued += in.warm_enqueued;
-  out.warm_completed += in.warm_completed;
-  out.warm_shed += in.warm_shed;
-  out.warm_suppressed += in.warm_suppressed;
   out.shed += in.shed;
   out.rejected += in.rejected;
   out.deadline_exceeded += in.deadline_exceeded;

@@ -107,10 +107,6 @@ struct RouterStats {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t coalesced = 0;
-  std::uint64_t warm_enqueued = 0;
-  std::uint64_t warm_completed = 0;
-  std::uint64_t warm_shed = 0;
-  std::uint64_t warm_suppressed = 0;
   std::uint64_t shed = 0;
   std::uint64_t rejected = 0;
   std::uint64_t deadline_exceeded = 0;
@@ -158,15 +154,6 @@ class Router {
   /// unknown name (or an empty name when several models are published),
   /// plus everything InferenceServer::submit can return.
   StatusOr<InferenceServer::Future> submit(const Request& request);
-
-  /// Registers a predictive-warming sibling group on `model`'s server (see
-  /// InferenceServer::register_warm_group). Same name resolution as
-  /// routing — an empty name targets the only model — but registration is
-  /// configuration, not traffic: it does not count toward routed /
-  /// model_not_found. Fails ModelNotFound / ShuttingDown like routing.
-  Status register_warm_group(
-      std::string_view model,
-      const std::vector<const graph::ProgramGraph*>& siblings);
 
   /// Synchronous routed query; routing and admission failures fold into
   /// the Response (Source::Shed) like InferenceServer::predict.

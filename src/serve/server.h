@@ -46,34 +46,19 @@
 // ModelRegistry name); in-flight batches finish on the snapshot they took,
 // and version-keyed caching means a retired model can never answer.
 //
-// The cache also anticipates instead of only reacting, in two layers:
-//
-//   In-flight coalescing. A cache miss consults an in-flight map keyed by
-//   (version, fingerprint): if an identical query is already queued or mid-
-//   forward, the newcomer attaches as a waiter on that leader's slot
-//   instead of enqueuing — N duplicate queries cost one batch slot and one
-//   forward (a flash crowd on one cold hot region performs exactly one),
-//   and each waiter resolves with the leader's outcome, Source::Coalesced.
-//   Waiters survive an abandoned leader (resolution walks the waiter chain
-//   before recycling the slot), ride hot-swaps (they report the version
-//   that actually answered), and are drained by shutdown() like every
-//   admitted query. Coalescing changes WHEN a forward runs, never its
-//   bits; a waiter's label is bit-identical to a serial predict by the
-//   reported version. Accounting partitions exactly:
-//   cache hits + cache misses + coalesced == queries.
-//
-//   Predictive warming. Clients that know which fingerprints travel
-//   together — the regions of one function, the flag-variant neighborhood
-//   of one region — register them via register_warm_group(). A client miss
-//   on one member enqueues Priority::Low prefetches for the siblings that
-//   are neither cached nor in flight, through the ordinary admission queue:
-//   under pressure, warming is suppressed at enqueue (it never displaces
-//   admitted traffic) and is the first DropOldest victim (lowest priority;
-//   a shed prefetch is negative-TTL'd so shed-heavy keys are not retried
-//   hot). A prefetch is an in-flight leader, so a real query racing the
-//   warm-up coalesces onto it — and promotes its priority — rather than
-//   duplicating the forward. Warming traffic is invisible to the client-
-//   facing counters (its own warm_* stats), so hit-rate gates stay honest.
+// In-flight coalescing backs the cache up. A cache miss consults an
+// in-flight map keyed by (version, fingerprint): if an identical query is
+// already queued or mid-forward, the newcomer attaches as a waiter on that
+// leader's slot instead of enqueuing — N duplicate queries cost one batch
+// slot and one forward (a flash crowd on one cold hot region performs
+// exactly one), and each waiter resolves with the leader's outcome,
+// Source::Coalesced. Waiters survive an abandoned leader (resolution walks
+// the waiter chain before recycling the slot), ride hot-swaps (they report
+// the version that actually answered), and are drained by shutdown() like
+// every admitted query. Coalescing changes WHEN a forward runs, never its
+// bits; a waiter's label is bit-identical to a serial predict by the
+// reported version. Accounting partitions exactly:
+// cache hits + cache misses + coalesced == queries.
 //
 // Failure containment: a per-server circuit breaker (ServerConfig::
 // breaker_trip_threshold) trips after N consecutive failed forwards into a
@@ -134,13 +119,6 @@ struct ServerConfig {
   /// measurement baseline.
   bool coalesce = true;
 
-  /// Predictive-warming knobs; active only for fingerprints registered via
-  /// register_warm_group(). At most `max_warm_per_miss` prefetches enqueue
-  /// per triggering miss; a shed prefetch's fingerprint is not re-warmed
-  /// for `warm_negative_ttl_us` microseconds (<= 0 disables the back-off).
-  int max_warm_per_miss = 16;
-  std::int64_t warm_negative_ttl_us = 100000;
-
   /// Circuit breaker: after this many CONSECUTIVE failed forwards (each
   /// micro-batch is one forward) the server trips to degraded mode — cache
   /// hits and coalesced waiters still answer, but a new miss gets
@@ -148,9 +126,7 @@ struct ServerConfig {
   /// model that is failing. 0 (default) disables the breaker. While open,
   /// every `breaker_probe_interval_us` one real miss is admitted as a
   /// half-open probe; if its forward succeeds the breaker closes and full
-  /// service resumes, if it fails the probe timer re-arms. Predictive
-  /// warming is suppressed while open (prefetches would burn forwards on
-  /// the failing model for nobody).
+  /// service resumes, if it fails the probe timer re-arms.
   int breaker_trip_threshold = 0;
   std::int64_t breaker_probe_interval_us = 10000;
 
@@ -158,22 +134,14 @@ struct ServerConfig {
   /// servers created inside pool-parallel sections (clients then drive the
   /// batching themselves while waiting; behaviour is otherwise identical).
   bool background_loop = true;
-
-  /// When > 0 and the admission queue has been empty for this many
-  /// microseconds, the serving loop releases the buffer arena's cached
-  /// blocks back to the system (support::BufferPool::trim) once per idle
-  /// episode. Requires background_loop.
-  std::int64_t idle_trim_us = 0;
 };
 
 struct ServerStats {
-  std::uint64_t queries = 0;     // client submissions (warming excluded)
-  std::uint64_t forwards = 0;    // slots answered by the model, warming
-                                 // included (honest model work)
+  std::uint64_t queries = 0;     // client submissions
+  std::uint64_t forwards = 0;    // slots answered by the model
   std::uint64_t batches = 0;     // micro-batches launched
   std::uint64_t max_batch = 0;   // largest micro-batch observed
   std::uint64_t model_swaps = 0; // version changes observed between batches
-  std::uint64_t idle_trims = 0;  // arena trims triggered by idleness
 
   // In-flight coalescing. `coalesced` counts every query that attached to
   // a leader — the conservation invariant is
@@ -182,15 +150,7 @@ struct ServerStats {
   // below counts the subset whose leader resolved Ok.
   std::uint64_t coalesced = 0;
 
-  // Predictive warming (self-issued prefetches; never counted in queries,
-  // sources or the client shed counters).
-  std::uint64_t warm_enqueued = 0;    // prefetches admitted to the queue
-  std::uint64_t warm_completed = 0;   // prefetches the model answered
-  std::uint64_t warm_shed = 0;        // prefetches shed/expired/failed
-                                      // (fingerprint negative-TTL'd)
-  std::uint64_t warm_suppressed = 0;  // skipped: queue full at enqueue time
-
-  // Admission control (client queries only).
+  // Admission control.
   std::uint64_t shed = 0;        // admitted, then dropped by DropOldest
   std::uint64_t rejected = 0;    // refused at submit (queue full, Reject)
   std::uint64_t deadline_exceeded = 0;  // expired while queued
@@ -309,17 +269,6 @@ class InferenceServer {
   void predict_batch(const std::vector<const graph::ProgramGraph*>& graphs,
                      std::vector<Response>& out);
 
-  /// Registers a sibling group for predictive warming: graphs expected to
-  /// be queried together (the regions of one function, the flag-variant
-  /// neighborhood of one region). A client miss on any member enqueues
-  /// Priority::Low prefetches for the members that are neither cached nor
-  /// in flight (see the header comment). Every graph must outlive the
-  /// server; a fingerprint registered twice triggers its latest group.
-  /// Groups are consulted per miss under the server lock, so register
-  /// before serving traffic, not per query.
-  void register_warm_group(
-      const std::vector<const graph::ProgramGraph*>& siblings);
-
   /// Hot-swaps the served model (publishes to the server's slot). Returns
   /// the new version. In-flight batches finish on their snapshot.
   std::uint64_t publish(ModelPtr model);
@@ -361,9 +310,6 @@ class InferenceServer {
     std::int32_t next_waiter = -1;
     bool leading = false;
     std::uint64_t inflight_key = 0;
-    // Self-issued prefetch: always abandoned (nobody holds its future) and
-    // accounted in the warm_* counters instead of the client buckets.
-    bool warming = false;
     // Half-open breaker probe: the one real miss allowed through an open
     // breaker; its resolution closes the breaker (Ok) or re-arms the probe
     // timer (anything else).
@@ -384,10 +330,9 @@ class InferenceServer {
   /// Resolves `slot` with `response` under the lock: erases its in-flight
   /// entry if it leads one, resolves its coalesced waiters with the derived
   /// outcome (Source::Coalesced when Ok), then marks the slot Done, counts
-  /// the outcome (client source buckets, or the warm_* counters for a
-  /// prefetch), frees it if abandoned, and detaches its continuation into
-  /// `fired` if it has one. The caller must notify cv_done_ and run `fired`
-  /// after unlocking.
+  /// the outcome in the source buckets, frees it if abandoned, and detaches
+  /// its continuation into `fired` if it has one. The caller must notify
+  /// cv_done_ and run `fired` after unlocking.
   void resolve_slot_locked(std::uint32_t slot, const Response& response,
                            FiredList& fired);
 
@@ -414,18 +359,11 @@ class InferenceServer {
                       FiredList& fired);
 
   /// The shared miss path of submit()/predict(): coalesce onto an in-
-  /// flight leader, or count the miss, admit, register the new leader in
-  /// the in-flight map and trigger predictive warming for its siblings.
-  /// Runs any shed-victim continuations before returning.
+  /// flight leader, or count the miss, admit and register the new leader
+  /// in the in-flight map. Runs any shed-victim continuations before
+  /// returning.
   StatusOr<Future> admit_or_coalesce(const Request& request, std::uint64_t fp,
                                      std::uint64_t version);
-
-  /// Enqueues Priority::Low prefetches for `fp`'s registered siblings that
-  /// are neither cached, in flight, nor negative-TTL'd — skipping (never
-  /// shedding for) a full queue. Pre: lock held, a client miss on `fp` was
-  /// just admitted.
-  void maybe_warm_locked(std::uint64_t fp, std::uint64_t version,
-                         Clock::time_point now);
 
   /// Runs one micro-batch: optionally waits the batch window for the queue
   /// to fill, pops up to max_batch queries in admission order (expired
@@ -479,24 +417,12 @@ class InferenceServer {
       return static_cast<std::size_t>(k);
     }
   };
-  template <typename V>
-  using KeyMap = std::unordered_map<
-      std::uint64_t, V, IdentityHash, std::equal_to<std::uint64_t>,
-      support::PoolAllocator<std::pair<const std::uint64_t, V>>>;
-
   /// (version, fingerprint) -> leader slot of every queued or mid-forward
   /// query; entries erased at resolution (guarded by mutex_).
-  KeyMap<std::uint32_t> in_flight_;
-
-  // Predictive warming (guarded by mutex_): fingerprint -> sibling group,
-  // and the negative-TTL set of recently shed prefetch fingerprints.
-  struct WarmSibling {
-    const graph::ProgramGraph* graph = nullptr;
-    std::uint64_t fp = 0;
-  };
-  std::vector<std::vector<WarmSibling>> warm_groups_;
-  KeyMap<std::uint32_t> warm_group_of_;
-  KeyMap<Clock::time_point> warm_negative_;
+  std::unordered_map<
+      std::uint64_t, std::uint32_t, IdentityHash, std::equal_to<std::uint64_t>,
+      support::PoolAllocator<std::pair<const std::uint64_t, std::uint32_t>>>
+      in_flight_;
 
   // Pump scratch: written only by the active pumper (pumping_ excludes
   // concurrent pumps), reused across batches so warm pumps stay off malloc.
@@ -527,14 +453,9 @@ class InferenceServer {
   std::uint64_t batches_ = 0;
   std::uint64_t max_batch_seen_ = 0;
   std::uint64_t model_swaps_ = 0;
-  std::uint64_t idle_trims_ = 0;
   std::uint64_t coalesced_ = 0;
   std::uint64_t source_batch_ = 0;
   std::uint64_t source_coalesced_ = 0;
-  std::uint64_t warm_enqueued_ = 0;
-  std::uint64_t warm_completed_ = 0;
-  std::uint64_t warm_shed_ = 0;
-  std::uint64_t warm_suppressed_ = 0;
   std::uint64_t shed_ = 0;
   std::uint64_t rejected_ = 0;
   std::uint64_t deadline_exceeded_ = 0;

@@ -72,16 +72,4 @@ BufferPool::Stats BufferPool::stats() const {
   return stats_;
 }
 
-void BufferPool::trim() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (int bucket = 0; bucket < kNumBuckets; ++bucket) {
-    std::vector<void*>& list = free_[bucket];
-    stats_.trimmed_bytes += list.size() * bucket_bytes(bucket);
-    for (void* ptr : list) ::operator delete(ptr);
-    list.clear();
-    list.shrink_to_fit();
-  }
-  ++stats_.trims;
-}
-
 }  // namespace irgnn::support

@@ -40,15 +40,10 @@ class BufferPool {
     std::uint64_t pool_hit_bytes = 0;
     /// Bytes currently checked out of the pool (allocated, not yet
     /// returned; oversize pass-through requests included) and the highest
-    /// that watermark has ever been. The serving benches surface the
-    /// high-water mark as the engine's true working-set footprint — trim()
-    /// releases idle blocks but can never lower outstanding_bytes.
+    /// that watermark has ever been: the engine's true working-set
+    /// footprint.
     std::uint64_t outstanding_bytes = 0;
     std::uint64_t high_water_bytes = 0;
-    /// Bytes released back to the system by trim() calls, and how many
-    /// trims ran — the idle-trim satellite made observable.
-    std::uint64_t trimmed_bytes = 0;
-    std::uint64_t trims = 0;
   };
 
   /// Process-wide pool. Intentionally leaked (never destroyed) so buffers
@@ -65,10 +60,6 @@ class BufferPool {
   void deallocate(void* ptr, std::size_t bytes);
 
   Stats stats() const;
-
-  /// Releases every cached block back to the system (tests and memory
-  /// pressure; outstanding allocations are unaffected).
-  void trim();
 
  private:
   // Buckets are powers of two from 2^6 (64 B) to 2^30 (1 GiB); larger

@@ -187,8 +187,12 @@ TEST_F(ChaosTest, BreakerTripsServesCacheShortCircuitsMissesAndRecovers) {
   config.breaker_probe_interval_us = 1000;
   serve::InferenceServer server(model, config);
 
-  // Healthy warm-up: graph 0 lands in the cache.
-  ASSERT_EQ(server.predict(graphs[0]).label, expected[0]);
+  // Healthy warm-up: graph 0 lands in the cache, and nothing errs before a
+  // fault is armed.
+  const serve::Response healthy = server.predict(graphs[0]);
+  ASSERT_TRUE(healthy.ok());
+  ASSERT_EQ(healthy.label, expected[0]);
+  const std::uint64_t forwards_before_fault = server.stats().forwards;
 
   // 100% forward failure: three distinct misses trip the breaker.
   failpoints::set_seed(7);
@@ -203,7 +207,8 @@ TEST_F(ChaosTest, BreakerTripsServesCacheShortCircuitsMissesAndRecovers) {
   EXPECT_EQ(tripped.breaker_trips, 1u);
   EXPECT_TRUE(tripped.breaker_open);
   EXPECT_EQ(tripped.internal_errors, 3u);
-  const std::uint64_t forwards_at_trip = tripped.forwards;
+  // A failed forward completes nothing: the outage has cost no forwards.
+  EXPECT_EQ(tripped.forwards, forwards_before_fault);
 
   // Degraded mode, within the probe interval: new misses answer Unavailable
   // WITHOUT spending a forward; cached traffic keeps flowing bit-identically.
@@ -225,7 +230,7 @@ TEST_F(ChaosTest, BreakerTripsServesCacheShortCircuitsMissesAndRecovers) {
   // Zero forwards were burned on short-circuited misses; the only extra
   // forwards (if any) are failed half-open probes, which count no forward
   // either (a failed forward never increments forwards_). So: none at all.
-  EXPECT_EQ(degraded.forwards, forwards_at_trip);
+  EXPECT_EQ(degraded.forwards, forwards_before_fault);
   // Conservation holds under degradation: a short-circuited miss is still
   // a miss.
   EXPECT_EQ(degraded.cache.hits + degraded.cache.misses + degraded.coalesced,
@@ -245,9 +250,11 @@ TEST_F(ChaosTest, BreakerTripsServesCacheShortCircuitsMissesAndRecovers) {
   const serve::Response after = server.predict(graphs[8]);
   EXPECT_TRUE(after.ok());
   EXPECT_EQ(after.label, expected[8]);
-  EXPECT_EQ(server.stats().cache.hits + server.stats().cache.misses +
-                server.stats().coalesced,
-            server.stats().queries);
+  const serve::ServerStats final_stats = server.stats();
+  EXPECT_EQ(final_stats.breaker_trips, 1u) << "the script trips it once";
+  EXPECT_EQ(final_stats.cache.hits + final_stats.cache.misses +
+                final_stats.coalesced,
+            final_stats.queries);
 }
 
 TEST_F(ChaosTest, AllocationFailureIsContainedToAnInternalResponse) {
@@ -347,8 +354,7 @@ bool operator==(const serve::ServerStats& a, const serve::ServerStats& b) {
   auto key = [](const serve::ServerStats& s) {
     return std::make_tuple(
         s.queries, s.forwards, s.batches, s.max_batch, s.model_swaps,
-        s.coalesced, s.warm_enqueued, s.warm_completed, s.warm_shed,
-        s.warm_suppressed, s.shed, s.rejected, s.deadline_exceeded,
+        s.coalesced, s.shed, s.rejected, s.deadline_exceeded,
         s.internal_errors, s.peak_queue, s.invalid_arguments,
         s.breaker_trips, s.breaker_probes, s.breaker_short_circuits,
         s.breaker_open, s.source_cache, s.source_batch, s.source_coalesced,

@@ -23,6 +23,7 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gnn/model.h"
@@ -463,43 +464,82 @@ gnn::ModelConfig small_config() {
 }
 
 TEST(NetServerTest, LoopbackAnswersAreBitIdenticalToTheRouter) {
-  serve::Router router;
-  router.publish("static", std::make_shared<const gnn::StaticModel>(
-                               small_config()));
-  net::NetServer server(router, {});
-  ASSERT_TRUE(server.start().ok());
-  ASSERT_NE(server.port(), 0);
-
+  // Every shed policy at 1 and 4 connections. The reference model is built
+  // apart from the served one, from the same config: deterministic
+  // construction is what lets a client rebuild the served model instead of
+  // receiving its weights.
   std::vector<graph::ProgramGraph> graphs;
   for (int r : {0, 3, 7, 12, 18, 23}) graphs.push_back(suite_graph(r));
+  std::vector<const graph::ProgramGraph*> ptrs;
+  for (const auto& g : graphs) ptrs.push_back(&g);
+  const std::vector<int> expected =
+      gnn::StaticModel(small_config()).predict(ptrs);
+  constexpr int kPasses = 3;  // pass 1 misses, later passes hit
 
-  net::NetClient client;
-  ASSERT_TRUE(client.connect("127.0.0.1", server.port()).ok());
-  for (int pass = 0; pass < 3; ++pass) {  // pass 1 misses, later passes hit
-    for (const auto& g : graphs) {
-      const serve::Response reference = router.predict(g);
-      auto wire = client.predict(serve::Request(g));
-      ASSERT_TRUE(wire.ok());
-      ASSERT_TRUE(wire->ok());
-      EXPECT_EQ(wire->label, reference.label);
-      EXPECT_EQ(wire->model_version, reference.model_version);
+  for (serve::ShedPolicy policy :
+       {serve::ShedPolicy::Reject, serve::ShedPolicy::DropOldest,
+        serve::ShedPolicy::Block}) {
+    for (int connections : {1, 4}) {
+      SCOPED_TRACE(std::string(serve::shed_policy_name(policy)) + " x " +
+                   std::to_string(connections) + " connections");
+      serve::RouterConfig router_config;
+      router_config.shed_policy = policy;
+      serve::Router router(router_config);
+      const std::uint64_t version = router.publish(
+          "static", std::make_shared<const gnn::StaticModel>(small_config()));
+      net::NetServerConfig net_config;
+      net_config.shed_policy = policy;
+      net::NetServer server(router, net_config);
+      ASSERT_TRUE(server.start().ok());
+      ASSERT_NE(server.port(), 0);
+
+      std::atomic<int> wrong{0};
+      std::vector<std::thread> clients;
+      for (int c = 0; c < connections; ++c) {
+        clients.emplace_back([&] {
+          net::NetClient client;
+          if (!client.connect("127.0.0.1", server.port()).ok()) {
+            wrong += kPasses * static_cast<int>(graphs.size());
+            return;
+          }
+          for (int pass = 0; pass < kPasses; ++pass)
+            for (std::size_t g = 0; g < graphs.size(); ++g) {
+              auto wire = client.predict(serve::Request(graphs[g]));
+              if (!wire.ok() || !wire->ok() || wire->label != expected[g] ||
+                  wire->model_version != version)
+                ++wrong;
+            }
+        });
+      }
+      for (auto& t : clients) t.join();
+      EXPECT_EQ(wrong.load(), 0);
+      for (std::size_t g = 0; g < graphs.size(); ++g) {
+        const serve::Response local = router.predict(graphs[g]);
+        ASSERT_TRUE(local.ok());
+        EXPECT_EQ(local.label, expected[g]);
+      }
+
+      // Conservation, read back over the wire.
+      net::NetClient stats_client;
+      ASSERT_TRUE(stats_client.connect("127.0.0.1", server.port()).ok());
+      net::WireStats stats{};
+      ASSERT_TRUE(stats_client.get_stats(&stats).ok());
+      EXPECT_EQ(stats.cache_hits + stats.cache_misses + stats.coalesced,
+                stats.queries);
+      EXPECT_EQ(stats.net_requests,
+                static_cast<std::uint64_t>(connections * kPasses) *
+                    graphs.size());
+      EXPECT_EQ(stats.net_decode_errors, 0u);
+      EXPECT_EQ(stats.net_protocol_errors, 0u);
+
+      stats_client.close();
+      server.shutdown();
+      const net::NetServerStats net_stats = server.stats();
+      EXPECT_TRUE(net_stats.finished);
+      EXPECT_EQ(net_stats.open_slots, 0u);
+      router.shutdown();
     }
   }
-
-  net::WireStats stats{};
-  ASSERT_TRUE(client.get_stats(&stats).ok());
-  EXPECT_EQ(stats.cache_hits + stats.cache_misses + stats.coalesced,
-            stats.queries);
-  EXPECT_EQ(stats.net_requests, graphs.size() * 3);
-  EXPECT_EQ(stats.net_decode_errors, 0u);
-  EXPECT_EQ(stats.net_protocol_errors, 0u);
-
-  client.close();
-  server.shutdown();
-  const net::NetServerStats net_stats = server.stats();
-  EXPECT_TRUE(net_stats.finished);
-  EXPECT_EQ(net_stats.open_slots, 0u);
-  router.shutdown();
 }
 
 TEST(NetServerTest, PipelinedTagsMatchOutOfOrderCompletions) {
@@ -649,34 +689,58 @@ TEST(NetServerTest, WellFramedMalformedPayloadAnswersInvalidArgument) {
   router.shutdown();
 }
 
-TEST(NetServerTest, DrainAnswersInFlightThenExitsCleanly) {
-  serve::Router router;
-  router.publish("static", std::make_shared<const gnn::StaticModel>(
-                               small_config()));
+/// Pipelines `burst` requests cycling over `graphs` on one connection,
+/// requests a drain (at once, or once the first refusal is back), and reads
+/// to EOF. Every answer must be the served model's serial predict (the
+/// router's answer, bit for bit) or an Overloaded refusal, and the drain
+/// must free every slot. Sets *refused to the number of refusals read.
+void drain_mid_burst(const serve::RouterConfig& config,
+                     const std::vector<graph::ProgramGraph>& graphs,
+                     int burst, bool after_first_refusal, int* refused) {
+  auto model = std::make_shared<const gnn::StaticModel>(small_config());
+  std::vector<const graph::ProgramGraph*> ptrs;
+  for (const auto& g : graphs) ptrs.push_back(&g);
+  const std::vector<int> expected = model->predict(ptrs);
+  serve::Router router(config);
+  router.publish("static", model);
   net::NetServer server(router, {});
   ASSERT_TRUE(server.start().ok());
-
-  const graph::ProgramGraph g = suite_graph(7);
-  const int expected = router.predict(g).label;
   net::NetClient client;
   ASSERT_TRUE(client.connect("127.0.0.1", server.port()).ok());
-  const int kBurst = 16;
-  for (int q = 0; q < kBurst; ++q)
-    ASSERT_TRUE(
-        client.send(serve::Request(g), static_cast<std::uint64_t>(q)).ok());
+  for (int q = 0; q < burst; ++q)
+    ASSERT_TRUE(client
+                    .send(serve::Request(graphs[q % graphs.size()]),
+                          static_cast<std::uint64_t>(q))
+                    .ok());
 
-  server.request_drain();
-  // Everything admitted before the drain saw it must come back correct;
-  // then the server closes the connection (clean EOF on recv).
+  // Everything admitted before the drain saw it must come back with its
+  // label; a refusal is Overloaded, never a wrong label. Then the server
+  // closes the connection (clean EOF on recv).
   int received = 0;
-  for (;;) {
+  *refused = 0;
+  auto read_one = [&] {
     auto decoded = client.recv();
-    if (!decoded.ok()) break;
+    if (!decoded.ok()) return false;
     ++received;
-    ASSERT_TRUE(decoded->response.ok());
-    EXPECT_EQ(decoded->response.label, expected);
+    EXPECT_LT(decoded->tag, static_cast<std::uint64_t>(burst));
+    const serve::Response& r = decoded->response;
+    if (r.ok())
+      EXPECT_EQ(r.label, expected[decoded->tag % graphs.size()])
+          << "tag " << decoded->tag;
+    else if (r.status.code() == StatusCode::kOverloaded)
+      ++*refused;
+    else
+      ADD_FAILURE() << "tag " << decoded->tag << " answered "
+                    << r.status.code_name();
+    return true;
+  };
+  if (after_first_refusal)
+    while (*refused == 0 && received < burst && read_one()) {
+    }
+  server.request_drain();
+  while (read_one()) {
   }
-  EXPECT_LE(received, kBurst);
+  EXPECT_LE(received, burst);
   server.wait();
   const net::NetServerStats stats = server.stats();
   EXPECT_TRUE(stats.draining);
@@ -686,6 +750,29 @@ TEST(NetServerTest, DrainAnswersInFlightThenExitsCleanly) {
   server.request_drain();
   server.wait();
   router.shutdown();
+}
+
+TEST(NetServerTest, DrainAnswersInFlightThenExitsCleanly) {
+  // One graph pipelined 16 times and drained at once: the duplicates
+  // coalesce, so nothing is refused.
+  int refused = -1;
+  drain_mid_burst({}, {suite_graph(7)}, 16, /*after_first_refusal=*/false,
+                  &refused);
+  EXPECT_EQ(refused, 0);
+
+  // Distinct graphs into a 2-deep queue with the cache off, so each one
+  // needs a forward and the batch window holds the queue full: the router
+  // refuses part of the burst, and the drain comes mid-stream.
+  serve::RouterConfig tight;
+  tight.max_queue = 2;
+  tight.server.cache_capacity = 0;
+  tight.server.max_wait_us = 5000;
+  std::vector<graph::ProgramGraph> distinct;
+  for (std::size_t r = 0; r < workloads::benchmark_suite().size(); ++r)
+    distinct.push_back(suite_graph(static_cast<int>(r)));
+  drain_mid_burst(tight, distinct, 4 * static_cast<int>(distinct.size()),
+                  /*after_first_refusal=*/true, &refused);
+  EXPECT_GT(refused, 0) << "the burst never overflowed the queue";
 }
 
 TEST(NetServerTest, StartFailsCleanlyOnABadHost) {

@@ -411,7 +411,7 @@ TEST(RouterTest, BlockPolicyBoundsQueueAndAnswersEverything) {
   EXPECT_EQ(stats.forwards + stats.coalesced, 40u);
 }
 
-TEST(RouterTest, CoalescingAndWarmingFoldIntoRouterStats) {
+TEST(RouterTest, CoalescingFoldsIntoRouterStats) {
   auto model = make_model(0x7A);
   const std::vector<int> expected = serial_predict(*model);
   const auto& graphs = test_graphs();
@@ -423,15 +423,6 @@ TEST(RouterTest, CoalescingAndWarmingFoldIntoRouterStats) {
   serve::Router router(config);
   router.publish("m", model);
 
-  // Warm-group registration resolves names like routing does, but is
-  // configuration: it must not count as routed traffic.
-  EXPECT_EQ(router
-                .register_warm_group("haswell", {&graphs[0], &graphs[1]})
-                .code(),
-            serve::StatusCode::kModelNotFound);
-  ASSERT_TRUE(router.register_warm_group("m", {&graphs[0], &graphs[1]}).ok());
-  EXPECT_EQ(router.stats().routed, 0u);
-
   // Duplicate in-flight submits through the router coalesce on the routed
   // server: one forward answers both.
   auto leader = router.submit(serve::Request(graphs[2], "m"));
@@ -442,32 +433,27 @@ TEST(RouterTest, CoalescingAndWarmingFoldIntoRouterStats) {
   EXPECT_EQ(rw.source, serve::Source::Coalesced);
   EXPECT_EQ(leader.value().get().label, expected[2]);
 
-  // A miss on a group member prefetches its sibling; the sibling then hits
-  // without ever forwarding on the client's behalf.
   EXPECT_EQ(router.predict(serve::Request(graphs[0], "m")).label,
             expected[0]);
-  const serve::Response warmed =
-      router.predict(serve::Request(graphs[1], "m"));
-  EXPECT_EQ(warmed.label, expected[1]);
-  EXPECT_EQ(warmed.source, serve::Source::Cache);
+  const serve::Response hit = router.predict(serve::Request(graphs[0], "m"));
+  EXPECT_EQ(hit.label, expected[0]);
+  EXPECT_EQ(hit.source, serve::Source::Cache);
 
   const serve::RouterStats live = router.stats();
   EXPECT_EQ(live.queries, 4u);
   EXPECT_EQ(live.coalesced, 1u);
   EXPECT_EQ(live.source_coalesced, 1u);
-  EXPECT_EQ(live.warm_enqueued, 1u);
-  EXPECT_EQ(live.warm_completed, 1u);
   EXPECT_EQ(live.cache_hits, 1u);
+  EXPECT_EQ(live.forwards, 2u);
 
-  // Retiring the model folds its coalescing/warming traffic into the
-  // retained totals — router stats survive the server they came from.
+  // Retiring the model folds its coalescing traffic into the retained
+  // totals — router stats survive the server they came from.
   ASSERT_TRUE(router.retire("m"));
   const serve::RouterStats folded = router.stats();
   EXPECT_TRUE(folded.models.empty());
   EXPECT_EQ(folded.coalesced, 1u);
   EXPECT_EQ(folded.source_coalesced, 1u);
-  EXPECT_EQ(folded.warm_enqueued, 1u);
-  EXPECT_EQ(folded.warm_completed, 1u);
+  EXPECT_EQ(folded.cache_hits, 1u);
   EXPECT_EQ(folded.queries, 4u);
 }
 
@@ -506,11 +492,10 @@ TEST(RouterTest, QueueTimeDeadlineExpiresToDeadlineExceeded) {
   EXPECT_EQ(stats.forwards, 1u);
 }
 
-TEST(RouterTest, RetireDuringWarmingNeverResurrectsTheOldModel) {
-  // Predictive warming keeps self-issued prefetch leaders in flight; a
-  // retire() racing those leaders must drain them with the dying server —
-  // and a fresh publish under the SAME name must answer with the new
-  // model's bits and version, never a warmed-up leftover of the old one.
+TEST(RouterTest, RetireRacingAClientNeverResurrectsTheOldModel) {
+  // A retire() racing a client's in-flight leaders must drain them with the
+  // dying server — and a fresh publish under the SAME name must answer with
+  // the new model's bits and version, never a leftover of the old one.
   auto old_model = make_model(0x01D);
   auto new_model = make_model(0x2E11);
   const std::vector<int> expected_old = serial_predict(*old_model);
@@ -524,19 +509,15 @@ TEST(RouterTest, RetireDuringWarmingNeverResurrectsTheOldModel) {
     config.server.cache_capacity = 64;
     serve::Router router(config);
     router.publish("m", old_model);
-    // Every graph warms every other: one miss fans out eleven prefetches.
-    std::vector<const graph::ProgramGraph*> siblings;
-    for (const auto& g : graphs) siblings.push_back(&g);
-    ASSERT_TRUE(router.register_warm_group("m", siblings).ok());
 
     std::thread client([&] {
-      // Touch a few graphs: each miss triggers a storm of warm leaders on
-      // the background loop, in flight while the main thread retires.
+      // Touch a few graphs: each miss is a leader on the background loop,
+      // in flight while the main thread retires.
       for (int q = 0; q < 4; ++q)
         (void)router.predict(
             serve::Request(graphs[static_cast<std::size_t>(q) * 3]));
     });
-    router.retire("m");  // races the client AND its warming storm
+    router.retire("m");  // races the client's leaders
     client.join();
 
     const std::uint64_t v = router.publish("m", new_model);

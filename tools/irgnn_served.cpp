@@ -1,12 +1,13 @@
 // irgnn_served: the out-of-process serving daemon.
 //
-// Builds a deterministic StaticModel from the shared model flags (see
-// bench/net_common.h — clients rebuild the identical model from the same
-// flags instead of receiving weights), publishes it as "static" behind a
+// Builds a deterministic StaticModel from --hidden/--layers/--labels/
+// --model-seed (a client rebuilds the identical model from the same values
+// instead of receiving weights), publishes it as "static" behind a
 // serve::Router, and serves the net/codec wire protocol over TCP through
 // net::NetServer until SIGTERM/SIGINT, then drains gracefully: stop
 // accepting, answer every admitted query, flush every connection, exit 0.
-// CI's net job gates that exit code.
+// The benchmark (benchmark/src/serve.cpp) gates that exit code and the
+// "open slots 0" at the end of the drained line.
 //
 //   ./irgnn_served --port 9157 --threads 2
 //   ./irgnn_served --port 0          (ephemeral; the bound port is printed)
@@ -14,13 +15,14 @@
 #include <csignal>
 #include <cstdio>
 #include <memory>
+#include <string>
 
-#include "bench/bench_common.h"
-#include "bench/net_common.h"
 #include "gnn/model.h"
+#include "graph/graph_builder.h"
 #include "net/server.h"
 #include "serve/router.h"
 #include "support/argparse.h"
+#include "tensor/tensor.h"
 
 using namespace irgnn;
 
@@ -41,10 +43,14 @@ int main(int argc, char** argv) {
                    "TCP serving daemon for the wire protocol (net/codec): "
                    "deterministic model, router admission control, graceful "
                    "drain on SIGTERM");
-  bench::add_model_flags(parser);
-  parser
-      .add("max-queue", "256",
-           "admission bound per model (0: unbounded)")
+  parser.add("hidden", "64", "served model hidden dimension")
+      .add("layers", "3", "served model RGCN layers")
+      .add("labels", "13", "served model label count")
+      .add("model-seed", "24237",
+           "weight seed; a client rebuilds the served model from the same "
+           "four model flags (deterministic construction replaces weight "
+           "shipping)")
+      .add("max-queue", "256", "admission bound per model (0: unbounded)")
       .add("shed", "Reject",
            "admission shed policy: Reject | DropOldest | Block (also maps "
            "TCP write-buffer backpressure)")
@@ -53,23 +59,43 @@ int main(int argc, char** argv) {
       .add("cache", "4096", "prediction cache entries (0 disables)")
       .add("write-buffer", "1048576",
            "per-connection cap on unsent response bytes before the shed "
-           "policy applies");
-  bench::add_runtime_flags(parser, /*default_threads=*/"0");
-  bench::add_net_flags(parser, /*default_port=*/"9157",
-                       /*default_connections=*/"4096");
+           "policy applies")
+      .add("threads", "0",
+           "max worker threads (0: all cores; answers are identical for "
+           "every value)")
+      .add("host", "127.0.0.1", "IPv4 address to bind")
+      .add("port", "9157", "TCP port; 0 binds an ephemeral port")
+      .add("connections", "4096", "accepted-connection cap");
   if (!parser.parse(argc, argv)) return 1;
-  const int threads = bench::apply_threads(parser);
+  const int threads = static_cast<int>(parser.get_int("threads"));
+  tensor::set_kernel_parallelism(threads);
 
-  serve::ShedPolicy policy;
-  if (!bench::parse_shed_policy(parser.get_string("shed"), &policy)) {
+  const std::string shed = parser.get_string("shed");
+  serve::ShedPolicy policy = serve::ShedPolicy::Reject;
+  bool known_policy = false;
+  for (serve::ShedPolicy p :
+       {serve::ShedPolicy::Reject, serve::ShedPolicy::DropOldest,
+        serve::ShedPolicy::Block}) {
+    if (shed == serve::shed_policy_name(p)) {
+      policy = p;
+      known_policy = true;
+    }
+  }
+  if (!known_policy) {
     std::fprintf(stderr,
                  "irgnn_served: --shed must be Reject, DropOldest or Block "
                  "(got \"%s\")\n",
-                 parser.get_string("shed").c_str());
+                 shed.c_str());
     return 1;
   }
 
-  gnn::ModelConfig cfg = bench::model_config_from(parser, threads);
+  gnn::ModelConfig cfg;
+  cfg.vocab_size = graph::vocabulary_size();
+  cfg.num_labels = static_cast<int>(parser.get_int("labels"));
+  cfg.hidden_dim = static_cast<int>(parser.get_int("hidden"));
+  cfg.num_layers = static_cast<int>(parser.get_int("layers"));
+  cfg.seed = static_cast<std::uint64_t>(parser.get_int("model-seed"));
+  cfg.num_threads = threads;
   auto model = std::make_shared<const gnn::StaticModel>(cfg);
 
   serve::RouterConfig router_config;
