@@ -13,7 +13,9 @@
 //   ./irgnn_served --port 0          (ephemeral; the bound port is printed)
 //   kill -TERM <pid>                 (graceful drain)
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -67,6 +69,37 @@ int main(int argc, char** argv) {
       .add("port", "9157", "TCP port; 0 binds an ephemeral port")
       .add("connections", "4096", "accepted-connection cap");
   if (!parser.parse(argc, argv)) return 1;
+
+  // Range-check every numeric flag before any is narrowed to its field's
+  // type: an out-of-range value is a one-line error and exit 1, never a
+  // wrapped port or an aborting model constructor.
+  constexpr std::int64_t kInt = std::numeric_limits<int>::max();
+  constexpr std::int64_t kAny = std::numeric_limits<std::int64_t>::max();
+  const struct {
+    const char* name;
+    std::int64_t lo, hi;
+  } kRanges[] = {{"hidden", 1, kInt},      {"layers", 1, kInt},
+                 {"labels", 1, kInt},      {"max-batch", 1, kInt},
+                 {"connections", 1, kAny}, {"cache", 0, kAny},
+                 {"max-queue", 0, kAny},   {"wait-us", 0, kInt},
+                 {"write-buffer", 0, kAny}, {"threads", 0, kInt},
+                 {"port", 0, 65535}};
+  for (const auto& range : kRanges) {
+    const std::int64_t value = parser.get_int(range.name);
+    if (value >= range.lo && value <= range.hi) continue;
+    if (range.hi == kAny)
+      std::fprintf(stderr, "irgnn_served: --%s must be >= %lld (got %s)\n",
+                   range.name, static_cast<long long>(range.lo),
+                   parser.get_string(range.name).c_str());
+    else
+      std::fprintf(stderr,
+                   "irgnn_served: --%s must be in [%lld, %lld] (got %s)\n",
+                   range.name, static_cast<long long>(range.lo),
+                   static_cast<long long>(range.hi),
+                   parser.get_string(range.name).c_str());
+    return 1;
+  }
+
   const int threads = static_cast<int>(parser.get_int("threads"));
   tensor::set_kernel_parallelism(threads);
 
