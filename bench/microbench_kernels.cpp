@@ -11,8 +11,8 @@
 //
 // Engine sections follow the kernel table: a GEMM before/after pitting the
 // PR 2 one-dot-per-element kernel against the register-blocked 4x2
-// micro-kernel (same packed panel, bit-identical outputs), int8 against
-// float GEMM, the fused RGCN layer against the op chain it replaces
+// micro-kernel (same packed panel, bit-identical outputs), the fused RGCN
+// layer against the op chain it replaces
 // (forward + backward at a training-shard shape, bit-identical outputs and
 // gradients), and an inference section measuring the tape-free batched
 // predict path (graphs/sec, ms/graph, malloc bytes per warm call — the last
@@ -23,19 +23,16 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "gnn/model.h"
-#include "gnn/quantize.h"
 #include "graph/graph_builder.h"
 #include "support/arena.h"
 #include "support/argparse.h"
 #include "support/table.h"
 #include "tensor/gemm.h"
-#include "tensor/gemm_int8.h"
 #include "tensor/tensor.h"
 #include "workloads/suite.h"
 
@@ -81,8 +78,8 @@ int main(int argc, char** argv) {
   parser.add("reps", "9", "timed repetitions per kernel (median reported)")
       .add("warmup", "3", "untimed warmup repetitions (fills the arena)")
       .add("json", "",
-           "write machine-readable results (float + int8 GEMM sections, "
-           "inference) to this path, e.g. BENCH_kernels.json");
+           "write machine-readable results (GEMM, RGCN layer and "
+           "inference sections) to this path, e.g. BENCH_kernels.json");
   bench::add_runtime_flags(parser, /*default_threads=*/"1");
   if (!parser.parse(argc, argv)) return 1;
 
@@ -202,12 +199,10 @@ int main(int argc, char** argv) {
     bool identical = false;
   };
   std::vector<GemmRecord> float_gemm_records;
-  std::vector<GemmRecord> int8_gemm_records;
-  double int8_median_speedup = 0.0;
   double rgcn_unfused_ms = 0.0, rgcn_fused_ms = 0.0;
   bool rgcn_identical = false;
-  double infer_float_predict_ms = 0.0, infer_int8_predict_ms = 0.0;
-  std::uint64_t infer_float_malloc = 0, infer_int8_malloc = 0;
+  double infer_float_predict_ms = 0.0;
+  std::uint64_t infer_float_malloc = 0;
 
   // --- GEMM micro-kernel before/after --------------------------------------
   // The PR 2 kernel (one simd::dot per output element) against the PR 3
@@ -250,83 +245,6 @@ int main(int argc, char** argv) {
     std::printf("\n=== GEMM kernel: PR 2 row-wise dots vs register-blocked "
                 "4x2 (1 thread, packed panels) ===\n");
     gemm_table.print();
-  }
-
-  // --- Int8 GEMM vs float GEMM ----------------------------------------------
-  // The register-blocked int8 micro-kernel (tensor/gemm_int8.h) against the
-  // float register-blocked kernel on the same shapes and identical packed
-  // layouts — the quantized inference path's raw kernel speedup. Inputs span
-  // the quantizer's contract domain (activations [0,127], weights
-  // [-127,127]); the int8 output is verified exactly against a naive
-  // always-scalar dot_s8_ref reference, and the timed region must pull no
-  // bytes from malloc (all buffers pre-sized).
-  {
-    Table int8_table({"GEMM shape", "float [ms]", "int8 [ms]", "speedup",
-                      "GOP/s int8", "exact", "malloc B/rep"});
-    std::vector<double> speedups;
-    for (const MmCase& c : gemm_shapes) {
-      const std::int64_t m = c.m, k = c.k, n = c.n;
-      std::vector<float> a(static_cast<std::size_t>(m * k));
-      std::vector<float> bt(static_cast<std::size_t>(n * k));
-      for (float& v : a) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-      for (float& v : bt) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-      std::vector<std::uint8_t> aq(a.size());
-      std::vector<std::int8_t> btq(bt.size());
-      for (std::size_t i = 0; i < a.size(); ++i)
-        aq[i] = static_cast<std::uint8_t>(rng.uniform(0.0, 127.999));
-      for (std::size_t i = 0; i < bt.size(); ++i)
-        btq[i] = static_cast<std::int8_t>(rng.uniform(-127.0, 127.999));
-      std::vector<float> c_f(static_cast<std::size_t>(m * n), 0.0f);
-      std::vector<std::int32_t> c_q(static_cast<std::size_t>(m * n), 0);
-
-      Timing float_t = time_kernel(warmup, reps, [&] {
-        tensor::detail::gemm_dot_panels<false>(a.data(), k, bt.data(), k, m,
-                                               n, k, c_f.data(), n);
-      });
-      Timing int8_t_ = time_kernel(warmup, reps, [&] {
-        tensor::detail::gemm_s8_panels<false>(aq.data(), k, btq.data(), k, m,
-                                              n, k, c_q.data(), n);
-      });
-
-      // Exactness gate: the vectorized kernel against one naive scalar dot
-      // per element. Integer accumulation, so equality is exact or broken.
-      bool exact = true;
-      for (std::int64_t i = 0; i < m && exact; ++i)
-        for (std::int64_t j = 0; j < n; ++j)
-          if (c_q[static_cast<std::size_t>(i * n + j)] !=
-              tensor::detail::dot_s8_ref(aq.data() + i * k, btq.data() + j * k,
-                                         k)) {
-            exact = false;
-            break;
-          }
-      if (!exact) ++failures;
-      if (float_t.malloc_bytes != 0 || int8_t_.malloc_bytes != 0) {
-        ++failures;
-        std::printf("FAILED: int8 GEMM timed region pulled bytes from "
-                    "malloc\n");
-      }
-
-      const double speedup = float_t.median_ms / int8_t_.median_ms;
-      speedups.push_back(speedup);
-      const std::string shape = std::to_string(c.m) + "x" +
-                                std::to_string(c.k) + "x" + std::to_string(c.n);
-      int8_gemm_records.push_back(
-          {shape, float_t.median_ms, int8_t_.median_ms, exact});
-      int8_table.add_row(
-          {shape, Table::fmt(float_t.median_ms, 3),
-           Table::fmt(int8_t_.median_ms, 3), Table::fmt(speedup, 2),
-           gflops(2.0 * c.m * c.k * c.n, int8_t_.median_ms),
-           exact ? "yes" : "NO",
-           std::to_string((float_t.malloc_bytes + int8_t_.malloc_bytes) /
-                          reps)});
-    }
-    std::sort(speedups.begin(), speedups.end());
-    int8_median_speedup = speedups[speedups.size() / 2];
-    std::printf("\n=== Int8 GEMM: register-blocked int8 vs register-blocked "
-                "float (1 thread, packed panels) ===\n");
-    int8_table.print();
-    std::printf("median int8 speedup over float: %.2fx\n",
-                int8_median_speedup);
   }
 
   // --- Fused RGCN layer vs the unfused op chain ----------------------------
@@ -464,23 +382,6 @@ int main(int argc, char** argv) {
       model.evaluate(graphs, eval, /*want_embeddings=*/true);
     });
 
-    // The int8 twin: calibrate on the same graphs, then time the quantized
-    // model over the identical query. Same warm-path contract (0 malloc
-    // bytes at threads=1).
-    auto quantized_or = model.quantize(graphs);
-    if (!quantized_or.ok()) {
-      ++failures;
-      std::printf("FAILED: quantization: %s\n",
-                  std::string(quantized_or.status().message()).c_str());
-    }
-    std::shared_ptr<const gnn::QuantizedModel> quantized =
-        quantized_or.ok() ? std::move(quantized_or).value() : nullptr;
-    std::vector<int> qpreds;
-    Timing qpredict_t;
-    if (quantized)
-      qpredict_t = time_kernel(
-          warmup, reps, [&] { quantized->predict_into(graphs, qpreds); });
-
     const double G = static_cast<double>(graphs.size());
     Table infer_table({"query", "graphs", "ms/call", "ms/graph", "graphs/sec",
                        "malloc B/call"});
@@ -493,24 +394,17 @@ int main(int argc, char** argv) {
     };
     add_infer("predict", predict_t);
     add_infer("evaluate (+log-probs, +embeddings)", eval_t);
-    if (quantized) add_infer("predict int8", qpredict_t);
     std::printf("\n=== Inference engine (tape-free batched predict, "
                 "hidden=64, layers=3, threads=%d) ===\n",
                 threads);
     infer_table.print();
-    if (quantized)
-      std::printf("int8 end-to-end predict speedup over float: %.2fx\n",
-                  predict_t.median_ms / qpredict_t.median_ms);
     infer_float_predict_ms = predict_t.median_ms;
-    infer_int8_predict_ms = qpredict_t.median_ms;
     infer_float_malloc = predict_t.malloc_bytes / reps;
-    infer_int8_malloc = qpredict_t.malloc_bytes / reps;
     // Single-threaded warm inference is deterministic and must be
     // allocation-free; concurrent shards may legitimately grow the pool
     // while ramping, so the gate applies only at threads=1.
     if (threads == 1 &&
-        (predict_t.malloc_bytes != 0 || eval_t.malloc_bytes != 0 ||
-         (quantized && qpredict_t.malloc_bytes != 0))) {
+        (predict_t.malloc_bytes != 0 || eval_t.malloc_bytes != 0)) {
       ++failures;
       std::printf("FAILED: warm single-threaded inference pulled bytes from "
                   "malloc\n");
@@ -548,38 +442,20 @@ int main(int argc, char** argv) {
                      r.before_ms / r.after_ms, r.identical ? "true" : "false",
                      i + 1 < float_gemm_records.size() ? "," : "");
       }
-      std::fprintf(f, "  ],\n  \"int8_gemm\": [\n");
-      for (std::size_t i = 0; i < int8_gemm_records.size(); ++i) {
-        const GemmRecord& r = int8_gemm_records[i];
-        std::fprintf(f,
-                     "    {\"shape\": \"%s\", \"float_ms\": %.4f, "
-                     "\"int8_ms\": %.4f, \"speedup\": %.3f, "
-                     "\"exact\": %s}%s\n",
-                     r.shape.c_str(), r.before_ms, r.after_ms,
-                     r.before_ms / r.after_ms, r.identical ? "true" : "false",
-                     i + 1 < int8_gemm_records.size() ? "," : "");
-      }
       std::fprintf(
           f,
           "  ],\n"
-          "  \"int8_gemm_median_speedup\": %.3f,\n"
           "  \"rgcn_layer\": {\"shape\": \"380 nodes, 200/120/50 edges, "
           "H=32\", \"unfused_ms\": %.4f, \"fused_ms\": %.4f, "
           "\"speedup\": %.3f, \"bit_identical\": %s},\n"
           "  \"inference\": {\"float_predict_ms\": %.4f, "
-          "\"int8_predict_ms\": %.4f, \"speedup\": %.3f,\n"
-          "               \"float_malloc_b\": %llu, \"int8_malloc_b\": "
-          "%llu},\n"
+          "\"float_malloc_b\": %llu},\n"
           "  \"failures\": %d\n"
           "}\n",
-          int8_median_speedup, rgcn_unfused_ms, rgcn_fused_ms,
+          rgcn_unfused_ms, rgcn_fused_ms,
           rgcn_unfused_ms / rgcn_fused_ms, rgcn_identical ? "true" : "false",
-          infer_float_predict_ms, infer_int8_predict_ms,
-          infer_int8_predict_ms > 0.0
-              ? infer_float_predict_ms / infer_int8_predict_ms
-              : 0.0,
-          static_cast<unsigned long long>(infer_float_malloc),
-          static_cast<unsigned long long>(infer_int8_malloc), failures);
+          infer_float_predict_ms,
+          static_cast<unsigned long long>(infer_float_malloc), failures);
       std::fclose(f);
       std::printf("wrote %s\n", json_path.c_str());
     }

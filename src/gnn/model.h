@@ -29,24 +29,24 @@
 // Results are bit-identical to a serial full-batch forward for every thread
 // count, and a warm query into caller-reused storage performs zero heap
 // allocations.
+//
+// This is the one model the serving layer publishes: serve::ModelRegistry,
+// serve::InferenceServer and serve::Router hold it as
+// shared_ptr<const StaticModel> and answer every miss through predict_into /
+// evaluate under the contract above.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <vector>
 
 #include "gnn/graph_batch.h"
-#include "gnn/inference_model.h"
 #include "gnn/modules.h"
 #include "graph/program_graph.h"
 #include "support/inline_function.h"
-#include "support/status.h"
 #include "tensor/optimizer.h"
 
 namespace irgnn::gnn {
-
-class QuantizedModel;
 
 struct ModelConfig {
   int vocab_size = 0;      // set from graph::vocabulary_size()
@@ -71,7 +71,17 @@ struct TrainStats {
   double final_train_accuracy = 0.0;
 };
 
-class StaticModel : public InferenceModel {
+/// Everything one inference pass can report, in flat caller-owned storage so
+/// a warm evaluate() performs no heap allocations. All three members come
+/// from the same batch build + forward per shard — logits, log-probs and
+/// embeddings are never computed from separately re-packed batches.
+struct Evaluation {
+  std::vector<int> predictions;  // [G] argmax label per graph
+  std::vector<float> log_probs;  // [G * num_labels], row-major
+  std::vector<float> embeddings; // [G * hidden_dim] when requested, else empty
+};
+
+class StaticModel {
  public:
   explicit StaticModel(const ModelConfig& config);
 
@@ -94,14 +104,22 @@ class StaticModel : public InferenceModel {
   /// predict() into caller-owned storage (resized to the graph count). The
   /// allocation-free form for hot query loops.
   void predict_into(const std::vector<const graph::ProgramGraph*>& graphs,
-                    std::vector<int>& out) const override;
+                    std::vector<int>& out) const;
+
+  /// Convenience allocating form of predict_into.
+  std::vector<int> predict(
+      const std::vector<const graph::ProgramGraph*>& graphs) const {
+    std::vector<int> out;
+    predict_into(graphs, out);
+    return out;
+  }
 
   /// Predictions + log-probabilities (+ graph embeddings when requested)
   /// from one batch build and one forward per shard. The allocation-free
   /// workhorse behind predict_log_probs()/embed() and the experiment's
   /// evaluation path.
   void evaluate(const std::vector<const graph::ProgramGraph*>& graphs,
-                Evaluation& out, bool want_embeddings = false) const override;
+                Evaluation& out, bool want_embeddings = false) const;
 
   /// Per-graph log-probabilities [G, num_labels] (row-major).
   std::vector<std::vector<float>> predict_log_probs(
@@ -113,20 +131,9 @@ class StaticModel : public InferenceModel {
       const std::vector<const graph::ProgramGraph*>& graphs) const;
 
   const ModelConfig& config() const { return config_; }
-  int num_labels() const override { return config_.num_labels; }
-  int hidden_dim() const override { return config_.hidden_dim; }
+  int num_labels() const { return config_.num_labels; }
+  int hidden_dim() const { return config_.hidden_dim; }
   std::vector<tensor::Tensor> parameters() const;
-
-  /// Post-training int8 quantization (gnn/quantize.cpp): calibrates
-  /// activation ranges by streaming `calibration` (typically one CV fold)
-  /// through this model tape-free, quantizes every Linear/RGCN weight to
-  /// per-output-channel int8, and returns a servable QuantizedModel
-  /// implementing the same InferenceModel surface. Fails InvalidArgument on
-  /// an empty calibration set and Internal on an injected "gnn.quantize"
-  /// failpoint fault — on any failure nothing servable is produced, so a
-  /// caller can never publish a partially quantized model.
-  support::StatusOr<std::shared_ptr<const QuantizedModel>> quantize(
-      const std::vector<const graph::ProgramGraph*>& calibration) const;
 
  private:
   /// The full parameter stack. Gradient shards train against deep-copied

@@ -23,15 +23,16 @@
 #include <string>
 #include <vector>
 
-#include "gnn/inference_model.h"
+namespace irgnn::gnn {
+class StaticModel;
+}
 
 namespace irgnn::serve {
 
-/// The serving layer holds models through the InferenceModel interface, so
-/// float (gnn::StaticModel) and int8 (gnn::QuantizedModel) versions publish
-/// and mix behind the same registry/router with no serve-side type
-/// knowledge. shared_ptr<const StaticModel> upcasts implicitly.
-using ModelPtr = std::shared_ptr<const gnn::InferenceModel>;
+/// The serving layer holds the float gnn::StaticModel (gnn/model.h) it
+/// publishes, shares and hot-swaps through this pointer; only the files that
+/// call into a model include its header.
+using ModelPtr = std::shared_ptr<const gnn::StaticModel>;
 
 /// One consistent (model, version) publication. version starts at 1 for the
 /// first publish; an empty slot snapshots as {nullptr, 0}.
@@ -89,7 +90,7 @@ class ModelRegistry {
 /// stack- or member-owned models served in-process, e.g. the per-fold
 /// models of core::run_experiment. The caller must keep `model` alive for
 /// the server's lifetime.
-inline ModelPtr borrow_model(const gnn::InferenceModel& model) {
+inline ModelPtr borrow_model(const gnn::StaticModel& model) {
   return ModelPtr(std::shared_ptr<void>(), &model);
 }
 

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <chrono>
 
+#include "gnn/model.h"
 #include "graph/fingerprint.h"
 #include "support/failpoint.h"
 #include "support/rng.h"

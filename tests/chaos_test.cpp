@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "gnn/model.h"
-#include "gnn/quantize.h"
 #include "graph/graph_builder.h"
 #include "net/client.h"
 #include "net/server.h"
@@ -288,59 +287,6 @@ TEST_F(ChaosTest, AllocationFailureIsContainedToAnInternalResponse) {
   failpoints::disable("arena.allocate");
   // The server survived and serves on.
   EXPECT_EQ(server.predict(graphs[1]).label, expected[1]);
-}
-
-TEST_F(ChaosTest, FailedQuantizationNeverPublishesAPartialModel) {
-  if (!failpoints::enabled()) GTEST_SKIP() << "failpoints compiled out";
-  // A quantization fault must be containment-complete: the Status comes
-  // back Internal, the router keeps serving the float model bit-for-bit,
-  // and no partially-built int8 model is ever visible under any name.
-  auto model = std::make_shared<const gnn::StaticModel>(small_config(0x0A57));
-  const std::vector<int> expected = serial_predict(*model);
-  const auto& graphs = test_graphs();
-  std::vector<const graph::ProgramGraph*> fold;
-  for (const auto& g : graphs) fold.push_back(&g);
-
-  serve::RouterConfig config;
-  config.server.background_loop = false;
-  serve::Router router(config);
-  router.publish("static", model);
-
-  failpoints::set_seed(11);
-  failpoints::FailpointSpec one;
-  one.probability = 1.0;
-  one.max_fires = 1;
-  failpoints::configure("gnn.quantize", one);
-
-  auto failed = model->quantize(fold);
-  ASSERT_FALSE(failed.ok());
-  EXPECT_EQ(failed.status().code(), support::StatusCode::kInternal);
-  EXPECT_GE(failpoints::fires("gnn.quantize"), 1u);
-  failpoints::disable("gnn.quantize");
-
-  // Nothing new was published: the failure produced no servable object, so
-  // there is nothing a caller could even hand to the router.
-  EXPECT_EQ(router.models(), std::vector<std::string>{"static"});
-  for (std::size_t i = 0; i < graphs.size(); ++i) {
-    const serve::Response r = router.predict(graphs[i]);
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r.label, expected[i]);
-  }
-
-  // The same call succeeds once the fault clears, and only then does an
-  // int8 version appear.
-  auto ok = model->quantize(fold);
-  ASSERT_TRUE(ok.ok()) << ok.status().message();
-  router.publish("static.int8", ok.value());
-  EXPECT_EQ(router.models(),
-            (std::vector<std::string>{"static", "static.int8"}));
-  const std::vector<int> quant_expected = ok.value()->predict(fold);
-  for (std::size_t i = 0; i < graphs.size(); ++i) {
-    const serve::Response r =
-        router.predict(serve::Request(graphs[i], "static.int8"));
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r.label, quant_expected[i]);
-  }
 }
 
 // --- Scripted deterministic fault window ------------------------------------

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "gnn/model.h"
-#include "gnn/quantize.h"
 #include "graph/graph_builder.h"
 #include "ml/cross_validation.h"
 #include "sim/exploration.h"
@@ -209,153 +208,6 @@ TEST(DeterminismTest, MatmulIdenticalForEveryKernelParallelism) {
   tensor::set_kernel_parallelism(0);
   for (int i = 0; i < serial.numel(); ++i)
     ASSERT_EQ(serial.data()[i], parallel.data()[i]) << "entry " << i;
-}
-
-// --- Int8 quantization leg --------------------------------------------------
-
-/// Distinct suite regions for the quantization tests, built once.
-const std::vector<graph::ProgramGraph>& quant_graphs() {
-  static const std::vector<graph::ProgramGraph> owned = [] {
-    std::vector<graph::ProgramGraph> graphs;
-    for (int r : {0, 3, 7, 12, 21, 30, 41, 50, 2, 9, 17, 28}) {
-      auto module =
-          workloads::build_region_module(workloads::benchmark_suite()[r]);
-      graphs.push_back(graph::build_graph(*module));
-    }
-    return graphs;
-  }();
-  return owned;
-}
-
-/// Shared trained float model for the quantization determinism tests:
-/// trained once (single-threaded, fixed seed) so every test below
-/// quantizes the same parameters.
-const gnn::StaticModel& quant_source_model() {
-  static const gnn::StaticModel* model = [] {
-    tensor::set_kernel_parallelism(1);
-    gnn::ModelConfig cfg;
-    cfg.vocab_size = graph::vocabulary_size();
-    cfg.num_labels = 3;
-    cfg.hidden_dim = 16;
-    cfg.num_layers = 2;
-    cfg.epochs = 4;
-    cfg.batch_size = 4;
-    cfg.seed = 0xD5EED;
-    cfg.num_threads = 1;
-    auto* m = new gnn::StaticModel(cfg);
-    std::vector<const graph::ProgramGraph*> graphs;
-    std::vector<int> labels;
-    const auto& owned = quant_graphs();
-    for (std::size_t i = 0; i < owned.size(); ++i) {
-      graphs.push_back(&owned[i]);
-      labels.push_back(static_cast<int>(i) % 3);
-    }
-    m->train(graphs, labels);
-    tensor::set_kernel_parallelism(0);
-    return m;
-  }();
-  return *model;
-}
-
-TEST(DeterminismTest, QuantizationScalesIdenticalAcrossThreadCounts) {
-  // Calibration is a min/max reduction over fixed 16-graph shards; the
-  // derived scales and zero points must not depend on how many workers ran
-  // the shards. 19 graphs = two shards, so the parallel path is real.
-  const gnn::StaticModel& model = quant_source_model();
-  std::vector<const graph::ProgramGraph*> fold;
-  const auto& owned = quant_graphs();
-  for (std::size_t i = 0; i < 19; ++i)
-    fold.push_back(&owned[i % owned.size()]);
-
-  auto quantize_with_threads = [&](int t) {
-    tensor::set_kernel_parallelism(t);
-    auto q = model.quantize(fold);
-    tensor::set_kernel_parallelism(0);
-    EXPECT_TRUE(q.ok()) << q.status().message();
-    return std::move(q).value();
-  };
-  auto q1 = quantize_with_threads(1);
-  auto q8 = quantize_with_threads(8);
-  EXPECT_TRUE(bits_equal(q1->scales(), q8->scales()));
-  EXPECT_EQ(q1->zero_points(), q8->zero_points());
-}
-
-TEST(DeterminismTest, QuantizationScalesIdenticalForEveryCalibrationOrder) {
-  // min/max is commutative: permuting or reversing the calibration fold
-  // (different shard compositions entirely) must reproduce the exact same
-  // scales, hence the same published model bits.
-  const gnn::StaticModel& model = quant_source_model();
-  const auto& owned = quant_graphs();
-  std::vector<const graph::ProgramGraph*> fold;
-  for (const auto& g : owned) fold.push_back(&g);
-
-  std::vector<const graph::ProgramGraph*> reversed(fold.rbegin(), fold.rend());
-  std::vector<const graph::ProgramGraph*> rotated(fold.begin() + 3, fold.end());
-  rotated.insert(rotated.end(), fold.begin(), fold.begin() + 3);
-
-  auto qa = model.quantize(fold);
-  auto qb = model.quantize(reversed);
-  auto qc = model.quantize(rotated);
-  ASSERT_TRUE(qa.ok() && qb.ok() && qc.ok());
-  EXPECT_TRUE(bits_equal(qa.value()->scales(), qb.value()->scales()));
-  EXPECT_TRUE(bits_equal(qa.value()->scales(), qc.value()->scales()));
-  EXPECT_EQ(qa.value()->zero_points(), qb.value()->zero_points());
-  EXPECT_EQ(qa.value()->zero_points(), qc.value()->zero_points());
-}
-
-TEST(DeterminismTest, QuantizedPredictionsBitIdenticalAcrossThreadCounts) {
-  const gnn::StaticModel& model = quant_source_model();
-  const auto& owned = quant_graphs();
-  std::vector<const graph::ProgramGraph*> graphs;
-  // 40 pointers cycling the owned graphs: several inference shards.
-  for (std::size_t i = 0; i < 40; ++i) graphs.push_back(&owned[i % owned.size()]);
-
-  auto q = model.quantize(graphs);
-  ASSERT_TRUE(q.ok());
-  const auto quantized = std::move(q).value();
-
-  auto predict_with_threads = [&](int t) {
-    tensor::set_kernel_parallelism(t);
-    gnn::Evaluation eval;
-    quantized->evaluate(graphs, eval, /*want_embeddings=*/true);
-    tensor::set_kernel_parallelism(0);
-    return eval;
-  };
-  gnn::Evaluation e1 = predict_with_threads(1);
-  gnn::Evaluation e8 = predict_with_threads(8);
-  EXPECT_EQ(e1.predictions, e8.predictions);
-  EXPECT_TRUE(bits_equal(e1.log_probs, e8.log_probs));
-  EXPECT_TRUE(bits_equal(e1.embeddings, e8.embeddings));
-}
-
-TEST(DeterminismTest, QuantizedPredictionsIndependentOfBatchComposition) {
-  // One query over the whole set vs one query per graph: per-graph rows
-  // must match bitwise (the batch a graph shares changes nothing).
-  const gnn::StaticModel& model = quant_source_model();
-  const auto& owned = quant_graphs();
-  std::vector<const graph::ProgramGraph*> graphs;
-  for (const auto& g : owned) graphs.push_back(&g);
-
-  auto q = model.quantize(graphs);
-  ASSERT_TRUE(q.ok());
-  const auto quantized = std::move(q).value();
-
-  gnn::Evaluation all;
-  quantized->evaluate(graphs, all, /*want_embeddings=*/true);
-  const int labels = quantized->num_labels();
-  const int hidden = quantized->hidden_dim();
-  for (std::size_t i = 0; i < graphs.size(); ++i) {
-    gnn::Evaluation one;
-    quantized->evaluate({graphs[i]}, one, /*want_embeddings=*/true);
-    ASSERT_EQ(one.predictions.size(), 1u);
-    EXPECT_EQ(one.predictions[0], all.predictions[i]) << "graph " << i;
-    for (int j = 0; j < labels; ++j)
-      ASSERT_EQ(one.log_probs[j], all.log_probs[i * labels + j])
-          << "graph " << i << " label " << j;
-    for (int j = 0; j < hidden; ++j)
-      ASSERT_EQ(one.embeddings[j], all.embeddings[i * hidden + j])
-          << "graph " << i << " dim " << j;
-  }
 }
 
 TEST(DeterminismTest, ForEachFoldRunsEveryFoldOnce) {

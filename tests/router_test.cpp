@@ -52,7 +52,7 @@ serve::ModelPtr make_model(std::uint64_t seed) {
   return std::make_shared<const gnn::StaticModel>(small_config(seed));
 }
 
-std::vector<int> serial_predict(const gnn::InferenceModel& model) {
+std::vector<int> serial_predict(const gnn::StaticModel& model) {
   std::vector<const graph::ProgramGraph*> ptrs;
   for (const auto& g : test_graphs()) ptrs.push_back(&g);
   return model.predict(ptrs);

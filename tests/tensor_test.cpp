@@ -15,7 +15,6 @@
 
 #include "support/simd.h"
 #include "tensor/gemm.h"
-#include "tensor/gemm_int8.h"
 #include "tensor/optimizer.h"
 #include "tensor/tensor.h"
 
@@ -471,80 +470,6 @@ TEST(SimdTest, RegisterBlockedAxpyPanelsBitIdenticalToRowwiseAxpy) {
     tensor::detail::gemm_axpy_panels(at.data(), c.m, g.data(), c.n, c.rows,
                                      c.m, c.n, d_blk.data(), c.n);
     EXPECT_EQ(d_ref, d_blk) << c.rows << "x" << c.m << "x" << c.n;
-  }
-}
-
-TEST(SimdTest, Int8GemmBitIdenticalToScalarReferenceOnEdgeShapes) {
-  // The int8 kernels (tensor/gemm_int8.h) against a naive dot_s8_ref
-  // reference, over the same edge shapes as the float GEMM tests: empty
-  // m/n/k, single row/column/depth, tails below the 4x2 block and below one
-  // SIMD lane group. Inputs span the full contract domain — activations in
-  // [0, 127], weights in [-127, 127] — so this also exercises the widening
-  // paths where a saturating kernel would differ. The comparison is exact
-  // (integer accumulation), never approximate.
-  auto random_u8 = [](std::size_t n, std::uint64_t seed) {
-    Rng rng(seed);
-    std::vector<std::uint8_t> v(n);
-    for (auto& x : v)
-      x = static_cast<std::uint8_t>(rng.uniform(0.0, 127.999));
-    return v;
-  };
-  auto random_s8 = [](std::size_t n, std::uint64_t seed) {
-    Rng rng(seed);
-    std::vector<std::int8_t> v(n);
-    for (auto& x : v)
-      x = static_cast<std::int8_t>(rng.uniform(-127.0, 127.999));
-    return v;
-  };
-  struct Case {
-    int m, n, k;
-  };
-  for (const Case& c :
-       {Case{0, 0, 0}, Case{0, 3, 5}, Case{3, 0, 5}, Case{2, 5, 0},
-        Case{1, 1, 1}, Case{1, 7, 3}, Case{3, 1, 7}, Case{2, 2, 5},
-        Case{4, 2, 32}, Case{5, 3, 19}, Case{7, 2, 31}, Case{8, 6, 33},
-        Case{17, 13, 40}, Case{12, 7, 65}, Case{33, 31, 64}}) {
-    const std::vector<std::uint8_t> a =
-        random_u8(static_cast<std::size_t>(c.m) * c.k, 9600 + c.m);
-    const std::vector<std::int8_t> bt =
-        random_s8(static_cast<std::size_t>(c.n) * c.k, 9700 + c.n);
-
-    // Naive reference: one always-scalar dot per output element.
-    std::vector<std::int32_t> ref(static_cast<std::size_t>(c.m) * c.n, 0);
-    for (int i = 0; i < c.m; ++i)
-      for (int j = 0; j < c.n; ++j)
-        ref[static_cast<std::size_t>(i) * c.n + j] = tensor::detail::dot_s8_ref(
-            a.data() + static_cast<std::int64_t>(i) * c.k,
-            bt.data() + static_cast<std::int64_t>(j) * c.k, c.k);
-
-    std::vector<std::int32_t> rowwise(ref.size(), 0);
-    std::vector<std::int32_t> panels(ref.size(), 0);
-    tensor::detail::gemm_s8_rowwise<false>(a.data(), c.k, bt.data(), c.k, c.m,
-                                           c.n, c.k, rowwise.data(), c.n);
-    tensor::detail::gemm_s8_panels<false>(a.data(), c.k, bt.data(), c.k, c.m,
-                                          c.n, c.k, panels.data(), c.n);
-    EXPECT_EQ(rowwise, ref) << "rowwise " << c.m << "x" << c.n << "x" << c.k;
-    EXPECT_EQ(panels, ref) << "panels " << c.m << "x" << c.n << "x" << c.k;
-
-    // Accumulate variant onto a non-zero C (the repeated-relation form).
-    std::vector<std::int32_t> base(ref.size());
-    {
-      Rng rng(9800 + c.k);
-      for (auto& x : base)
-        x = static_cast<std::int32_t>(rng.uniform(-1000.0, 1000.0));
-    }
-    std::vector<std::int32_t> acc_ref = base;
-    for (std::size_t i = 0; i < ref.size(); ++i) acc_ref[i] += ref[i];
-    std::vector<std::int32_t> acc_row = base;
-    std::vector<std::int32_t> acc_blk = base;
-    tensor::detail::gemm_s8_rowwise<true>(a.data(), c.k, bt.data(), c.k, c.m,
-                                          c.n, c.k, acc_row.data(), c.n);
-    tensor::detail::gemm_s8_panels<true>(a.data(), c.k, bt.data(), c.k, c.m,
-                                         c.n, c.k, acc_blk.data(), c.n);
-    EXPECT_EQ(acc_row, acc_ref)
-        << "accumulate rowwise " << c.m << "x" << c.n << "x" << c.k;
-    EXPECT_EQ(acc_blk, acc_ref)
-        << "accumulate panels " << c.m << "x" << c.n << "x" << c.k;
   }
 }
 
