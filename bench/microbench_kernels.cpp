@@ -11,8 +11,10 @@
 //
 // Engine sections follow the kernel table: a GEMM before/after pitting the
 // PR 2 one-dot-per-element kernel against the register-blocked 4x2
-// micro-kernel (same packed panel, bit-identical outputs), the fused RGCN
-// layer against the op chain it replaces
+// micro-kernel (same packed panel, bit-identical outputs), the kernel
+// fan-out crossover that sets tensor::kParallelFlops (serial against a
+// 2-way row-block split, from one serve graph to one inference shard), the
+// fused RGCN layer against the op chain it replaces
 // (forward + backward at a training-shard shape, bit-identical outputs and
 // gradients), and an inference section measuring the tape-free batched
 // predict path (graphs/sec, ms/graph, malloc bytes per warm call — the last
@@ -32,6 +34,7 @@
 #include "support/arena.h"
 #include "support/argparse.h"
 #include "support/table.h"
+#include "support/thread_pool.h"
 #include "tensor/gemm.h"
 #include "tensor/tensor.h"
 #include "workloads/suite.h"
@@ -78,8 +81,9 @@ int main(int argc, char** argv) {
   parser.add("reps", "9", "timed repetitions per kernel (median reported)")
       .add("warmup", "3", "untimed warmup repetitions (fills the arena)")
       .add("json", "",
-           "write machine-readable results (GEMM, RGCN layer and "
-           "inference sections) to this path, e.g. BENCH_kernels.json");
+           "write machine-readable results (GEMM, kernel fan-out, RGCN "
+           "layer and inference sections) to this path, e.g. "
+           "BENCH_kernels.json");
   bench::add_runtime_flags(parser, /*default_threads=*/"1");
   if (!parser.parse(argc, argv)) return 1;
 
@@ -199,6 +203,11 @@ int main(int argc, char** argv) {
     bool identical = false;
   };
   std::vector<GemmRecord> float_gemm_records;
+  struct FanoutRecord {
+    std::string shape;
+    double serial_ms = 0, split_ms = 0, kpar1_ms = 0, kpar2_ms = 0;
+  };
+  std::vector<FanoutRecord> fanout_records;
   double rgcn_unfused_ms = 0.0, rgcn_fused_ms = 0.0;
   bool rgcn_identical = false;
   double infer_float_predict_ms = 0.0;
@@ -245,6 +254,73 @@ int main(int argc, char** argv) {
     std::printf("\n=== GEMM kernel: PR 2 row-wise dots vs register-blocked "
                 "4x2 (1 thread, packed panels) ===\n");
     gemm_table.print();
+  }
+
+  // --- Kernel fan-out crossover ---------------------------------------------
+  // What tensor::kParallelFlops decides: run a kernel serially on the
+  // caller, or split it into kRowBlock-row blocks on the pool. Left: the
+  // forward matmul's own GEMM on a pre-packed [64, 64] panel, once serially
+  // and once split 2 ways exactly as the parallel kernels split it — so the
+  // crossover shows whatever the constant is set to. Right: tensor::matmul
+  // at kernel parallelism 1 and 2, i.e. what the constant makes of it.
+  // 94 rows is one mean suite graph (a lone serve miss); 1504 rows is one
+  // 16-graph inference shard.
+  {
+    Table fan_table({"matmul shape", "MACs", "serial [ms]", "2-way split [ms]",
+                     "split/serial", "matmul kpar 1 [ms]",
+                     "matmul kpar 2 [ms]", "malloc B/rep"});
+    const Tensor b = Tensor::xavier({64, 64}, rng);
+    const std::int64_t k = b.rows(), n = b.cols();
+    std::vector<float> bt(static_cast<std::size_t>(n * k));
+    for (float& v : bt) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    const int rows_sweep[] = {32, 64, 94, 128, 192, 256, 384, 512, 1024, 1504};
+    for (int m : rows_sweep) {
+      std::vector<float> a(static_cast<std::size_t>(m * k));
+      for (float& v : a) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+      std::vector<float> c(static_cast<std::size_t>(m * n));
+      const Tensor at = Tensor::from_data(
+          {m, static_cast<int>(k)}, std::vector<float>(a), false);
+      Timing serial = time_kernel(warmup, reps, [&] {
+        tensor::detail::gemm_dot_panels<false>(a.data(), k, bt.data(), k, m,
+                                               n, k, c.data(), n);
+      });
+      const std::int64_t blocks =
+          (m + tensor::kRowBlock - 1) / tensor::kRowBlock;
+      Timing split = time_kernel(warmup, reps, [&] {
+        support::ThreadPool::global().parallel_for(
+            0, blocks, 2, [&](std::int64_t blk) {
+              const std::int64_t i0 = blk * tensor::kRowBlock;
+              const std::int64_t i1 =
+                  std::min<std::int64_t>(m, i0 + tensor::kRowBlock);
+              tensor::detail::gemm_dot_panels<false>(
+                  a.data() + i0 * k, k, bt.data(), k, i1 - i0, n, k,
+                  c.data() + i0 * n, n);
+            });
+      });
+      tensor::set_kernel_parallelism(1);
+      Timing kpar1 = time_kernel(warmup, reps, [&] { tensor::matmul(at, b); });
+      tensor::set_kernel_parallelism(2);
+      Timing kpar2 = time_kernel(warmup, reps, [&] { tensor::matmul(at, b); });
+      tensor::set_kernel_parallelism(threads);
+      const std::string shape = std::to_string(m) + "x64x64" +
+                                (m == 94     ? " (1 graph)"
+                                 : m == 1504 ? " (16-graph shard)"
+                                             : "");
+      fanout_records.push_back({shape, serial.median_ms, split.median_ms,
+                                kpar1.median_ms, kpar2.median_ms});
+      fan_table.add_row(
+          {shape, std::to_string(m * k * n), Table::fmt(serial.median_ms, 4),
+           Table::fmt(split.median_ms, 4),
+           Table::fmt(split.median_ms / serial.median_ms, 2),
+           Table::fmt(kpar1.median_ms, 4), Table::fmt(kpar2.median_ms, 4),
+           std::to_string((split.malloc_bytes + kpar1.malloc_bytes +
+                           kpar2.malloc_bytes) /
+                          reps)});
+    }
+    std::printf("\n=== Kernel fan-out: serial vs 2-way row-block split "
+                "(tensor::kParallelFlops = %lld MACs) ===\n",
+                static_cast<long long>(tensor::kParallelFlops));
+    fan_table.print();
   }
 
   // --- Fused RGCN layer vs the unfused op chain ----------------------------
@@ -441,6 +517,16 @@ int main(int argc, char** argv) {
                      r.shape.c_str(), r.before_ms, r.after_ms,
                      r.before_ms / r.after_ms, r.identical ? "true" : "false",
                      i + 1 < float_gemm_records.size() ? "," : "");
+      }
+      std::fprintf(f, "  ],\n  \"kernel_fanout\": [\n");
+      for (std::size_t i = 0; i < fanout_records.size(); ++i) {
+        const FanoutRecord& r = fanout_records[i];
+        std::fprintf(f,
+                     "    {\"shape\": \"%s\", \"serial_ms\": %.4f, "
+                     "\"split2_ms\": %.4f, \"matmul_kpar1_ms\": %.4f, "
+                     "\"matmul_kpar2_ms\": %.4f}%s\n",
+                     r.shape.c_str(), r.serial_ms, r.split_ms, r.kpar1_ms,
+                     r.kpar2_ms, i + 1 < fanout_records.size() ? "," : "");
       }
       std::fprintf(
           f,

@@ -48,7 +48,7 @@ struct RouterConfig {
   std::size_t max_queue = 256;
   ShedPolicy shed_policy = ShedPolicy::Reject;
 
-  /// Template for each per-model InferenceServer (batching window, cache,
+  /// Template for each per-model InferenceServer (batch size, cache,
   /// loop mode...). Note each background loop parks one shared-ThreadPool
   /// task; routers with many models on small pools should consider
   /// background_loop = false (clients then pump, as everywhere else).

@@ -86,7 +86,7 @@ void InferenceServer::shutdown() {
   // pump is mid-flight we wait for it and re-check.
   while (!queue_.empty() || pumping_) {
     if (!pumping_)
-      pump_one(lock, /*wait_window=*/false);
+      pump_one(lock);
     else
       cv_done_.wait(lock);
   }
@@ -341,7 +341,7 @@ Status InferenceServer::admit_locked(std::unique_lock<std::mutex>& lock,
         // server (background_loop=false) cannot deadlock on its own bound.
         while (!stop_ && queue_.size() >= config_.max_queue) {
           if (!pumping_ && !queue_.empty())
-            pump_one(lock, /*wait_window=*/false);
+            pump_one(lock);
           else
             cv_done_.wait(lock);
         }
@@ -582,20 +582,9 @@ void InferenceServer::attach_callback(std::uint32_t slot, std::uint64_t gen,
 
 // --- Serving loop -----------------------------------------------------------
 
-void InferenceServer::pump_one(std::unique_lock<std::mutex>& lock,
-                               bool wait_window) {
+void InferenceServer::pump_one(std::unique_lock<std::mutex>& lock) {
   assert(!pumping_ && !queue_.empty());
   pumping_ = true;
-  if (wait_window && config_.max_wait_us > 0) {
-    // Batch window: give concurrent clients max_wait_us to join before
-    // flushing a sub-max_batch batch. Early-out as soon as it fills.
-    const auto deadline =
-        Clock::now() + std::chrono::microseconds(config_.max_wait_us);
-    while (static_cast<int>(queue_.size()) < config_.max_batch && !stop_) {
-      if (cv_queue_.wait_until(lock, deadline) == std::cv_status::timeout)
-        break;
-    }
-  }
   batch_slots_.clear();
   batch_graphs_.clear();
   batch_fps_.clear();
@@ -736,12 +725,11 @@ Response InferenceServer::wait(std::uint32_t slot, std::uint64_t gen) {
       return response;
     }
     if (!pumping_ && !queue_.empty()) {
-      // Caller participation: no active pumper, so drive a batch ourselves.
-      // Skip the batch window — a waiting client gains nothing by idling,
-      // and batch composition never changes any result. pump_one never
+      // Caller participation: no active pumper, so drive a batch ourselves
+      // (batch composition never changes any result). pump_one never
       // throws (a failed forward resolves Internal), so the slot is always
       // collected.
-      pump_one(lock, /*wait_window=*/false);
+      pump_one(lock);
       continue;
     }
     cv_done_.wait(lock);
@@ -754,7 +742,7 @@ void InferenceServer::background_loop() {
     if (pumping_)
       cv_done_.wait(lock);  // a waiting client beat us to the pump role
     else if (!queue_.empty())
-      pump_one(lock, /*wait_window=*/true);
+      pump_one(lock);
     else
       cv_queue_.wait(lock);
   }

@@ -5,11 +5,11 @@
 // Clients build a serve::Request (graph, deadline, priority), submit it
 // through a lock-guarded admission queue and receive lightweight futures
 // that resolve to a serve::Response (label, answering model version,
-// Source::{Cache,Batch,Shed}, queue/compute micro-timings). A serving loop
-// drains the queue into dynamic micro-batches — flushed when `max_batch`
-// queries are waiting or the oldest has waited `max_wait_us` — and answers
-// a whole batch with one StaticModel::predict_into call. Four properties
-// define the design:
+// Source::{Cache,Batch,Shed}, queue/compute micro-timings). Batching is
+// greedy: whenever the pump is free it takes whatever is queued (up to
+// `max_batch`) and answers it with one StaticModel::predict_into call, so
+// a batch is what queued during the previous forward — a lone miss never
+// idles waiting for company. Four properties define the design:
 //
 //   Exception-free query path. submit() returns StatusOr<Future>; every
 //   failure a client can observe — queue full (Overloaded), deadline missed
@@ -27,8 +27,8 @@
 //   result is keyed to its query's admission slot, not to its position in
 //   whatever batch happened to form. Every *admitted and answered* response
 //   therefore carries bits identical to a serial StaticModel::predict of
-//   its graph, for every batch window, batch size, queue bound, shed policy
-//   and client interleaving — shedding only removes requests, it can never
+//   its graph, for every batch size, queue bound, shed policy and client
+//   interleaving — shedding only removes requests, it can never
 //   perturb the answers of the requests that stayed.
 //
 //   No dedicated threads, no deadlocks. The serving loop is a task on the
@@ -94,12 +94,11 @@
 namespace irgnn::serve {
 
 struct ServerConfig {
-  /// Micro-batch flush thresholds: a batch launches as soon as `max_batch`
-  /// queries are admitted, or when the serving loop has waited `max_wait_us`
-  /// microseconds since it saw the queue non-empty. A client pumping its own
-  /// query never waits the window (it has nothing to gain from idling).
+  /// Largest micro-batch. There is no batch window: a free pump (the
+  /// serving loop or a waiting client) takes up to `max_batch` of whatever
+  /// is queued at once, so batches form from the queries that arrived
+  /// during the previous forward.
   int max_batch = 64;
-  int max_wait_us = 200;
 
   /// Admission bound: at most this many admitted queries may be waiting for
   /// a batch (in-flight batches do not count). 0 means unbounded — the
@@ -365,13 +364,13 @@ class InferenceServer {
   StatusOr<Future> admit_or_coalesce(const Request& request, std::uint64_t fp,
                                      std::uint64_t version);
 
-  /// Runs one micro-batch: optionally waits the batch window for the queue
-  /// to fill, pops up to max_batch queries in admission order (expired
-  /// deadlines resolve as shed instead of joining), answers them with one
-  /// predict_into outside the lock, publishes results to their slots. A
-  /// failed forward resolves the whole batch Internal — never throws.
+  /// Runs one micro-batch: pops up to max_batch queries in admission order
+  /// without waiting for more (expired deadlines resolve as shed instead of
+  /// joining), answers them with one predict_into outside the lock,
+  /// publishes results to their slots. A failed forward resolves the whole
+  /// batch Internal — never throws.
   /// Pre: lock held, queue non-empty, pumping_ == false. Post: lock held.
-  void pump_one(std::unique_lock<std::mutex>& lock, bool wait_window);
+  void pump_one(std::unique_lock<std::mutex>& lock);
 
   /// Blocks until `slot` is Done (driving batches when no pumper is
   /// active), returns the response and frees the slot.

@@ -29,12 +29,6 @@ thread_local bool t_inference_mode = false;
 /// Monotone epoch for backward() traversals; see Node::visit_mark.
 std::atomic<std::uint64_t> g_visit_epoch{0};
 
-/// Rows per parallel work item: large enough that scheduling noise is
-/// amortized, small enough that row counts in the tens still spread.
-constexpr std::int64_t kRowBlock = 16;
-/// Below this many scalar multiply-adds a kernel runs serially.
-constexpr std::int64_t kParallelFlops = 16 * 1024;
-
 /// Runs fn(row_begin, row_end) over blocks of rows, in parallel when `flops`
 /// justifies it. Blocks are disjoint, so any per-row-owned output keeps the
 /// bit-identical-across-thread-counts contract. Templated (not

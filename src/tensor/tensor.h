@@ -146,6 +146,16 @@ class Tensor {
 void set_kernel_parallelism(int max_threads);
 int kernel_parallelism();
 
+/// Parallel kernels split their output rows into blocks of kRowBlock rows
+/// and hand the blocks to the pool only when the kernel does at least
+/// kParallelFlops scalar multiply-adds; smaller kernels run serially on the
+/// caller. The threshold is the measured crossover below which the pool
+/// round trip costs more than the split saves (microbench_kernels, "kernel
+/// fan-out" section). Blocks are disjoint either way, so neither constant
+/// can change a bit.
+inline constexpr std::int64_t kRowBlock = 16;
+inline constexpr std::int64_t kParallelFlops = 1024 * 1024;
+
 /// RAII no-grad scope for the inference fast path. While an InferenceGuard
 /// is alive on the current thread, ops record no tape: outputs carry
 /// requires_grad = false, reference no parents (so intermediate activations

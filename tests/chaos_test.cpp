@@ -180,7 +180,6 @@ TEST_F(ChaosTest, BreakerTripsServesCacheShortCircuitsMissesAndRecovers) {
 
   serve::ServerConfig config;
   config.background_loop = false;
-  config.max_wait_us = 0;
   config.cache_capacity = 64;
   config.breaker_trip_threshold = 3;
   config.breaker_probe_interval_us = 1000;
@@ -264,7 +263,6 @@ TEST_F(ChaosTest, AllocationFailureIsContainedToAnInternalResponse) {
 
   serve::ServerConfig config;
   config.background_loop = false;
-  config.max_wait_us = 0;
   config.cache_capacity = 0;  // every predict forwards
   config.coalesce = false;    // no in-flight map nodes on the submit path
   serve::InferenceServer server(model, config);
@@ -325,7 +323,6 @@ ScriptedRun run_scripted(int model_threads, std::uint64_t seed,
 
   serve::ServerConfig config;
   config.background_loop = false;
-  config.max_wait_us = 0;
   config.cache_capacity = 16;
   config.breaker_trip_threshold = 2;
   config.breaker_probe_interval_us = probe_interval_us;
@@ -411,7 +408,6 @@ void run_concurrent_chaos(bool with_faults) {
   config.max_queue = 16;
   config.shed_policy = serve::ShedPolicy::DropOldest;
   config.server.max_batch = 8;
-  config.server.max_wait_us = 100;
   config.server.cache_capacity = 64;
   config.server.breaker_trip_threshold = 4;
   config.server.breaker_probe_interval_us = 500;
@@ -543,7 +539,6 @@ TEST_F(ChaosTest, ShutdownDrainsEveryFutureUnderTotalForwardFailure) {
 
   serve::ServerConfig config;
   config.background_loop = false;  // nothing pumps until shutdown drains
-  config.max_wait_us = 0;
   config.cache_capacity = 0;
   serve::InferenceServer server(model, config);
 
@@ -580,7 +575,6 @@ TEST_F(ChaosTest, RetryRecoversFromATransientFault) {
 
   serve::RouterConfig config;
   config.server.background_loop = false;
-  config.server.max_wait_us = 0;
   config.server.cache_capacity = 0;
   serve::Router router(config);
   router.publish("m", model);
@@ -612,7 +606,6 @@ TEST_F(ChaosTest, RetryBudgetCapsAmplification) {
 
   serve::RouterConfig config;
   config.server.background_loop = false;
-  config.server.max_wait_us = 0;
   config.server.cache_capacity = 0;
   serve::Router router(config);
   router.publish("m", model);
@@ -644,7 +637,6 @@ TEST_F(ChaosTest, RetryNeverRetriesAnOverloadedShed) {
 
   serve::RouterConfig config;
   config.server.background_loop = false;
-  config.server.max_wait_us = 0;
   config.server.cache_capacity = 0;
   serve::Router router(config);
   router.publish("m", model);

@@ -197,10 +197,16 @@ TEST(DeterminismTest, ExplorationMatchesPinnedDigest) {
   }
 }
 
+// Kernels below tensor::kParallelFlops never reach the pool, so every
+// shape here is sized past it: kernel parallelism 1 runs the serial path,
+// 8 the row-block fan-out, and the two must agree bit for bit.
 TEST(DeterminismTest, MatmulIdenticalForEveryKernelParallelism) {
+  constexpr int kM = 300, kK = 70, kN = 63;
+  static_assert(std::int64_t{kM} * kK * kN >= tensor::kParallelFlops,
+                "the matmul must be large enough to fan out");
   Rng rng(42);
-  tensor::Tensor a = tensor::Tensor::xavier({95, 70}, rng);
-  tensor::Tensor b = tensor::Tensor::xavier({70, 63}, rng);
+  tensor::Tensor a = tensor::Tensor::xavier({kM, kK}, rng);
+  tensor::Tensor b = tensor::Tensor::xavier({kK, kN}, rng);
   tensor::set_kernel_parallelism(1);
   tensor::Tensor serial = tensor::matmul(a, b);
   tensor::set_kernel_parallelism(8);
@@ -208,6 +214,76 @@ TEST(DeterminismTest, MatmulIdenticalForEveryKernelParallelism) {
   tensor::set_kernel_parallelism(0);
   for (int i = 0; i < serial.numel(); ++i)
     ASSERT_EQ(serial.data()[i], parallel.data()[i]) << "entry " << i;
+}
+
+TEST(DeterminismTest, RgcnLayerForwardBackwardIdenticalForEveryKernelParallelism) {
+  // Every GEMM of the fused layer (self term, each relation's messages, and
+  // their backward GEMMs) is past the fan-out threshold.
+  constexpr int kNodes = 300, kHidden = 64;
+  constexpr int kEdges[] = {260, 300, 400};  // ascending
+  static_assert(std::int64_t{kNodes} * kHidden * kHidden >=
+                    tensor::kParallelFlops,
+                "the self GEMM must be large enough to fan out");
+  static_assert(std::int64_t{kEdges[0]} * kHidden * kHidden >=
+                    tensor::kParallelFlops,
+                "every relation GEMM must be large enough to fan out");
+  Rng rng(0x5C6C);
+  std::vector<tensor::RelationEdges> relations(3);
+  for (int r = 0; r < 3; ++r) {
+    std::vector<int> in_degree(kNodes, 0);
+    for (int i = 0; i < kEdges[r]; ++i) {
+      relations[r].src.push_back(static_cast<int>(rng.next_below(kNodes)));
+      relations[r].dst.push_back(static_cast<int>(rng.next_below(kNodes)));
+      ++in_degree[relations[r].dst.back()];
+    }
+    for (int v : relations[r].dst)
+      relations[r].coeff.push_back(1.0f / static_cast<float>(in_degree[v]));
+  }
+  const tensor::Tensor h_init = tensor::Tensor::xavier({kNodes, kHidden}, rng);
+  std::vector<tensor::Tensor> w_init;
+  for (int w = 0; w < 4; ++w)
+    w_init.push_back(tensor::Tensor::xavier({kHidden, kHidden}, rng));
+  const tensor::Tensor upstream =
+      tensor::Tensor::xavier({kNodes, kHidden}, rng);
+  const std::vector<int> one_segment(kNodes, 0);
+  const tensor::Tensor ones = tensor::Tensor::full({kHidden, 1}, 1.0f);
+
+  // Forward, a weighted-sum loss, backward; returns the output followed by
+  // the gradients of h and of every weight.
+  auto run = [&](int parallelism) {
+    auto copy_of = [](const tensor::Tensor& t) {
+      return tensor::Tensor::from_data(
+          t.shape(), std::vector<float>(t.data(), t.data() + t.numel()),
+          /*requires_grad=*/true);
+    };
+    tensor::set_kernel_parallelism(parallelism);
+    tensor::Tensor h = copy_of(h_init);
+    std::vector<tensor::Tensor> w;
+    for (const tensor::Tensor& t : w_init) w.push_back(copy_of(t));
+    const std::vector<tensor::Tensor> relation_weights(w.begin() + 1, w.end());
+    tensor::Tensor y = tensor::rgcn_layer(h, w[0], relation_weights, relations);
+    tensor::matmul(
+        tensor::segment_mean(tensor::mul(y, upstream), one_segment, 1), ones)
+        .backward();
+    tensor::set_kernel_parallelism(0);
+    std::vector<std::vector<float>> out;
+    out.emplace_back(y.data(), y.data() + y.numel());
+    out.emplace_back(h.grad(), h.grad() + h.numel());
+    for (const tensor::Tensor& t : w)
+      out.emplace_back(t.grad(), t.grad() + t.numel());
+    return out;
+  };
+  const std::vector<std::vector<float>> serial = run(1);
+  const std::vector<std::vector<float>> parallel = run(8);
+  ASSERT_EQ(serial.size(), parallel.size());
+  for (std::size_t t = 0; t < serial.size(); ++t) {
+    ASSERT_EQ(serial[t].size(), parallel[t].size());
+    EXPECT_EQ(std::memcmp(serial[t].data(), parallel[t].data(),
+                          serial[t].size() * sizeof(float)),
+              0)
+        << (t == 0 ? "output" : t == 1 ? "h grad" : "weight grad")
+        << " (buffer " << t << ")";
+  }
 }
 
 TEST(DeterminismTest, ForEachFoldRunsEveryFoldOnce) {

@@ -761,12 +761,14 @@ TEST(NetServerTest, DrainAnswersInFlightThenExitsCleanly) {
   EXPECT_EQ(refused, 0);
 
   // Distinct graphs into a 2-deep queue with the cache off, so each one
-  // needs a forward and the batch window holds the queue full: the router
-  // refuses part of the burst, and the drain comes mid-stream.
+  // needs a forward. The whole burst is pipelined before any answer is
+  // read, and one forward outlasts the arrival of the next queued requests,
+  // so the queue is full while the burst lands: the router refuses part of
+  // it, and the drain comes mid-stream. Should refusals ever stop, enlarge
+  // the burst; the check below must keep demanding them.
   serve::RouterConfig tight;
   tight.max_queue = 2;
   tight.server.cache_capacity = 0;
-  tight.server.max_wait_us = 5000;
   std::vector<graph::ProgramGraph> distinct;
   for (std::size_t r = 0; r < workloads::benchmark_suite().size(); ++r)
     distinct.push_back(suite_graph(static_cast<int>(r)));

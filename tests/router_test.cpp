@@ -505,7 +505,6 @@ TEST(RouterTest, RetireRacingAClientNeverResurrectsTheOldModel) {
 
   for (int round = 0; round < 8; ++round) {
     serve::RouterConfig config;
-    config.server.max_wait_us = 0;
     config.server.cache_capacity = 64;
     serve::Router router(config);
     router.publish("m", old_model);
@@ -543,7 +542,6 @@ TEST(RouterTest, RetryPolicyNeverRetriesDeterministicFailures) {
   config.max_queue = 1;
   config.shed_policy = serve::ShedPolicy::Reject;
   config.server.background_loop = false;
-  config.server.max_wait_us = 0;
   config.server.cache_capacity = 0;
   config.server.coalesce = false;
   serve::Router router(config);

@@ -113,63 +113,95 @@ std::vector<int> serial_predict(const gnn::StaticModel& model) {
 
 TEST(InferenceServerTest, ConcurrentSubmitBitIdenticalToSerialPredict) {
   // N concurrent clients over a repeated-graph stream, for every
-  // combination of loop mode, batch size and batch window: each answer
-  // must equal the serial predict of that graph — batching composition,
-  // caching and client interleaving may never change a bit.
+  // combination of loop mode and batch size: each answer must equal the
+  // serial predict of that graph — batching composition, caching and
+  // client interleaving may never change a bit.
   auto model = std::make_shared<const gnn::StaticModel>(small_config(0xA));
   const std::vector<int> expected = serial_predict(*model);
   const auto& graphs = test_graphs();
 
   for (bool background : {false, true}) {
     for (int max_batch : {1, 4, 64}) {
-      for (int wait_us : {0, 200}) {
-        serve::ServerConfig config;
-        config.background_loop = background;
-        config.max_batch = max_batch;
-        config.max_wait_us = wait_us;
-        config.cache_capacity = 64;
-        serve::InferenceServer server(model, config);
+      serve::ServerConfig config;
+      config.background_loop = background;
+      config.max_batch = max_batch;
+      config.cache_capacity = 64;
+      serve::InferenceServer server(model, config);
 
-        constexpr int kClients = 4;
-        constexpr int kQueriesPerClient = 48;
-        std::vector<std::vector<int>> got(kClients);
-        std::vector<std::vector<std::size_t>> streams(kClients);
-        std::vector<std::thread> clients;
-        for (int c = 0; c < kClients; ++c) {
-          clients.emplace_back([&, c] {
-            Rng rng(hash_combine64(0xC11E, static_cast<std::uint64_t>(c)));
-            for (int q = 0; q < kQueriesPerClient; ++q) {
-              const std::size_t g = rng.next_below(graphs.size());
-              streams[c].push_back(g);
-              const serve::Response r = server.predict(graphs[g]);
-              // An unbounded queue may never shed: every response is Ok.
-              got[c].push_back(r.ok() ? r.label : -1);
-            }
-          });
-        }
-        for (auto& t : clients) t.join();
-        for (int c = 0; c < kClients; ++c)
-          for (int q = 0; q < kQueriesPerClient; ++q)
-            EXPECT_EQ(got[c][q], expected[streams[c][q]])
-                << "background=" << background << " max_batch=" << max_batch
-                << " wait_us=" << wait_us << " client=" << c << " query=" << q;
-        const serve::ServerStats stats = server.stats();
-        EXPECT_EQ(stats.queries,
-                  static_cast<std::uint64_t>(kClients * kQueriesPerClient));
-        // Conservation: every query is exactly one of hit / miss /
-        // coalesced, and every miss is answered by a forward.
-        EXPECT_EQ(stats.cache.hits + stats.cache.misses + stats.coalesced,
-                  stats.queries);
-        EXPECT_EQ(stats.forwards + stats.cache.hits + stats.coalesced,
-                  stats.queries);
-        EXPECT_LE(stats.max_batch, static_cast<std::uint64_t>(max_batch));
-        // 192 queries over 12 fingerprints: hits and coalesced waiters
-        // together must absorb most (which of the two answers a duplicate
-        // depends on whether the leader already resolved).
-        EXPECT_GE(stats.cache.hits + stats.coalesced, stats.queries / 2);
+      constexpr int kClients = 4;
+      constexpr int kQueriesPerClient = 48;
+      std::vector<std::vector<int>> got(kClients);
+      std::vector<std::vector<std::size_t>> streams(kClients);
+      std::vector<std::thread> clients;
+      for (int c = 0; c < kClients; ++c) {
+        clients.emplace_back([&, c] {
+          Rng rng(hash_combine64(0xC11E, static_cast<std::uint64_t>(c)));
+          for (int q = 0; q < kQueriesPerClient; ++q) {
+            const std::size_t g = rng.next_below(graphs.size());
+            streams[c].push_back(g);
+            const serve::Response r = server.predict(graphs[g]);
+            // An unbounded queue may never shed: every response is Ok.
+            got[c].push_back(r.ok() ? r.label : -1);
+          }
+        });
       }
+      for (auto& t : clients) t.join();
+      for (int c = 0; c < kClients; ++c)
+        for (int q = 0; q < kQueriesPerClient; ++q)
+          EXPECT_EQ(got[c][q], expected[streams[c][q]])
+              << "background=" << background << " max_batch=" << max_batch
+              << " client=" << c << " query=" << q;
+      const serve::ServerStats stats = server.stats();
+      EXPECT_EQ(stats.queries,
+                static_cast<std::uint64_t>(kClients * kQueriesPerClient));
+      // Conservation: every query is exactly one of hit / miss /
+      // coalesced, and every miss is answered by a forward.
+      EXPECT_EQ(stats.cache.hits + stats.cache.misses + stats.coalesced,
+                stats.queries);
+      EXPECT_EQ(stats.forwards + stats.cache.hits + stats.coalesced,
+                stats.queries);
+      EXPECT_LE(stats.max_batch, static_cast<std::uint64_t>(max_batch));
+      // 192 queries over 12 fingerprints: hits and coalesced waiters
+      // together must absorb most (which of the two answers a duplicate
+      // depends on whether the leader already resolved).
+      EXPECT_GE(stats.cache.hits + stats.coalesced, stats.queries / 2);
     }
   }
+}
+
+TEST(InferenceServerTest, QueuedMissesFormOneGreedyBatch) {
+  // Batching is greedy and counted, not timed: with no serving loop,
+  // nothing pumps until the first get(), which takes everything queued
+  // (up to max_batch) into one forward — no window, no second batch.
+  auto model = std::make_shared<const gnn::StaticModel>(small_config(0x6B));
+  const std::vector<int> expected = serial_predict(*model);
+  const auto& graphs = test_graphs();
+  std::vector<std::size_t> picks;  // 5 graphs with distinct fingerprints
+  std::set<std::uint64_t> fps;
+  for (std::size_t g = 0; g < graphs.size() && picks.size() < 5; ++g)
+    if (fps.insert(graph::fingerprint(graphs[g])).second) picks.push_back(g);
+  ASSERT_EQ(picks.size(), 5u);
+
+  serve::ServerConfig config;
+  config.background_loop = false;
+  serve::InferenceServer server(model, config);
+  std::vector<serve::InferenceServer::Future> futures;
+  for (std::size_t g : picks) {
+    serve::StatusOr<serve::InferenceServer::Future> submitted =
+        server.submit(serve::Request(graphs[g]));
+    ASSERT_TRUE(submitted.ok()) << submitted.status().code_name();
+    futures.push_back(std::move(submitted).value());
+  }
+  for (std::size_t i = 0; i < picks.size(); ++i) {
+    const serve::Response r = futures[i].get();
+    EXPECT_TRUE(r.ok());
+    EXPECT_EQ(r.source, serve::Source::Batch);
+    EXPECT_EQ(r.label, expected[picks[i]]);
+  }
+  const serve::ServerStats stats = server.stats();
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.max_batch, 5u);
+  EXPECT_EQ(stats.forwards, 5u);
 }
 
 TEST(InferenceServerTest, FuturesResolveAndMixWithSyncClients) {
@@ -816,7 +848,6 @@ TEST(InferenceServerTest, DisabledCacheKeepsConservation) {
     serve::ServerConfig config;
     config.background_loop = background;
     config.cache_capacity = 0;
-    config.max_wait_us = 200;  // let duplicates meet an in-flight leader
     serve::InferenceServer server(model, config);
 
     constexpr int kClients = 4;

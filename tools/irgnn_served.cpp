@@ -56,8 +56,7 @@ int main(int argc, char** argv) {
       .add("shed", "Reject",
            "admission shed policy: Reject | DropOldest | Block (also maps "
            "TCP write-buffer backpressure)")
-      .add("max-batch", "64", "micro-batch flush size")
-      .add("wait-us", "200", "micro-batch window in microseconds")
+      .add("max-batch", "64", "largest micro-batch")
       .add("cache", "4096", "prediction cache entries (0 disables)")
       .add("write-buffer", "1048576",
            "per-connection cap on unsent response bytes before the shed "
@@ -81,9 +80,8 @@ int main(int argc, char** argv) {
   } kRanges[] = {{"hidden", 1, kInt},      {"layers", 1, kInt},
                  {"labels", 1, kInt},      {"max-batch", 1, kInt},
                  {"connections", 1, kAny}, {"cache", 0, kAny},
-                 {"max-queue", 0, kAny},   {"wait-us", 0, kInt},
-                 {"write-buffer", 0, kAny}, {"threads", 0, kInt},
-                 {"port", 0, 65535}};
+                 {"max-queue", 0, kAny},   {"write-buffer", 0, kAny},
+                 {"threads", 0, kInt},     {"port", 0, 65535}};
   for (const auto& range : kRanges) {
     const std::int64_t value = parser.get_int(range.name);
     if (value >= range.lo && value <= range.hi) continue;
@@ -137,8 +135,6 @@ int main(int argc, char** argv) {
   router_config.shed_policy = policy;
   router_config.server.max_batch =
       static_cast<int>(parser.get_int("max-batch"));
-  router_config.server.max_wait_us =
-      static_cast<int>(parser.get_int("wait-us"));
   router_config.server.cache_capacity =
       static_cast<std::size_t>(parser.get_int("cache"));
   serve::Router router(router_config);
