@@ -278,7 +278,7 @@ int main(int argc, char** argv) {
       std::vector<float> a(static_cast<std::size_t>(m * k));
       for (float& v : a) v = static_cast<float>(rng.uniform(-1.0, 1.0));
       std::vector<float> c(static_cast<std::size_t>(m * n));
-      const Tensor at = Tensor::from_data(
+      const Tensor lhs = Tensor::from_data(
           {m, static_cast<int>(k)}, std::vector<float>(a), false);
       Timing serial = time_kernel(warmup, reps, [&] {
         tensor::detail::gemm_dot_panels<false>(a.data(), k, bt.data(), k, m,
@@ -298,9 +298,9 @@ int main(int argc, char** argv) {
             });
       });
       tensor::set_kernel_parallelism(1);
-      Timing kpar1 = time_kernel(warmup, reps, [&] { tensor::matmul(at, b); });
+      Timing kpar1 = time_kernel(warmup, reps, [&] { tensor::matmul(lhs, b); });
       tensor::set_kernel_parallelism(2);
-      Timing kpar2 = time_kernel(warmup, reps, [&] { tensor::matmul(at, b); });
+      Timing kpar2 = time_kernel(warmup, reps, [&] { tensor::matmul(lhs, b); });
       tensor::set_kernel_parallelism(threads);
       const std::string shape = std::to_string(m) + "x64x64" +
                                 (m == 94     ? " (1 graph)"
