@@ -15,9 +15,6 @@ int main(int argc, char** argv) {
 
   Table table({"machine", "explored_flag_seq", "overall_flag_seq",
                "predicted_flag_seq", "oracle_flag_seq"});
-  Table serve_table({"machine", "serve_queries", "forwards", "batches",
-                     "cache_hits", "hit_rate", "shed", "rejected",
-                     "deadline_exceeded"});
   for (const auto& machine :
        {sim::MachineDesc::skylake(), sim::MachineDesc::sandy_bridge()}) {
     core::ExperimentResult res = core::run_experiment(machine, options);
@@ -25,29 +22,9 @@ int main(int argc, char** argv) {
                    Table::fmt(res.overall_speedup),
                    Table::fmt(res.predicted_speedup),
                    Table::fmt(res.oracle_seq_speedup)});
-    serve_table.add_row(
-        {machine.name, std::to_string(res.serve_queries),
-         std::to_string(res.serve_forwards), std::to_string(res.serve_batches),
-         std::to_string(res.serve_cache_hits),
-         Table::fmt(res.serve_queries
-                        ? static_cast<double>(res.serve_cache_hits) /
-                              static_cast<double>(res.serve_queries)
-                        : 0.0,
-                    3),
-         std::to_string(res.serve_shed), std::to_string(res.serve_rejected),
-         std::to_string(res.serve_deadline_exceeded)});
   }
   std::printf("\n=== Fig. 11 flag-selection strategies (higher is better) "
               "===\n");
   bench::finish(table, parser);
-  std::printf("\n=== Serving-layer traffic from the fold query loops "
-              "(cache hits = flag variants that optimized to structurally "
-              "identical graphs; the fold servers are unbounded, so the "
-              "shed/rejected/deadline columns pin that no experiment query "
-              "was ever dropped) ===\n");
-  serve_table.print();
-  const std::string csv = parser.get_string("csv");
-  if (!csv.empty() && serve_table.write_csv(csv + ".serve.csv"))
-    std::printf("(serve traffic csv written to %s.serve.csv)\n", csv.c_str());
   return 0;
 }

@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <numeric>
+#include <unordered_map>
 
+#include "graph/fingerprint.h"
 #include "ml/cross_validation.h"
 #include "ml/decision_tree.h"
 #include "ml/genetic_selector.h"
-#include "serve/server.h"
 #include "support/statistics.h"
 #include "support/thread_pool.h"
 #include "tensor/tensor.h"
@@ -26,19 +25,9 @@ double label_time(const sim::ExplorationTable& table,
   return table.time[region][labels[label]];
 }
 
-/// The fold servers run unbounded, so every Response must come back Ok; a
-/// non-Ok response (a failed forward surfacing as Internal) means the
-/// experiment's numbers would be built on a label of -1 — fail loudly
-/// instead, in Release too (an assert would compile out under NDEBUG and
-/// let labels[-1] read out of bounds).
-void check_served(const serve::Response& response) {
-  if (response.ok()) return;
-  std::fprintf(stderr,
-               "run_experiment: fold server returned %s (%s); aborting "
-               "rather than folding a shed/failed query into the results\n",
-               response.status.code_name(), response.status.message());
-  std::abort();
-}
+/// Graphs per predict_into call when a fold model labels the distinct
+/// graphs; bounds the model's inference context to a 64-graph batch.
+constexpr std::size_t kPredictChunk = 64;
 
 gnn::ModelConfig model_config(const ExperimentOptions& options,
                               int num_labels, std::uint64_t fold_seed) {
@@ -131,11 +120,31 @@ ExperimentResult run_experiment(const sim::MachineDesc& machine,
   // was in validation (drives Fig. 5 and the flag-selection strategies).
   std::vector<std::vector<int>> pred_by_seq(R, std::vector<int>(S, 0));
 
+  // Many flag sequences optimize a region to the same IR, so many of the
+  // R*S graphs are structurally identical. Fingerprint each graph once:
+  // every fold model then labels each distinct graph once, and reads the
+  // label of (r, s) as distinct_label[distinct_of[r * S + s]]. A model's
+  // label for a graph never depends on which graphs share its batch, so
+  // the labels are bit-identical to one query per (region, sequence).
+  std::vector<const graph::ProgramGraph*> distinct;
+  std::vector<std::size_t> distinct_of(R * S);
+  {
+    std::unordered_map<std::uint64_t, std::size_t> index_of;
+    for (std::size_t r = 0; r < R; ++r) {
+      for (std::size_t s = 0; s < S; ++s) {
+        const graph::ProgramGraph& g = dataset.graph(r, s);
+        auto [it, inserted] =
+            index_of.try_emplace(graph::fingerprint(g), distinct.size());
+        if (inserted) distinct.push_back(&g);
+        distinct_of[r * S + s] = it->second;
+      }
+    }
+  }
+
   // Folds are embarrassingly parallel: each writes only the RegionOutcome /
   // pred_by_seq rows of its own (disjoint) validation regions, and every
   // model seeds from (seed, fold) — so fold order and thread count never
   // change a single bit of the result.
-  std::vector<serve::ServerStats> fold_serve_stats(folds.size());
   ml::for_each_fold(folds.size(), options.num_threads, [&](std::size_t f) {
     const ml::Fold& fold = folds[f];
     // Training set: every augmented variant of every training region.
@@ -151,43 +160,31 @@ ExperimentResult run_experiment(const sim::MachineDesc& machine,
         model_config(options, L, hash_combine64(options.seed, f)));
     model.train(train_graphs, train_labels);
 
-    // The fold's label queries stream through an inference server pinned to
-    // the freshly trained model: flag variants that optimized a region to
-    // the same IR share a structural fingerprint and are answered from the
-    // prediction cache instead of a second forward. background_loop stays
-    // off — the fold already runs inside the pool, so the querying thread
-    // drives the micro-batches itself; answers are bit-identical to the
-    // direct predict_into calls this replaces, for every batch composition.
-    // max_queue stays 0 (unbounded): experiment traffic is cooperative and
-    // may never be shed — every Response must come back Ok, which the
-    // asserts below and the zeroed shed counters in fig11's table pin.
-    serve::ServerConfig serve_config;
-    serve_config.background_loop = false;
-    serve_config.cache_capacity = 4096;
-    serve_config.max_queue = 0;
-    serve::InferenceServer server(serve::borrow_model(model), serve_config);
+    // Label every distinct graph once, kPredictChunk graphs per call.
+    std::vector<int> distinct_label(distinct.size());
+    std::vector<const graph::ProgramGraph*> batch;
+    std::vector<int> batch_labels;
+    for (std::size_t begin = 0; begin < distinct.size();
+         begin += kPredictChunk) {
+      const std::size_t end = std::min(distinct.size(), begin + kPredictChunk);
+      batch.assign(distinct.begin() + begin, distinct.begin() + end);
+      model.predict_into(batch, batch_labels);
+      std::copy(batch_labels.begin(), batch_labels.end(),
+                distinct_label.begin() + begin);
+    }
+    auto label_of = [&](int r, std::size_t s) {
+      return distinct_label[distinct_of[r * S + s]];
+    };
 
     // Step E (explored method): best average sequence on training regions.
-    // The query loop reuses one graph-pointer batch and one response
-    // buffer; the model's persistent inference context recycles the packed
-    // GraphBatch underneath, so the S*folds queries stop rebuilding state.
     double best_seq_speedup = -1;
     int explored_seq = 0;
-    std::vector<const graph::ProgramGraph*> batch;
-    std::vector<serve::Response> responses;
     for (std::size_t s = 0; s < S; ++s) {
-      batch.clear();
-      for (int r : fold.train_indices) batch.push_back(&dataset.graph(r, s));
-      server.predict_batch(batch, responses);
       double total = 0;
-      for (std::size_t i = 0; i < responses.size(); ++i) {
-        check_served(responses[i]);
-        int r = fold.train_indices[i];
+      for (int r : fold.train_indices)
         total += result.table.time[r][result.table.default_index] /
-                 label_time(result.table, result.labels, r,
-                            responses[i].label);
-      }
-      double avg = total / responses.size();
+                 label_time(result.table, result.labels, r, label_of(r, s));
+      double avg = total / fold.train_indices.size();
       if (avg > best_seq_speedup) {
         best_seq_speedup = avg;
         explored_seq = static_cast<int>(s);
@@ -195,17 +192,8 @@ ExperimentResult run_experiment(const sim::MachineDesc& machine,
     }
 
     // Validation predictions: all sequences (Fig. 5) + the explored one.
-    for (std::size_t s = 0; s < S; ++s) {
-      batch.clear();
-      for (int r : fold.validation_indices)
-        batch.push_back(&dataset.graph(r, s));
-      server.predict_batch(batch, responses);
-      for (std::size_t i = 0; i < responses.size(); ++i) {
-        check_served(responses[i]);
-        pred_by_seq[fold.validation_indices[i]][s] = responses[i].label;
-      }
-    }
-    fold_serve_stats[f] = server.stats();
+    for (int r : fold.validation_indices)
+      for (std::size_t s = 0; s < S; ++s) pred_by_seq[r][s] = label_of(r, s);
     // Out-of-fold embeddings (graph vectors) from the fixed sequence 0 —
     // the features of the hybrid and flag-prediction models. One evaluate()
     // call shares a single batch build between the log-probs and the
@@ -232,17 +220,13 @@ ExperimentResult run_experiment(const sim::MachineDesc& machine,
     }
     if (f == 0) result.explored_sequence = explored_seq;
   });
-  // Serve traffic folds in fold order (counters, not floats, but the same
-  // deterministic-reduction discipline as everything else).
-  for (const serve::ServerStats& st : fold_serve_stats) {
-    result.serve_queries += st.queries;
-    result.serve_forwards += st.forwards;
-    result.serve_batches += st.batches;
-    result.serve_cache_hits += st.cache.hits;
-    result.serve_shed += st.shed;
-    result.serve_rejected += st.rejected;
-    result.serve_deadline_exceeded += st.deadline_exceeded;
-  }
+  // Label traffic (see ExperimentResult): each fold answers its R*S
+  // queries with one forward per distinct graph; the rest are repeats.
+  result.serve_queries = folds.size() * R * S;
+  result.serve_forwards = folds.size() * distinct.size();
+  result.serve_cache_hits = result.serve_queries - result.serve_forwards;
+  result.serve_batches =
+      folds.size() * ((distinct.size() + kPredictChunk - 1) / kPredictChunk);
 
   // Static errors/speedups from the explored-sequence predictions.
   for (std::size_t r = 0; r < R; ++r) {

@@ -104,15 +104,18 @@ struct ExperimentResult {
   double hybrid_router_accuracy = 0;
   double hybrid_profiled_fraction = 0;
 
-  // Serving-layer traffic (summed over folds in fold order). The fold query
-  // loops stream their region queries through serve::InferenceServer, so
-  // flag variants that optimize to structurally identical graphs are
-  // answered from the fingerprint-keyed prediction cache instead of a
-  // forward; deterministic for every thread count like everything above.
-  // The fold servers run unbounded (max_queue = 0), so the admission-
-  // control counters must read 0 — every query is admitted and answered;
-  // they are surfaced (fig11's serve table) precisely to pin that no
-  // experiment traffic is ever shed.
+  // Label traffic of the fold loops. Every fold model labels each
+  // structurally distinct (region, sequence) graph once (graph::fingerprint
+  // dedup), so, summed over folds:
+  //   serve_queries    = folds * R * S label lookups;
+  //   serve_forwards   = folds * distinct graphs actually forwarded;
+  //   serve_cache_hits = serve_queries - serve_forwards (repeats of a graph
+  //                      already labelled in the same fold);
+  //   serve_batches    = StaticModel::predict_into calls.
+  // Nothing is admitted or shed, so serve_shed, serve_rejected and
+  // serve_deadline_exceeded are always 0. The serve_* names are kept
+  // because the repository benchmark (benchmark/src/pipeline.cpp) reads
+  // these fields under these names.
   std::uint64_t serve_queries = 0;
   std::uint64_t serve_forwards = 0;
   std::uint64_t serve_batches = 0;

@@ -87,9 +87,9 @@ class ModelRegistry {
 };
 
 /// Non-owning ModelPtr over a caller-kept model (shared_ptr aliasing): for
-/// stack- or member-owned models served in-process, e.g. the per-fold
-/// models of core::run_experiment. The caller must keep `model` alive for
-/// the server's lifetime.
+/// stack- or member-owned models served in-process, e.g. the trained model
+/// examples/quickstart.cpp publishes to its Router. The caller must keep
+/// `model` alive for the server's lifetime.
 inline ModelPtr borrow_model(const gnn::StaticModel& model) {
   return ModelPtr(std::shared_ptr<void>(), &model);
 }

@@ -529,33 +529,6 @@ Response InferenceServer::predict(const Request& request) {
   return std::move(submitted).value().get();
 }
 
-void InferenceServer::predict_batch(
-    const std::vector<const graph::ProgramGraph*>& graphs,
-    std::vector<Response>& out) {
-  out.resize(graphs.size());
-  // Admit every miss before waiting on any, so misses share micro-batches;
-  // the first get() then pumps a full batch. Scratch recycles via the
-  // arena, keeping the steady-state query loops of callers like
-  // core::run_experiment off malloc.
-  support::PoolVector<std::pair<std::size_t, Future>> pending;
-  pending.reserve(graphs.size());
-  for (std::size_t i = 0; i < graphs.size(); ++i) {
-    StatusOr<Future> submitted = submit(Request(*graphs[i]));
-    if (!submitted.ok()) {
-      out[i] = Response{};
-      out[i].status = submitted.status();
-      out[i].source = Source::Shed;
-      continue;
-    }
-    Future f = std::move(submitted).value();
-    if (f.ready_)
-      out[i] = f.get();
-    else
-      pending.emplace_back(i, std::move(f));
-  }
-  for (auto& [index, future] : pending) out[index] = future.get();
-}
-
 std::uint64_t InferenceServer::publish(ModelPtr model) {
   return slot_->publish(std::move(model));
 }

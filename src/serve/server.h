@@ -35,9 +35,8 @@
 //   shared support::ThreadPool; in addition, any client waiting on a future
 //   (or blocked by ShedPolicy::Block) pumps batches itself when no pumper
 //   is active, so the server also works with `background_loop = false` —
-//   required when servers are created inside pool-parallel work like the
-//   per-fold loop of core::run_experiment, where a parked loop task could
-//   otherwise starve.
+//   required when a server is created inside pool-parallel work, where a
+//   parked loop task could otherwise starve.
 //
 // Hot answers skip the forward: results are cached under
 // hash_combine64(model version, graph::fingerprint(graph)), and a warm hit
@@ -102,9 +101,9 @@ struct ServerConfig {
 
   /// Admission bound: at most this many admitted queries may be waiting for
   /// a batch (in-flight batches do not count). 0 means unbounded — the
-  /// right setting for cooperative in-process clients like the
-  /// core::run_experiment fold loops, where nothing may be shed. When the
-  /// bound is hit, `shed_policy` decides who pays (see request.h).
+  /// right setting for cooperative in-process clients that must never be
+  /// shed. When the bound is hit, `shed_policy` decides who pays (see
+  /// request.h).
   std::size_t max_queue = 0;
   ShedPolicy shed_policy = ShedPolicy::Reject;
 
@@ -261,12 +260,6 @@ class InferenceServer {
   Response predict(const graph::ProgramGraph& graph) {
     return predict(Request(graph));
   }
-
-  /// Batched convenience: admits every graph (so misses share micro-
-  /// batches), waits for all, writes responses in graph order into `out`.
-  /// Per-request failures land in the matching Response's status.
-  void predict_batch(const std::vector<const graph::ProgramGraph*>& graphs,
-                     std::vector<Response>& out);
 
   /// Hot-swaps the served model (publishes to the server's slot). Returns
   /// the new version. In-flight batches finish on their snapshot.

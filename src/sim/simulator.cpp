@@ -131,31 +131,31 @@ SimResult Simulator::simulate_call(const WorkloadTraits& traits,
 
     // --- Local / remote split by page mapping -------------------------------
     double t0_frac = static_cast<double>(tpn[0]) / T;  // threads on node 0
-    double local_frac;
-    switch (config.page_mapping) {
-      case PageMapping::FirstTouch:
-        // The master thread's node hosts every page.
-        local_frac = N == 1 ? 1.0 : t0_frac;
-        break;
-      case PageMapping::Locality:
-        // Private pages land on the accessor's node; shared pages have one
-        // home node (the first toucher's, node 0).
-        local_frac =
-            N == 1 ? 1.0 : (1.0 - shared_frac) + shared_frac * t0_frac;
-        break;
-      case PageMapping::Interleave:
-        local_frac = 1.0 / nodes_with_threads;
-        break;
-      case PageMapping::Balance:
-        // Pages distributed proportionally to the per-node thread load.
-        local_frac = 0;
-        for (int n = 0; n < N; ++n) {
-          double share = static_cast<double>(tpn[n]) / T;
-          local_frac += share * share;
-        }
-        break;
+    double local_frac = 1.0;  // one node: every access is local
+    if (N > 1) {
+      switch (config.page_mapping) {
+        case PageMapping::FirstTouch:
+          // The master thread's node hosts every page.
+          local_frac = t0_frac;
+          break;
+        case PageMapping::Locality:
+          // Private pages land on the accessor's node; shared pages have
+          // one home node (the first toucher's, node 0).
+          local_frac = (1.0 - shared_frac) + shared_frac * t0_frac;
+          break;
+        case PageMapping::Interleave:
+          local_frac = 1.0 / nodes_with_threads;
+          break;
+        case PageMapping::Balance:
+          // Pages distributed proportionally to the per-node thread load.
+          local_frac = 0;
+          for (int n = 0; n < N; ++n) {
+            double share = static_cast<double>(tpn[n]) / T;
+            local_frac += share * share;
+          }
+          break;
+      }
     }
-    if (N == 1) local_frac = 1.0;
     const double remote_frac = 1.0 - local_frac;
     const double avg_mem_lat =
         local_frac * m.lat_local_mem + remote_frac * m.lat_remote_mem;

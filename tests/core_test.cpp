@@ -5,9 +5,11 @@
 
 #include <cstdint>
 #include <cstring>
+#include <unordered_set>
 
 #include "core/dataset.h"
 #include "core/experiment.h"
+#include "graph/fingerprint.h"
 #include "support/rng.h"
 
 namespace irgnn::core {
@@ -104,13 +106,31 @@ TEST(ExperimentTest, EndToEndShapeAndInvariants) {
                  std::abs(region.hybrid_speedup - region.dynamic_speedup));
     EXPECT_LT(hybrid_vs_members, 1e-9);
   }
+
+  // Label traffic: every fold looks up all R*S graphs and forwards each
+  // structurally distinct one exactly once — a dedup that forwards a
+  // duplicate, or skips a graph, moves serve_forwards.
+  const ExperimentOptions options = tiny_options();
+  const auto dataset = build_dataset_shared(
+      {options.num_sequences, options.seed, options.num_threads});
+  std::unordered_set<std::uint64_t> fingerprints;
+  for (std::size_t r = 0; r < dataset->num_regions(); ++r)
+    for (std::size_t s = 0; s < dataset->num_sequences(); ++s)
+      fingerprints.insert(graph::fingerprint(dataset->graph(r, s)));
+  const std::uint64_t folds = static_cast<std::uint64_t>(options.folds);
+  const std::uint64_t lookups =
+      dataset->num_regions() * dataset->num_sequences();
+  ASSERT_LT(fingerprints.size(), lookups) << "no duplicate graph to dedup";
+  EXPECT_EQ(res.serve_queries, folds * lookups);
+  EXPECT_EQ(res.serve_forwards + res.serve_cache_hits, res.serve_queries);
+  EXPECT_EQ(res.serve_forwards, folds * fingerprints.size());
 }
 
 /// 64-bit digest of the raw bits of every paper-facing field of an
 /// experiment: the reduced labels, every region outcome (Fig. 3), the fold
 /// errors (Fig. 4), the flag-sequence figures (Figs. 5/11) and the
-/// aggregates (Fig. 9). The serve_* traffic counters are not results and
-/// stay out.
+/// aggregates (Fig. 9). The serve_* label-traffic counters are not
+/// results and stay out (EndToEndShapeAndInvariants pins them).
 std::uint64_t experiment_digest(const ExperimentResult& res) {
   std::uint64_t h = 0;
   auto mix_bits = [&](const auto& x) {

@@ -360,20 +360,31 @@ TEST(InferenceServerTest, WarmCacheHitPerformsZeroHeapAllocations) {
   for (const auto& g : graphs) first.push_back(server.predict(g).label);
   const serve::ServerStats cold_stats = server.stats();
 
+  // A warm hit is answered from the cache: Ok, Source::Cache, no queue
+  // wait and no compute.
   quiesce_pool();
   const std::uint64_t heap_before = g_heap_allocations.load();
-  for (int rep = 0; rep < 10; ++rep)
-    for (std::size_t g = 0; g < graphs.size(); ++g)
-      ASSERT_EQ(server.predict(graphs[g]).label, expected[g]);
+  for (int rep = 0; rep < 10; ++rep) {
+    for (std::size_t g = 0; g < graphs.size(); ++g) {
+      const serve::Response r = server.predict(graphs[g]);
+      ASSERT_TRUE(r.ok());
+      ASSERT_EQ(r.label, expected[g]);
+      ASSERT_EQ(r.source, serve::Source::Cache);
+      ASSERT_EQ(r.queue_us, 0);
+      ASSERT_EQ(r.compute_us, 0);
+    }
+  }
   const std::uint64_t heap_delta = g_heap_allocations.load() - heap_before;
   EXPECT_EQ(heap_delta, 0u) << "a warm cache-hit query allocated";
 
   // Every warm query hit (the cold pass may contribute extra hits when two
-  // suite regions happen to be structurally identical).
+  // suite regions happen to be structurally identical) and none formed a
+  // batch or ran a forward.
   const serve::ServerStats stats = server.stats();
   EXPECT_EQ(stats.cache.hits - cold_stats.cache.hits,
             static_cast<std::uint64_t>(10 * graphs.size()));
   EXPECT_EQ(stats.forwards, cold_stats.forwards);
+  EXPECT_EQ(stats.batches, cold_stats.batches);
   EXPECT_EQ(first, expected);
 }
 
@@ -429,95 +440,6 @@ TEST(InferenceServerTest, HotSwapUnderLoadNeverDropsOrMixesQueries) {
     const serve::Response r = server.predict(graphs[g]);
     EXPECT_EQ(r.label, expected_b[g]);
     EXPECT_EQ(r.model_version, v2);
-  }
-}
-
-TEST(InferenceServerTest, PredictBatchMatchesSerialAndHandlesEdgeCases) {
-  auto model = std::make_shared<const gnn::StaticModel>(small_config(0xE));
-  const std::vector<int> expected = serial_predict(*model);
-  const auto& graphs = test_graphs();
-  serve::InferenceServer server(model);
-
-  std::vector<const graph::ProgramGraph*> batch;
-  std::vector<serve::Response> out;
-  server.predict_batch(batch, out);  // empty
-  EXPECT_TRUE(out.empty());
-
-  batch.push_back(&graphs[4]);
-  server.predict_batch(batch, out);  // single
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_TRUE(out[0].ok());
-  EXPECT_EQ(out[0].label, expected[4]);
-
-  batch.clear();
-  for (const auto& g : graphs) batch.push_back(&g);
-  for (const auto& g : graphs) batch.push_back(&g);  // duplicates
-  server.predict_batch(batch, out);
-  ASSERT_EQ(out.size(), 2 * graphs.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_TRUE(out[i].ok());
-    EXPECT_EQ(out[i].label, expected[i % graphs.size()]);
-  }
-}
-
-TEST(InferenceServerTest, PredictBatchDuplicatePointersShareOneForwardEach) {
-  // The same graph pointer many times over: a submit-everything-then-wait
-  // batch must stay correct when most entries alias a few fingerprints —
-  // duplicates submitted before the first answer lands share the micro-
-  // batch instead of hitting the cache, and every copy must still get the
-  // serial-predict bits.
-  auto model = std::make_shared<const gnn::StaticModel>(small_config(0x11));
-  const std::vector<int> expected = serial_predict(*model);
-  const auto& graphs = test_graphs();
-  serve::ServerConfig config;
-  config.background_loop = false;  // deterministic pump ownership
-  serve::InferenceServer server(model, config);
-
-  std::vector<const graph::ProgramGraph*> batch;
-  std::vector<serve::Response> out;
-  for (int rep = 0; rep < 8; ++rep) batch.push_back(&graphs[3]);
-  for (int rep = 0; rep < 8; ++rep) batch.push_back(&graphs[5]);
-  server.predict_batch(batch, out);
-  ASSERT_EQ(out.size(), 16u);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_TRUE(out[i].ok());
-    EXPECT_EQ(out[i].label, expected[i < 8 ? 3 : 5]);
-  }
-}
-
-TEST(InferenceServerTest, PredictBatchAllCacheHitRunsNoForwardAndNoAlloc) {
-  auto model = std::make_shared<const gnn::StaticModel>(small_config(0x12));
-  const std::vector<int> expected = serial_predict(*model);
-  const auto& graphs = test_graphs();
-  serve::ServerConfig config;
-  config.background_loop = false;  // nothing may run concurrently with the
-                                   // counter window below
-  serve::InferenceServer server(model, config);
-
-  std::vector<const graph::ProgramGraph*> batch;
-  for (const auto& g : graphs) batch.push_back(&g);
-  std::vector<serve::Response> out;
-  server.predict_batch(batch, out);  // cold: populates the cache
-  const serve::ServerStats cold = server.stats();
-
-  // Warm batch: every entry resolves from the cache — no forward, no
-  // micro-batch, no heap allocation, Source::Cache on every response.
-  quiesce_pool();
-  const std::uint64_t heap_before = g_heap_allocations.load();
-  server.predict_batch(batch, out);
-  const std::uint64_t heap_delta = g_heap_allocations.load() - heap_before;
-  EXPECT_EQ(heap_delta, 0u) << "an all-cache-hit predict_batch allocated";
-  const serve::ServerStats warm = server.stats();
-  EXPECT_EQ(warm.forwards, cold.forwards);
-  EXPECT_EQ(warm.batches, cold.batches);
-  EXPECT_EQ(warm.cache.hits - cold.cache.hits, graphs.size());
-  ASSERT_EQ(out.size(), graphs.size());
-  for (std::size_t g = 0; g < out.size(); ++g) {
-    EXPECT_TRUE(out[g].ok());
-    EXPECT_EQ(out[g].label, expected[g]);
-    EXPECT_EQ(out[g].source, serve::Source::Cache);
-    EXPECT_EQ(out[g].queue_us, 0);
-    EXPECT_EQ(out[g].compute_us, 0);
   }
 }
 
