@@ -5,14 +5,15 @@
 // (graph::fingerprint) collapse.
 //
 // With --predict (default) the example is also a serving client: it trains
-// a small static model on the benchmark suite's exploration labels,
-// publishes it into a serve::Router under the machine's name, and streams
-// every variant's graph through the router as typed Requests — variants
-// that optimized to the same IR hit the fingerprint-keyed prediction cache
-// (Response::source == Cache) instead of running a forward, which is
-// exactly the traffic pattern of iterative flag exploration.
+// a small static model on the benchmark suite's exploration labels, serves
+// it through a serve::InferenceServer, and streams every variant's graph
+// through the server as typed Requests — variants that optimized to the
+// same IR hit the fingerprint-keyed prediction cache (Response::source ==
+// Cache) instead of running a forward, which is exactly the traffic pattern
+// of iterative flag exploration.
 #include <cstdio>
 #include <map>
+#include <optional>
 
 #include "gnn/model.h"
 #include "graph/fingerprint.h"
@@ -21,7 +22,7 @@
 #include "ir/printer.h"
 #include "passes/flag_sequence.h"
 #include "passes/pass.h"
-#include "serve/router.h"
+#include "serve/server.h"
 #include "sim/exploration.h"
 #include "support/argparse.h"
 #include "support/table.h"
@@ -89,7 +90,7 @@ int main(int argc, char** argv) {
               spec->name.c_str(), base->instruction_count());
 
   const bool predict = parser.get_bool("predict");
-  serve::Router router;  // typed front door; this client serves one model
+  std::optional<serve::InferenceServer> server;  // typed front door
   std::vector<int> labels;
   sim::MachineDesc machine = parser.get_string("machine") == "Skylake"
                                  ? sim::MachineDesc::skylake()
@@ -97,7 +98,7 @@ int main(int argc, char** argv) {
   if (predict) {
     std::printf("training the served model on %s exploration labels...\n",
                 machine.name.c_str());
-    router.publish(machine.name, train_suite_model(machine, &labels));
+    server.emplace(train_suite_model(machine, &labels));
   }
 
   auto sequences = passes::sample_flag_sequences(
@@ -131,9 +132,8 @@ int main(int argc, char** argv) {
     if (predict) {
       // Structurally identical variants are served from the prediction
       // cache: only the first of each fingerprint runs a forward. The
-      // routed query path never throws — a failure is a Status.
-      const serve::Response response =
-          router.predict(serve::Request(pg, machine.name));
+      // query path never throws — a failure is a Status.
+      const serve::Response response = server->predict(serve::Request(pg));
       if (!response.ok()) {
         std::fprintf(stderr, "serve error: %s (%s)\n",
                      response.status.code_name(), response.status.message());
@@ -152,19 +152,20 @@ int main(int argc, char** argv) {
   std::printf("%zu distinct structural fingerprints across %zu sequences\n",
               fingerprints.size(), sequences.size());
   if (predict) {
-    serve::RouterStats stats = router.stats();
-    std::printf("serve [model '%s' v%llu]: %llu routed queries -> %llu "
-                "forwards in %llu micro-batches, %llu cache hits (%.0f%% of "
-                "variant queries answered without a forward), %llu shed\n",
+    const serve::ServerStats stats = server->stats();
+    std::printf("serve [model '%s' v%llu]: %llu queries -> %llu forwards in "
+                "%llu micro-batches, %llu cache hits (%.0f%% of variant "
+                "queries answered without a forward), %llu shed\n",
                 machine.name.c_str(),
-                static_cast<unsigned long long>(router.version(machine.name)),
-                static_cast<unsigned long long>(stats.routed),
+                static_cast<unsigned long long>(server->model_version()),
+                static_cast<unsigned long long>(stats.queries),
                 static_cast<unsigned long long>(stats.forwards),
                 static_cast<unsigned long long>(stats.batches),
-                static_cast<unsigned long long>(stats.cache_hits),
-                stats.queries ? 100.0 * static_cast<double>(stats.cache_hits) /
-                                    static_cast<double>(stats.queries)
-                              : 0.0,
+                static_cast<unsigned long long>(stats.cache.hits),
+                stats.queries
+                    ? 100.0 * static_cast<double>(stats.cache.hits) /
+                          static_cast<double>(stats.queries)
+                    : 0.0,
                 static_cast<unsigned long long>(stats.source_shed));
   }
   if (parser.get_bool("dump-ir") && last)

@@ -6,17 +6,17 @@
 // With --gnn (default) the example also answers the deployment question the
 // paper poses: what would the trained predictor have chosen *without*
 // exploring? It trains the static model leave-one-out (every suite region
-// except the target), publishes it into a serve::Router under the
-// machine's name and queries the target region's graph through the typed
-// Request/Response front door — the same serving path a production tuner
-// would hit — then scores the served prediction against the exhaustive
-// exploration it just ran.
+// except the target), serves it through a serve::InferenceServer and
+// queries the target region's graph through the typed Request/Response
+// front door — the same serving path a production tuner would hit — then
+// scores the served prediction against the exhaustive exploration it just
+// ran.
 #include <algorithm>
 #include <cstdio>
 
 #include "gnn/model.h"
 #include "graph/graph_builder.h"
-#include "serve/router.h"
+#include "serve/server.h"
 #include "sim/exploration.h"
 #include "support/argparse.h"
 #include "support/table.h"
@@ -127,24 +127,9 @@ int main(int argc, char** argv) {
   auto model = std::make_shared<gnn::StaticModel>(cfg);
   model->train(train_graphs, train_labels);
 
-  serve::Router router;
-  router.publish(machine.name, std::move(model));
-
-  // A misrouted request (unknown architecture) is a Status, not a throw —
-  // the front door a production tuner would see.
-  const serve::Response misrouted =
-      router.predict(serve::Request(target_graph, "NoSuchArch"));
-  if (misrouted.status.code() != serve::StatusCode::kModelNotFound) {
-    std::fprintf(stderr, "BUG: expected ModelNotFound for an unknown "
-                         "architecture, got %s\n",
-                 misrouted.status.code_name());
-    return 1;
-  }
-
-  const serve::Response first =
-      router.predict(serve::Request(target_graph, machine.name));
-  const serve::Response repeat =
-      router.predict(serve::Request(target_graph, machine.name));
+  serve::InferenceServer server(std::move(model));
+  const serve::Response first = server.predict(serve::Request(target_graph));
+  const serve::Response repeat = server.predict(serve::Request(target_graph));
   if (!first.ok() || !repeat.ok()) {
     std::fprintf(stderr, "serve error: %s\n", first.ok()
                                                   ? repeat.status.code_name()
@@ -157,20 +142,18 @@ int main(int argc, char** argv) {
   const std::size_t oracle_config = static_cast<std::size_t>(
       labels[static_cast<std::size_t>(oracle[row])]);
 
-  serve::RouterStats stats = router.stats();
-  std::printf("\nserved prediction (model '%s' v%llu, %llu routed + %llu "
-              "misrouted -> %llu forwards, %llu cache hits; first answer "
-              "from %s in %lld us queue + %lld us compute, repeat from "
-              "%s):\n"
+  const serve::ServerStats stats = server.stats();
+  std::printf("\nserved prediction (model '%s' v%llu, %llu queries -> %llu "
+              "forwards, %llu cache hits; first answer from %s in %lld us "
+              "queue + %lld us compute, repeat from %s):\n"
               "  predicted   %s  speedup %.3f\n"
               "  label-set best %s  speedup %.3f\n"
               "  exhaustive best %s  speedup %.3f\n",
               machine.name.c_str(),
               static_cast<unsigned long long>(first.model_version),
-              static_cast<unsigned long long>(stats.routed),
-              static_cast<unsigned long long>(stats.model_not_found),
+              static_cast<unsigned long long>(stats.queries),
               static_cast<unsigned long long>(stats.forwards),
-              static_cast<unsigned long long>(stats.cache_hits),
+              static_cast<unsigned long long>(stats.cache.hits),
               serve::source_name(first.source),
               static_cast<long long>(first.queue_us),
               static_cast<long long>(first.compute_us),

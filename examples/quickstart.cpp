@@ -4,8 +4,8 @@
 //   2. run a down-sampled -O3 flag sequence over it,
 //   3. extract the outlined parallel region and build its ProGraML graph,
 //   4. train a small RGCN model on the benchmark suite,
-//   5. publish the model into the serving front door (serve::Router) and
-//      predict the best NUMA/prefetcher configuration for the new program
+//   5. serve the model through the in-process front door
+//      (serve::InferenceServer) and predict the best NUMA/prefetcher configuration for the new program
 //      with a typed Request/Response round trip, then compare the served
 //      choice against exhaustive exploration in the simulator.
 #include <cstdio>
@@ -18,7 +18,7 @@
 #include "ir/printer.h"
 #include "passes/flag_sequence.h"
 #include "passes/pass.h"
-#include "serve/router.h"
+#include "serve/server.h"
 #include "sim/exploration.h"
 #include "workloads/suite.h"
 
@@ -114,13 +114,11 @@ int main() {
               train.size(), stats.final_train_accuracy);
 
   // 5. Serve the prediction for the unseen saxpy region through the
-  //    production front door: publish the model into a Router under the
-  //    machine's name and send a typed Request. The query path is
-  //    exception-free — failures come back as a Status in the Response.
-  serve::Router router;
-  router.publish(machine.name, serve::borrow_model(model));
-  const serve::Response served =
-      router.predict(serve::Request(pg, machine.name));
+  //    production front door: an InferenceServer over the trained model,
+  //    asked with a typed Request. The query path is exception-free —
+  //    failures come back as a Status in the Response.
+  serve::InferenceServer server(serve::borrow_model(model));
+  const serve::Response served = server.predict(serve::Request(pg));
   if (!served.ok()) {
     std::fprintf(stderr, "serve error: %s (%s)\n", served.status.code_name(),
                  served.status.message());
@@ -133,14 +131,10 @@ int main() {
               static_cast<unsigned long long>(served.model_version),
               serve::source_name(served.source),
               static_cast<long long>(served.compute_us), predicted);
-  // Asking again hits the fingerprint-keyed prediction cache, and asking
-  // for an unknown architecture is ModelNotFound, not a crash.
-  const serve::Response again =
-      router.predict(serve::Request(pg, machine.name));
-  const serve::Response unknown =
-      router.predict(serve::Request(pg, "Itanium"));
-  std::printf("repeat query served from %s; unknown architecture -> %s\n",
-              serve::source_name(again.source), unknown.status.code_name());
+  // Asking again hits the fingerprint-keyed prediction cache.
+  const serve::Response again = server.predict(serve::Request(pg));
+  std::printf("repeat query served from %s\n",
+              serve::source_name(again.source));
   const sim::Configuration& config = table.configurations[labels[predicted]];
   std::printf("predicted configuration for saxpy: %s\n",
               config.to_string().c_str());

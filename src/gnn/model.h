@@ -30,10 +30,9 @@
 // count, and a warm query into caller-reused storage performs zero heap
 // allocations.
 //
-// This is the one model the serving layer publishes: serve::ModelRegistry,
-// serve::InferenceServer and serve::Router hold it as
-// shared_ptr<const StaticModel> and answer every miss through predict_into /
-// evaluate under the contract above.
+// This is the one model the serving layer publishes: serve::InferenceServer
+// holds it as shared_ptr<const StaticModel> (through its serve::ModelSlot)
+// and answers every miss through predict_into under the contract above.
 #pragma once
 
 #include <cstdint>

@@ -1,12 +1,12 @@
 // Client side of the wire protocol: a blocking TCP connection speaking
 // net/codec frames to an irgnn_served process.
 //
-// Two usage shapes, matching the load generator's two loops:
+// Two usage shapes:
 //
 //   Synchronous predict(). One round trip per call: encode a kRequest with a
 //   fresh tag, send, read frames until the echoed tag comes back. The wire
-//   twin of serve::Router::predict — the loadgen's closed-loop bit-identity
-//   gate compares the two byte for byte.
+//   twin of serve::InferenceServer::predict; tests/net_test.cpp checks that
+//   both answer with the same bits.
 //
 //   Pipelined send()/recv(). Queue many tagged requests before reading any
 //   answer; recv() returns responses in arrival order, which is NOT send

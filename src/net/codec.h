@@ -76,7 +76,7 @@ enum class FrameType : std::uint8_t {
   kRequest = 2,       // tag + routing/admission fields + inline graph
   kResponse = 3,      // tag + status/label/provenance/timings
   kStatsRequest = 4,  // empty payload: ask the server for a kStatsReply
-  kStatsReply = 5,    // server+router counters (WireStats)
+  kStatsReply = 5,    // server and net-layer counters (WireStats)
 };
 
 struct FrameHeader {
@@ -115,12 +115,12 @@ struct DecodedResponse {
   serve::Response response;
 };
 
-/// Counters a kStatsReply carries: the router totals the load generator's
-/// conservation gate needs (hits + misses + coalesced == queries), plus the
-/// net layer's own connection/frame accounting. Field ORDER is wire format
-/// v1 — append, never reorder.
+/// Counters a kStatsReply carries: the InferenceServer totals a client
+/// checks conservation with (hits + misses + coalesced == queries), plus the
+/// net layer's own model-name, connection and frame accounting. Field ORDER
+/// is wire format v1 — append, never reorder.
 struct WireStats {
-  // Router totals (folded over all models, retired included).
+  // InferenceServer totals (see serve::ServerStats).
   std::uint64_t queries = 0;
   std::uint64_t forwards = 0;
   std::uint64_t batches = 0;
@@ -132,6 +132,7 @@ struct WireStats {
   std::uint64_t deadline_exceeded = 0;
   std::uint64_t internal_errors = 0;
   std::uint64_t invalid_arguments = 0;
+  // The NetServer's model-name check (see NetServerStats).
   std::uint64_t routed = 0;
   std::uint64_t model_not_found = 0;
   // Net-layer accounting (see NetServerStats for semantics).

@@ -30,8 +30,9 @@ constexpr std::size_t kCompactThreshold = 64 * 1024;
 
 }  // namespace
 
-NetServer::NetServer(serve::Router& router, const NetServerConfig& config)
-    : router_(router), config_(config) {
+NetServer::NetServer(serve::InferenceServer& server,
+                     const NetServerConfig& config)
+    : server_(server), config_(config) {
   limits_.max_feature =
       config_.max_feature >= 0
           ? config_.max_feature
@@ -370,7 +371,7 @@ void NetServer::handle_request(std::uint32_t slot, const std::uint8_t* payload,
   // TCP backpressure: a client not reading its answers fills the write
   // buffer, and the configured shed policy decides who pays (header comment).
   if (outstanding_bytes(conn) > config_.max_write_buffer) {
-    if (config_.shed_policy == serve::ShedPolicy::Block) {
+    if (server_.config().shed_policy == serve::ShedPolicy::Block) {
       conn.flow_blocked = true;
       update_epoll(slot);
       *action = FrameAction::kDefer;
@@ -416,23 +417,35 @@ void NetServer::handle_request(std::uint32_t slot, const std::uint8_t* payload,
     return;
   }
 
-  serve::Request request;
-  request.graph = &query->graph;
-  request.model = decoded.model;  // views conn.in; submit does not retain it
-  request.deadline_us = decoded.deadline_us;
-  request.priority = decoded.priority;
-
-  std::uint64_t gen;
+  // One model per process: any other name is refused here, unsubmitted.
+  const bool ours = decoded.model.empty() || decoded.model == kModelName;
+  std::uint64_t gen = 0;
   {
     std::lock_guard<std::mutex> guard(mutex_);
     ++requests_;
-    gen = conn.gen;
-    ++conn.pending;
-    ++total_pending_;
+    if (ours) {
+      ++routed_;
+      gen = conn.gen;
+      ++conn.pending;
+      ++total_pending_;
+    } else {
+      ++model_not_found_;
+      release_query_locked(query);
+    }
+  }
+  if (!ours) {
+    respond_error(slot, decoded.tag, Status::ModelNotFound(),
+                  serve::Source::Shed);
+    return;
   }
 
+  serve::Request request;
+  request.graph = &query->graph;
+  request.deadline_us = decoded.deadline_us;
+  request.priority = decoded.priority;
+
   // May block under ShedPolicy::Block — pumping batches while it waits.
-  auto submitted = router_.submit(request);
+  auto submitted = server_.submit(request);
   if (!submitted.ok()) {
     {
       std::lock_guard<std::mutex> guard(mutex_);
@@ -452,7 +465,7 @@ void NetServer::handle_request(std::uint32_t slot, const std::uint8_t* payload,
 }
 
 void NetServer::handle_stats_request(std::uint32_t slot) {
-  WireStats wire = gather_wire_stats(router_, stats());
+  WireStats wire = gather_wire_stats(server_.stats(), stats());
   std::lock_guard<std::mutex> guard(mutex_);
   Connection& conn = *conns_[slot];
   if (!conn.in_use || !conn.open) return;
@@ -673,6 +686,8 @@ NetServerStats NetServer::stats() const {
   s.frames_in = frames_in_;
   s.frames_out = frames_out_;
   s.requests = requests_;
+  s.routed = routed_;
+  s.model_not_found = model_not_found_;
   s.responses = responses_;
   s.decode_errors = decode_errors_;
   s.protocol_errors = protocol_errors_;
@@ -684,23 +699,22 @@ NetServerStats NetServer::stats() const {
   return s;
 }
 
-WireStats gather_wire_stats(const serve::Router& router,
+WireStats gather_wire_stats(const serve::ServerStats& server,
                             const NetServerStats& net) {
-  serve::RouterStats rs = router.stats();
   WireStats w;
-  w.queries = rs.queries;
-  w.forwards = rs.forwards;
-  w.batches = rs.batches;
-  w.cache_hits = rs.cache_hits;
-  w.cache_misses = rs.cache_misses;
-  w.coalesced = rs.coalesced;
-  w.shed = rs.shed;
-  w.rejected = rs.rejected;
-  w.deadline_exceeded = rs.deadline_exceeded;
-  w.internal_errors = rs.internal_errors;
-  w.invalid_arguments = rs.invalid_arguments;
-  w.routed = rs.routed;
-  w.model_not_found = rs.model_not_found;
+  w.queries = server.queries;
+  w.forwards = server.forwards;
+  w.batches = server.batches;
+  w.cache_hits = server.cache.hits;
+  w.cache_misses = server.cache.misses;
+  w.coalesced = server.coalesced;
+  w.shed = server.shed;
+  w.rejected = server.rejected;
+  w.deadline_exceeded = server.deadline_exceeded;
+  w.internal_errors = server.internal_errors;
+  w.invalid_arguments = server.invalid_arguments;
+  w.routed = net.routed;
+  w.model_not_found = net.model_not_found;
   w.net_accepted = net.accepted;
   w.net_closed = net.closed;
   w.net_open = net.open_slots;

@@ -1,5 +1,5 @@
 // Out-of-process front door: an epoll-based TCP server that multiplexes
-// many connections onto one serve::Router.
+// many connections onto one serve::InferenceServer.
 //
 // NetServer turns the in-process serving stack into a network service
 // without adding a second concurrency substrate: the whole event loop —
@@ -14,25 +14,24 @@
 //
 // Request lifecycle: a complete kRequest frame is decoded into a pooled
 // InflightQuery (graph storage reused across requests, so a steady-state
-// connection decodes without heap allocations), submitted to the Router,
-// and answered through then(); the wire Response echoes the client's tag,
-// so pipelined clients match out-of-order completions (cache hits resolve
-// before older misses). Malformed payloads answer InvalidArgument when the
-// tag is readable; stream-level garbage (bad magic/version, lying lengths)
-// closes the connection — a byte stream cannot be resynchronized after
-// framing is lost. Neither path ever throws or crashes the server
-// (tests/net_test.cpp fuzzes it; tests/chaos_test.cpp disconnects
-// mid-frame and injects read/write/decode/accept faults).
+// connection decodes without heap allocations), submitted to the
+// InferenceServer, and answered through then(); the wire Response echoes
+// the client's tag, so pipelined clients match out-of-order completions
+// (cache hits resolve before older misses). Malformed payloads answer
+// InvalidArgument when the tag is readable; stream-level garbage (bad
+// magic/version, lying lengths) closes the connection — a byte stream
+// cannot be resynchronized after framing is lost. Neither path ever throws
+// or crashes the server (tests/net_test.cpp fuzzes it; tests/chaos_test.cpp
+// disconnects mid-frame and injects read/write/decode/accept faults).
 //
-// TCP backpressure maps onto the shed policies instead of unbounded
-// buffering: each connection's encoded-but-unsent bytes are capped by
-// `max_write_buffer`. Over the cap —
+// TCP backpressure maps onto the served InferenceServer's shed policy
+// instead of unbounded buffering: each connection's encoded-but-unsent
+// bytes are capped by `max_write_buffer`. Over the cap —
 //
 //   Reject / DropOldest  new requests on that connection are answered
 //                        Overloaded immediately (a 46-byte frame) without
-//                        being admitted; the admission queue behind the
-//                        Router still applies the configured policy among
-//                        admitted queries.
+//                        being admitted; the admission queue behind it
+//                        still applies the policy among admitted queries.
 //   Block                the server stops reading the connection (EPOLLIN
 //                        masked) until the buffer drains below half the cap
 //                        — genuine TCP flow control; the client's sends
@@ -40,6 +39,11 @@
 //
 // A slow reader therefore costs bounded memory and sheds its own traffic;
 // it can never stall other connections or the loop.
+//
+// One model per process: a request naming any model but kModelName (an
+// empty name means "the model") is answered ModelNotFound before it reaches
+// the InferenceServer, and counted in model_not_found; every other
+// well-formed request is submitted and counted in routed.
 //
 // Graceful drain (SIGTERM in irgnn_served): request_drain() is
 // async-signal-safe (an atomic flag plus an eventfd write). The loop then
@@ -57,13 +61,17 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/codec.h"
-#include "serve/router.h"
+#include "serve/server.h"
 #include "support/arena.h"
 
 namespace irgnn::net {
+
+/// The one model name a NetServer answers for, besides the empty name.
+inline constexpr std::string_view kModelName = "static";
 
 struct NetServerConfig {
   /// Bind address (IPv4 dotted quad) and port; port 0 binds an ephemeral
@@ -77,9 +85,9 @@ struct NetServerConfig {
   std::size_t max_connections = 4096;
 
   /// Per-connection cap on encoded-but-unsent response bytes; over it, TCP
-  /// backpressure maps onto shed_policy (see the header comment).
+  /// backpressure maps onto the served InferenceServer's shed policy (see
+  /// the header comment).
   std::size_t max_write_buffer = 1u << 20;
-  serve::ShedPolicy shed_policy = serve::ShedPolicy::Reject;
 
   /// Inclusive bound on node feature indices accepted off the wire; < 0
   /// means graph::vocabulary_size() - 1, so hostile frames can never drive
@@ -99,6 +107,8 @@ struct NetServerStats {
   std::uint64_t frames_in = 0;             // complete frames parsed
   std::uint64_t frames_out = 0;            // frames encoded for sending
   std::uint64_t requests = 0;              // well-formed kRequest frames
+  std::uint64_t routed = 0;                // requests submitted to server_
+  std::uint64_t model_not_found = 0;       // requests naming another model
   std::uint64_t responses = 0;             // responses delivered to outboxes
   std::uint64_t decode_errors = 0;    // framed payloads that failed decode
   std::uint64_t protocol_errors = 0;  // stream garbage (connection closed)
@@ -113,9 +123,9 @@ struct NetServerStats {
 
 class NetServer {
  public:
-  /// Serves `router`, which must outlive the server and have its models
-  /// published by the caller. The server adds no model knowledge of its own.
-  NetServer(serve::Router& router, const NetServerConfig& config = {});
+  /// Serves `server`'s model under kModelName; `server` must outlive the
+  /// NetServer.
+  NetServer(serve::InferenceServer& server, const NetServerConfig& config = {});
   ~NetServer();
 
   NetServer(const NetServer&) = delete;
@@ -210,7 +220,7 @@ class NetServer {
   /// Encoded-but-unsent bytes for the connection (wbuf + outbox).
   std::size_t outstanding_bytes(const Connection& conn);
 
-  serve::Router& router_;
+  serve::InferenceServer& server_;
   NetServerConfig config_;
   DecodeLimits limits_;
 
@@ -247,6 +257,8 @@ class NetServer {
   std::uint64_t frames_in_ = 0;
   std::uint64_t frames_out_ = 0;
   std::uint64_t requests_ = 0;
+  std::uint64_t routed_ = 0;
+  std::uint64_t model_not_found_ = 0;
   std::uint64_t responses_ = 0;
   std::uint64_t decode_errors_ = 0;
   std::uint64_t protocol_errors_ = 0;
@@ -255,10 +267,9 @@ class NetServer {
   std::uint64_t open_slots_ = 0;
 };
 
-/// Fills a WireStats from the router's totals plus the net layer's own
-/// counters — what a kStatsRequest answers with, and what the load
-/// generator's conservation gate reads.
-WireStats gather_wire_stats(const serve::Router& router,
+/// Fills a WireStats from the InferenceServer's totals plus the net layer's
+/// own counters — what a kStatsRequest answers with.
+WireStats gather_wire_stats(const serve::ServerStats& server,
                             const NetServerStats& net);
 
 }  // namespace irgnn::net

@@ -1,13 +1,13 @@
 // The serving layer's typed front-door vocabulary.
 //
-// A Request names everything the front door needs to route and admit one
-// region query: the graph, the target model (for multi-model routing a
-// per-architecture registry name, e.g. "Skylake"), a queue-time deadline
-// and a priority that admission control consults when it must shed load. A
-// Response answers with the predicted label plus the provenance a
-// production client wants: which model version answered, whether the
-// answer came from the prediction cache, a batched forward, or shedding,
-// and where the time went (queue wait vs compute).
+// A Request names everything the front door needs to admit one region
+// query: the graph, the target model's name (checked by the TCP front door,
+// net::NetServer), a queue-time deadline and a priority that admission
+// control consults when it must shed load. A Response answers with the
+// predicted label plus the provenance a production client wants: which
+// model version answered, whether the answer came from the prediction
+// cache, a batched forward, or shedding, and where the time went (queue
+// wait vs compute).
 //
 // Both are plain structs built on the stack: constructing a Request and
 // reading a Response never allocates, which is what keeps the warm
@@ -52,7 +52,7 @@ inline const char* source_name(Source source) {
 }
 
 /// What a bounded admission queue does when it is full and one more request
-/// arrives (ServerConfig::max_queue / RouterConfig::max_queue).
+/// arrives (ServerConfig::max_queue).
 enum class ShedPolicy : std::uint8_t {
   /// Fail the incoming submit immediately with Status::Overloaded. The
   /// queue never exceeds its bound and nobody blocks.
@@ -87,12 +87,11 @@ struct Request {
   /// (or the future's resolution).
   const graph::ProgramGraph* graph = nullptr;
 
-  /// Routing key for serve::Router: the registry name of the target model
-  /// (per-architecture serving publishes one model per machine name). Empty
-  /// routes to the router's only model; with several models published an
-  /// empty name is ModelNotFound (ambiguous). A bare InferenceServer is a
-  /// single-model endpoint and ignores this field. The view must outlive
-  /// the submit() call only — the router does not retain it.
+  /// Name of the target model. Only net::NetServer reads it: empty or its
+  /// served name (net::kModelName) is answered, any other name is
+  /// ModelNotFound. An InferenceServer answers for its one model and
+  /// ignores this field. The view must outlive the submit() call only —
+  /// nothing retains it.
   std::string_view model{};
 
   /// Queue-time budget in microseconds; 0 means no deadline. A request
@@ -108,7 +107,7 @@ struct Request {
 struct Response {
   /// Ok, or why the request was not answered: Overloaded (shed after
   /// admission), DeadlineExceeded, ShuttingDown, Internal. Errors that fail
-  /// the submit itself (queue full under Reject, ModelNotFound) surface
+  /// the submit itself (queue full under Reject, ShuttingDown) surface
   /// from submit()'s StatusOr instead and never build a Response.
   Status status;
 

@@ -24,21 +24,9 @@ std::int64_t us_between(Clock::time_point from, Clock::time_point to) {
 }  // namespace
 
 InferenceServer::InferenceServer(ModelPtr model, const ServerConfig& config)
-    : InferenceServer(
-          [&] {
-            auto slot = std::make_shared<ModelSlot>();
-            slot->publish(std::move(model));
-            return slot;
-          }(),
-          config) {}
-
-InferenceServer::InferenceServer(std::shared_ptr<ModelSlot> slot,
-                                 const ServerConfig& config)
-    : config_(config),
-      slot_(std::move(slot)),
-      cache_(config.cache_capacity, config.cache_shards) {
-  assert(slot_ && slot_->snapshot()->model &&
-         "InferenceServer requires a published model");
+    : config_(config), cache_(config.cache_capacity, config.cache_shards) {
+  assert(model && "InferenceServer requires a model");
+  slot_.publish(std::move(model));
   config_.max_batch = std::max(1, config_.max_batch);
   // A worker-less pool would run the loop inline and never return; fall
   // back to client-driven pumping there.
@@ -479,7 +467,7 @@ StatusOr<InferenceServer::Future> InferenceServer::submit(
   }
   queries_.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t fp = graph::fingerprint(*request.graph);
-  const std::shared_ptr<const PublishedModel> published = slot_->snapshot();
+  const std::shared_ptr<const PublishedModel> published = slot_.snapshot();
   int label = 0;
   if (cache_.lookup(hash_combine64(published->version, fp), &label,
                     /*count_miss=*/false)) {
@@ -507,7 +495,7 @@ Response InferenceServer::predict(const Request& request) {
   }
   queries_.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t fp = graph::fingerprint(*request.graph);
-  const std::shared_ptr<const PublishedModel> published = slot_->snapshot();
+  const std::shared_ptr<const PublishedModel> published = slot_.snapshot();
   int label = 0;
   if (cache_.lookup(hash_combine64(published->version, fp), &label,
                     /*count_miss=*/false)) {
@@ -530,7 +518,7 @@ Response InferenceServer::predict(const Request& request) {
 }
 
 std::uint64_t InferenceServer::publish(ModelPtr model) {
-  return slot_->publish(std::move(model));
+  return slot_.publish(std::move(model));
 }
 
 void InferenceServer::attach_callback(std::uint32_t slot, std::uint64_t gen,
@@ -589,8 +577,9 @@ void InferenceServer::pump_one(std::unique_lock<std::mutex>& lock) {
   }
   // One consistent (model, version) snapshot answers the whole batch; a
   // concurrent publish only affects later batches. The snapshot's
-  // shared_ptr keeps the model alive even if it is retired mid-forward.
-  const std::shared_ptr<const PublishedModel> published = slot_->snapshot();
+  // shared_ptr keeps the model alive even if a publish replaces it
+  // mid-forward.
+  const std::shared_ptr<const PublishedModel> published = slot_.snapshot();
   if (!batch_slots_.empty()) {
     Status forward_status;
     std::int64_t compute_us = 0;

@@ -41,9 +41,9 @@
 // Hot answers skip the forward: results are cached under
 // hash_combine64(model version, graph::fingerprint(graph)), and a warm hit
 // through predict() performs zero heap allocations. Hot swap: the server
-// reads its model through a ModelSlot (its own, or one shared with a
-// ModelRegistry name); in-flight batches finish on the snapshot they took,
-// and version-keyed caching means a retired model can never answer.
+// reads its model through its ModelSlot (publish() swaps it); in-flight
+// batches finish on the snapshot they took, and version-keyed caching means
+// a replaced model can never answer.
 //
 // In-flight coalescing backs the cache up. A cache miss consults an
 // in-flight map keyed by (version, fingerprint): if an identical query is
@@ -68,9 +68,9 @@
 // IRGNN_FAILPOINT sites (support/failpoint.h; compiled out by default) and
 // tests/chaos_test.cpp.
 //
-// Multi-model routing lives one layer up in serve::Router (router.h), which
-// owns one InferenceServer per published model name and dispatches
-// Request::model.
+// One server answers for one model, as the paper trains one predictor per
+// target machine. Request::model is read only by net::NetServer, which
+// refuses any name but its own (net/server.h).
 #pragma once
 
 #include <atomic>
@@ -84,7 +84,7 @@
 #include <vector>
 
 #include "graph/program_graph.h"
-#include "serve/model_registry.h"
+#include "serve/model_slot.h"
 #include "serve/prediction_cache.h"
 #include "serve/request.h"
 #include "support/arena.h"
@@ -229,14 +229,9 @@ class InferenceServer {
     Response response_;
   };
 
-  /// Serves `model` through a private slot (hot-swappable via publish()).
+  /// Serves `model` (non-null) through the server's slot, as version 1;
+  /// publish() hot-swaps it.
   explicit InferenceServer(ModelPtr model, const ServerConfig& config = {});
-
-  /// Serves whatever `slot` currently publishes — attach a ModelRegistry
-  /// slot so registry publishes under that name reach this server. The slot
-  /// must already hold a model.
-  explicit InferenceServer(std::shared_ptr<ModelSlot> slot,
-                           const ServerConfig& config = {});
 
   ~InferenceServer();
 
@@ -248,8 +243,7 @@ class InferenceServer {
   /// bounded queue is full under Reject — or under DropOldest when every
   /// queued request outranks this one — and with ShuttingDown after
   /// shutdown() began. The graph must stay alive until the future resolves.
-  /// Request::model is routing information for serve::Router; a bare server
-  /// ignores it.
+  /// The server ignores Request::model: it answers for its one model.
   StatusOr<Future> submit(const Request& request);
 
   /// Synchronous query: submit + get, with submit-side failures folded into
@@ -265,8 +259,8 @@ class InferenceServer {
   /// the new version. In-flight batches finish on their snapshot.
   std::uint64_t publish(ModelPtr model);
 
-  /// Version of the current publication (monotonic per slot).
-  std::uint64_t model_version() const { return slot_->snapshot()->version; }
+  /// Version of the current publication (monotonic).
+  std::uint64_t model_version() const { return slot_.snapshot()->version; }
 
   const ServerConfig& config() const { return config_; }
   ServerStats stats() const;
@@ -388,7 +382,7 @@ class InferenceServer {
   };
 
   ServerConfig config_;
-  std::shared_ptr<ModelSlot> slot_;
+  ModelSlot slot_;
   PredictionCache cache_;
   std::shared_ptr<LoopToken> loop_token_;
 

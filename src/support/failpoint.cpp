@@ -39,7 +39,7 @@ namespace {
 using detail::SiteState;
 
 // Leaky singleton: FailpointSite statics in library code resolve registry
-// pointers that must outlive every server/router destructor, including ones
+// pointers that must outlive every server destructor, including ones
 // running during static destruction. Never freed, by design.
 struct Registry {
   std::mutex mu;

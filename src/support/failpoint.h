@@ -52,8 +52,14 @@
 //                       Overloaded (simulated queue exhaustion).
 //   serve.cache_insert  InferenceServer::pump_one — the batch's results are
 //                       not cached (cache unavailability).
-//   router.publish      Router::publish — latency before the swap.
-//   router.retire       Router::retire — latency before the drain.
+//   net.accept          NetServer::do_accept — the accepted connection is
+//                       closed at once (counted in accept_failures).
+//   net.read            NetServer::read_conn — the read fails and the
+//                       connection closes.
+//   net.decode          NetServer::handle_request — the request payload
+//                       decodes InvalidArgument.
+//   net.write           NetServer::flush_conn — the send is cut to one byte
+//                       (a short write).
 //   arena.allocate      BufferPool::allocate — throws std::bad_alloc, the
 //                       realistic cause of a failed forward (the serving
 //                       layer must catch it and resolve the batch Internal,

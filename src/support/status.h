@@ -1,7 +1,7 @@
 // Exception-free error model for the serving query path.
 //
-// The serve layer's front door (serve::Router / serve::InferenceServer)
-// promises that a query can never throw at a client: overload, deadline
+// The serving front doors (serve::InferenceServer, net::NetServer)
+// promise that a query can never throw at a client: overload, deadline
 // misses, unknown model names and shutdown races are ordinary answers, not
 // stack unwinding. Status carries one of a small closed set of codes plus a
 // static message; StatusOr<T> is "a T or the Status explaining why not".
@@ -37,7 +37,7 @@ enum class StatusCode : std::uint8_t {
   kOk = 0,
   kOverloaded = 1,        // bounded admission queue full (Reject) or shed
   kDeadlineExceeded = 2,  // request out-waited its deadline_us in the queue
-  kModelNotFound = 3,     // router has no model under the requested name
+  kModelNotFound = 3,     // no model is served under the requested name
   kShuttingDown = 4,      // submitted after shutdown() began
   kInternal = 5,          // the answering forward failed (e.g. bad_alloc)
   kUnavailable = 6,   // circuit breaker open: miss short-circuited, retry later

@@ -9,11 +9,11 @@
 //   counters — must reproduce bit-for-bit across runs and across model
 //   thread counts.
 //
-//   Concurrent chaos (free-running clients against a Router, faults firing
-//   mid-flight): interleavings vary, so these assert invariants instead of
-//   exact counts — every Ok answer bit-identical to a serial predict by the
-//   version that reports it, hits + misses + coalesced == queries, every
-//   future resolved exactly once by shutdown, retries never amplify sheds.
+//   Concurrent chaos (free-running clients against one InferenceServer,
+//   faults firing mid-flight): interleavings vary, so these assert
+//   invariants instead of exact counts — every Ok answer bit-identical to a
+//   serial predict by the version that reports it, hits + misses +
+//   coalesced == queries, every future resolved exactly once by shutdown.
 //
 // The binary builds and passes in BOTH library configurations: with
 // IRGNN_FAILPOINTS compiled out, fault-dependent tests GTEST_SKIP and the
@@ -38,7 +38,6 @@
 #include "graph/graph_builder.h"
 #include "net/client.h"
 #include "net/server.h"
-#include "serve/router.h"
 #include "serve/server.h"
 #include "support/failpoint.h"
 #include "support/rng.h"
@@ -390,11 +389,11 @@ TEST_F(ChaosTest, ScriptedFaultWindowReproducesBitForBit) {
   }
 }
 
-// --- Concurrent chaos against a Router --------------------------------------
+// --- Concurrent chaos against one server ------------------------------------
 
 /// Free-running clients, optional fault injection, a mid-run hot swap, and
-/// a mix of sync predicts (with retries) and submit+then futures. Asserts
-/// invariants that hold under EVERY interleaving.
+/// a mix of sync predicts and submit+then futures, with the breaker armed.
+/// Asserts invariants that hold under EVERY interleaving.
 void run_concurrent_chaos(bool with_faults) {
   auto model_v1 =
       std::make_shared<const gnn::StaticModel>(small_config(0xC0C0A));
@@ -404,15 +403,15 @@ void run_concurrent_chaos(bool with_faults) {
   const std::vector<int> expected_v2 = serial_predict(*model_v2);
   const auto& graphs = test_graphs();
 
-  serve::RouterConfig config;
+  serve::ServerConfig config;
   config.max_queue = 16;
   config.shed_policy = serve::ShedPolicy::DropOldest;
-  config.server.max_batch = 8;
-  config.server.cache_capacity = 64;
-  config.server.breaker_trip_threshold = 4;
-  config.server.breaker_probe_interval_us = 500;
-  serve::Router router(config);
-  const std::uint64_t v1 = router.publish("m", model_v1);
+  config.max_batch = 8;
+  config.cache_capacity = 64;
+  config.breaker_trip_threshold = 4;
+  config.breaker_probe_interval_us = 500;
+  serve::InferenceServer server(model_v1, config);
+  const std::uint64_t v1 = server.model_version();
 
   if (with_faults) {
     failpoints::set_seed(0xBAD5EED);
@@ -455,17 +454,13 @@ void run_concurrent_chaos(bool with_faults) {
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       Rng rng(hash_combine64(0xC11E27, static_cast<std::uint64_t>(c)));
-      serve::RetryPolicy policy;
-      policy.max_attempts = 2;
-      policy.base_backoff_us = 50;
-      policy.jitter_seed = static_cast<std::uint64_t>(c);
       for (int q = 0; q < kQueriesPerClient; ++q) {
         const std::size_t g = rng.next_below(graphs.size());
         if (rng.next_below(5) == 0) {
           // Async path: future + continuation; resolution may come from any
           // pumping thread, or from the shutdown drain.
           serve::StatusOr<serve::InferenceServer::Future> submitted =
-              router.submit(serve::Request(graphs[g]));
+              server.submit(serve::Request(graphs[g]));
           if (!submitted.ok()) {
             failed_answers.fetch_add(1, std::memory_order_relaxed);
             continue;
@@ -477,7 +472,7 @@ void run_concurrent_chaos(bool with_faults) {
                 check(g, r);
               });
         } else {
-          check(g, router.predict(serve::Request(graphs[g]), policy));
+          check(g, server.predict(graphs[g]));
         }
       }
     });
@@ -486,29 +481,27 @@ void run_concurrent_chaos(bool with_faults) {
   // v2; version-keyed caching makes stale answers structurally impossible,
   // and check() would catch one anyway.
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  const std::uint64_t v2 = router.publish("m", model_v2);
+  const std::uint64_t v2 = server.publish(model_v2);
   EXPECT_EQ(v2, v1 + 1);
   for (auto& t : clients) t.join();
 
   // Shutdown drains every admitted query: all continuations fire exactly
   // once (callbacks_fired counts each firing, so a double fire would
   // overshoot futures_submitted, a dropped one undershoot).
-  router.shutdown();
+  server.shutdown();
   EXPECT_EQ(callbacks_fired.load(), futures_submitted.load());
   EXPECT_FALSE(wrong_bits.load())
       << "an admitted answer differed from serial predict by its version";
 
-  // Post-shutdown stats fold every server, live and retired.
-  const serve::RouterStats stats = router.stats();
+  const serve::ServerStats stats = server.stats();
   // Conservation under injection, concurrency and hot swap:
-  EXPECT_EQ(stats.cache_hits + stats.cache_misses + stats.coalesced,
+  EXPECT_EQ(stats.cache.hits + stats.cache.misses + stats.coalesced,
             stats.queries);
   // Sources partition resolved client queries exactly.
   EXPECT_EQ(stats.source_cache + stats.source_batch + stats.source_coalesced +
                 stats.source_shed,
             stats.queries);
-  // Every issued query got exactly one answer (retries issue extra queries
-  // at the router level but each returns exactly one Response to check()).
+  // Every issued query got exactly one answer.
   EXPECT_EQ(ok_answers.load() + failed_answers.load() -
                 callbacks_fired.load(),
             static_cast<std::uint64_t>(kClients) * kQueriesPerClient -
@@ -565,115 +558,29 @@ TEST_F(ChaosTest, ShutdownDrainsEveryFutureUnderTotalForwardFailure) {
   EXPECT_EQ(fired.load(), kFutures);
 }
 
-// --- Retry policy under injected faults -------------------------------------
-
-TEST_F(ChaosTest, RetryRecoversFromATransientFault) {
-  if (!failpoints::enabled()) GTEST_SKIP() << "failpoints compiled out";
-  auto model = std::make_shared<const gnn::StaticModel>(small_config(0x27E));
-  const std::vector<int> expected = serial_predict(*model);
-  const auto& graphs = test_graphs();
-
-  serve::RouterConfig config;
-  config.server.background_loop = false;
-  config.server.cache_capacity = 0;
-  serve::Router router(config);
-  router.publish("m", model);
-
-  // Exactly one failure: the first attempt dies, the retry answers.
-  failpoints::set_seed(5);
-  failpoints::FailpointSpec one;
-  one.every_nth = 1;
-  one.max_fires = 1;
-  failpoints::configure("serve.forward", one);
-
-  serve::RetryPolicy policy;
-  policy.max_attempts = 3;
-  policy.base_backoff_us = 10;
-  const serve::Response r = router.predict(serve::Request(graphs[2]), policy);
-  EXPECT_TRUE(r.ok());
-  EXPECT_EQ(r.label, expected[2]);
-  const serve::RouterStats stats = router.stats();
-  EXPECT_EQ(stats.retry_requests, 1u);
-  EXPECT_EQ(stats.retries, 1u);
-  EXPECT_EQ(stats.retry_successes, 1u);
-  EXPECT_EQ(stats.internal_errors, 1u);
-}
-
-TEST_F(ChaosTest, RetryBudgetCapsAmplification) {
-  if (!failpoints::enabled()) GTEST_SKIP() << "failpoints compiled out";
-  auto model = std::make_shared<const gnn::StaticModel>(small_config(0xB4D));
-  const auto& graphs = test_graphs();
-
-  serve::RouterConfig config;
-  config.server.background_loop = false;
-  config.server.cache_capacity = 0;
-  serve::Router router(config);
-  router.publish("m", model);
-
-  failpoints::set_seed(6);
-  failpoints::FailpointSpec always;
-  always.every_nth = 1;
-  failpoints::configure("serve.forward", always);
-
-  // Zero budget: the retryable failure comes back after exactly ONE
-  // attempt — the budget, not max_attempts, bounds amplification.
-  serve::RetryPolicy none;
-  none.max_attempts = 5;
-  none.base_backoff_us = 0;
-  none.budget_ratio = 0.0;
-  none.budget_floor = 0;
-  const serve::Response r = router.predict(serve::Request(graphs[1]), none);
-  EXPECT_EQ(r.status.code(), support::StatusCode::kInternal);
-  serve::RouterStats stats = router.stats();
-  EXPECT_EQ(stats.retries, 0u);
-  EXPECT_EQ(stats.retry_budget_exhausted, 1u);
-  EXPECT_EQ(stats.internal_errors, 1u) << "exactly one forward was spent";
-}
-
-TEST_F(ChaosTest, RetryNeverRetriesAnOverloadedShed) {
-  if (!failpoints::enabled()) GTEST_SKIP() << "failpoints compiled out";
-  auto model = std::make_shared<const gnn::StaticModel>(small_config(0x0E2));
-  const auto& graphs = test_graphs();
-
-  serve::RouterConfig config;
-  config.server.background_loop = false;
-  config.server.cache_capacity = 0;
-  serve::Router router(config);
-  router.publish("m", model);
-
-  // Every admission sheds: the server is screaming "back off".
-  failpoints::set_seed(8);
-  failpoints::FailpointSpec always;
-  always.every_nth = 1;
-  failpoints::configure("serve.admit", always);
-
-  serve::RetryPolicy eager;
-  eager.max_attempts = 5;
-  eager.base_backoff_us = 0;
-  eager.budget_floor = 100;  // budget permits — the CODE must refuse
-  const serve::Response r = router.predict(serve::Request(graphs[3]), eager);
-  EXPECT_EQ(r.status.code(), support::StatusCode::kOverloaded);
-  const serve::RouterStats stats = router.stats();
-  EXPECT_EQ(stats.retries, 0u)
-      << "a shed retried is an overload amplified — never";
-  EXPECT_EQ(stats.rejected, 1u) << "exactly one admission attempt";
-}
-
 // --- Wire-layer chaos (src/net/) --------------------------------------------
 //
-// Same philosophy as the router chaos above, one layer further out: a TCP
+// Same philosophy as the server chaos above, one layer further out: a TCP
 // connection dying mid-frame, a read fault, a dribbling write path or an
 // injected decode failure must never crash the server, leak a connection
 // slot, or corrupt ANOTHER connection's stream. Mid-frame disconnect needs
 // no failpoints and runs in every build; the injected-fault legs are gated
 // on IRGNN_FAILPOINTS like the rest of this file.
 
-/// Shared scaffolding: a small router + net server on an ephemeral port.
+/// The daemon's admission defaults (irgnn_served --max-queue 256, Reject).
+serve::ServerConfig daemon_config() {
+  serve::ServerConfig config;
+  config.max_queue = 256;
+  return config;
+}
+
+/// Shared scaffolding: a small InferenceServer + net server on an ephemeral
+/// port.
 struct NetChaosRig {
-  NetChaosRig() : router() {
-    router.publish("static",
-                   std::make_shared<const gnn::StaticModel>(small_config(42)));
-    server.emplace(router, net::NetServerConfig{});
+  NetChaosRig()
+      : inference(std::make_shared<const gnn::StaticModel>(small_config(42)),
+                  daemon_config()) {
+    server.emplace(inference, net::NetServerConfig{});
     start_ok = server->start().ok();
   }
   /// Shuts down and asserts the one invariant every leg shares: no leaked
@@ -683,9 +590,8 @@ struct NetChaosRig {
     const net::NetServerStats stats = server->stats();
     EXPECT_TRUE(stats.finished);
     EXPECT_EQ(stats.open_slots, 0u) << "a chaos leg leaked a connection slot";
-    router.shutdown();
   }
-  serve::Router router;
+  serve::InferenceServer inference;
   std::optional<net::NetServer> server;
   bool start_ok = false;
 };
@@ -694,7 +600,7 @@ TEST_F(ChaosTest, MidFrameDisconnectNeverLeaksOrCorrupts) {
   NetChaosRig rig;
   ASSERT_TRUE(rig.start_ok);
   const auto& graphs = test_graphs();
-  const int expected = rig.router.predict(graphs[0]).label;
+  const int expected = rig.inference.predict(graphs[0]).label;
 
   // An innocent client stays connected across every abuse below; its
   // answers must stay correct throughout.
@@ -748,7 +654,7 @@ TEST_F(ChaosTest, NetReadFaultClosesOnlyTheFaultedConnection) {
   ASSERT_TRUE(after.connect("127.0.0.1", rig.server->port()).ok());
   auto r = after.predict(serve::Request(graphs[1]));
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->label, rig.router.predict(graphs[1]).label);
+  EXPECT_EQ(r->label, rig.inference.predict(graphs[1]).label);
   after.close();
 
   EXPECT_GE(rig.server->stats().read_faults, 1u);
@@ -762,7 +668,7 @@ TEST_F(ChaosTest, ShortWritesDribbleFramesOutIntact) {
   const auto& graphs = test_graphs();
   std::vector<int> expected;
   for (int g = 0; g < 4; ++g)
-    expected.push_back(rig.router.predict(graphs[g]).label);
+    expected.push_back(rig.inference.predict(graphs[g]).label);
 
   // EVERY server write truncated to one byte: responses leave one byte per
   // epoll wakeup. Framing must survive — the client still reassembles
@@ -807,7 +713,7 @@ TEST_F(ChaosTest, InjectedDecodeFaultAnswersAndKeepsTheConnection) {
   auto healthy = client.predict(serve::Request(graphs[2]));
   ASSERT_TRUE(healthy.ok());
   ASSERT_TRUE(healthy->ok());
-  EXPECT_EQ(healthy->label, rig.router.predict(graphs[2]).label);
+  EXPECT_EQ(healthy->label, rig.inference.predict(graphs[2]).label);
   client.close();
 
   EXPECT_GE(rig.server->stats().decode_errors, 1u);
@@ -835,7 +741,7 @@ TEST_F(ChaosTest, AcceptFaultDropsOneConnectionServerSurvives) {
   ASSERT_TRUE(after.connect("127.0.0.1", rig.server->port()).ok());
   auto r = after.predict(serve::Request(graphs[3]));
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->label, rig.router.predict(graphs[3]).label);
+  EXPECT_EQ(r->label, rig.inference.predict(graphs[3]).label);
   after.close();
 
   EXPECT_GE(rig.server->stats().accept_failures, 1u);

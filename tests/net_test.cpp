@@ -23,6 +23,7 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -32,7 +33,7 @@
 #include "net/client.h"
 #include "net/codec.h"
 #include "net/server.h"
-#include "serve/router.h"
+#include "serve/server.h"
 #include "support/rng.h"
 #include "workloads/suite.h"
 
@@ -463,7 +464,18 @@ gnn::ModelConfig small_config() {
   return cfg;
 }
 
-TEST(NetServerTest, LoopbackAnswersAreBitIdenticalToTheRouter) {
+serve::ModelPtr small_model() {
+  return std::make_shared<const gnn::StaticModel>(small_config());
+}
+
+/// The daemon's admission defaults (irgnn_served --max-queue 256, Reject).
+serve::ServerConfig daemon_config() {
+  serve::ServerConfig config;
+  config.max_queue = 256;
+  return config;
+}
+
+TEST(NetServerTest, LoopbackAnswersAreBitIdenticalToTheServer) {
   // Every shed policy at 1 and 4 connections. The reference model is built
   // apart from the served one, from the same config: deterministic
   // construction is what lets a client rebuild the served model instead of
@@ -482,14 +494,11 @@ TEST(NetServerTest, LoopbackAnswersAreBitIdenticalToTheRouter) {
     for (int connections : {1, 4}) {
       SCOPED_TRACE(std::string(serve::shed_policy_name(policy)) + " x " +
                    std::to_string(connections) + " connections");
-      serve::RouterConfig router_config;
-      router_config.shed_policy = policy;
-      serve::Router router(router_config);
-      const std::uint64_t version = router.publish(
-          "static", std::make_shared<const gnn::StaticModel>(small_config()));
-      net::NetServerConfig net_config;
-      net_config.shed_policy = policy;
-      net::NetServer server(router, net_config);
+      serve::ServerConfig config = daemon_config();
+      config.shed_policy = policy;
+      serve::InferenceServer inference(small_model(), config);
+      const std::uint64_t version = inference.model_version();
+      net::NetServer server(inference, {});
       ASSERT_TRUE(server.start().ok());
       ASSERT_NE(server.port(), 0);
 
@@ -514,7 +523,7 @@ TEST(NetServerTest, LoopbackAnswersAreBitIdenticalToTheRouter) {
       for (auto& t : clients) t.join();
       EXPECT_EQ(wrong.load(), 0);
       for (std::size_t g = 0; g < graphs.size(); ++g) {
-        const serve::Response local = router.predict(graphs[g]);
+        const serve::Response local = inference.predict(graphs[g]);
         ASSERT_TRUE(local.ok());
         EXPECT_EQ(local.label, expected[g]);
       }
@@ -537,22 +546,19 @@ TEST(NetServerTest, LoopbackAnswersAreBitIdenticalToTheRouter) {
       const net::NetServerStats net_stats = server.stats();
       EXPECT_TRUE(net_stats.finished);
       EXPECT_EQ(net_stats.open_slots, 0u);
-      router.shutdown();
     }
   }
 }
 
 TEST(NetServerTest, PipelinedTagsMatchOutOfOrderCompletions) {
-  serve::Router router;
-  router.publish("static", std::make_shared<const gnn::StaticModel>(
-                               small_config()));
-  net::NetServer server(router, {});
+  serve::InferenceServer inference(small_model(), daemon_config());
+  net::NetServer server(inference, {});
   ASSERT_TRUE(server.start().ok());
 
   std::vector<graph::ProgramGraph> graphs;
   for (int r : {0, 3, 7, 12}) graphs.push_back(suite_graph(r));
   std::vector<int> expected;
-  for (const auto& g : graphs) expected.push_back(router.predict(g).label);
+  for (const auto& g : graphs) expected.push_back(inference.predict(g).label);
 
   net::NetClient client;
   ASSERT_TRUE(client.connect("127.0.0.1", server.port()).ok());
@@ -576,17 +582,14 @@ TEST(NetServerTest, PipelinedTagsMatchOutOfOrderCompletions) {
   client.close();
   server.shutdown();
   EXPECT_EQ(server.stats().open_slots, 0u);
-  router.shutdown();
 }
 
 TEST(NetServerTest, GarbageBytesCloseOnlyTheGuiltyConnection) {
-  serve::Router router;
-  router.publish("static", std::make_shared<const gnn::StaticModel>(
-                               small_config()));
-  net::NetServer server(router, {});
+  serve::InferenceServer inference(small_model(), daemon_config());
+  net::NetServer server(inference, {});
   ASSERT_TRUE(server.start().ok());
   const graph::ProgramGraph g = suite_graph(0);
-  const int expected = router.predict(g).label;
+  const int expected = inference.predict(g).label;
 
   // An innocent connection with a query in flight on either side of the
   // garbage must be unaffected.
@@ -621,14 +624,11 @@ TEST(NetServerTest, GarbageBytesCloseOnlyTheGuiltyConnection) {
   const net::NetServerStats stats = server.stats();
   EXPECT_GE(stats.protocol_errors, 1u);
   EXPECT_EQ(stats.open_slots, 0u);
-  router.shutdown();
 }
 
 TEST(NetServerTest, WellFramedMalformedPayloadAnswersInvalidArgument) {
-  serve::Router router;
-  router.publish("static", std::make_shared<const gnn::StaticModel>(
-                               small_config()));
-  net::NetServer server(router, {});
+  serve::InferenceServer inference(small_model(), daemon_config());
+  net::NetServer server(inference, {});
   ASSERT_TRUE(server.start().ok());
 
   // A request frame whose graph body is truncated, but whose header and tag
@@ -686,24 +686,60 @@ TEST(NetServerTest, WellFramedMalformedPayloadAnswersInvalidArgument) {
   const net::NetServerStats stats = server.stats();
   EXPECT_GE(stats.decode_errors, 1u);
   EXPECT_EQ(stats.open_slots, 0u);
-  router.shutdown();
+}
+
+TEST(NetServerTest, ForeignModelNameIsModelNotFound) {
+  // One model per process: the empty name and net::kModelName get the
+  // served model's bits; any other name is refused ModelNotFound before it
+  // reaches the InferenceServer, so it never counts as a query.
+  const graph::ProgramGraph g = suite_graph(3);
+  const int expected = gnn::StaticModel(small_config()).predict({&g})[0];
+  serve::InferenceServer inference(small_model(), daemon_config());
+  net::NetServer server(inference, {});
+  ASSERT_TRUE(server.start().ok());
+
+  net::NetClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", server.port()).ok());
+  for (std::string_view name : {std::string_view{}, net::kModelName}) {
+    auto wire = client.predict(serve::Request(g, name));
+    ASSERT_TRUE(wire.ok());
+    ASSERT_TRUE(wire->ok()) << "model \"" << name << "\": "
+                            << wire->status.code_name();
+    EXPECT_EQ(wire->label, expected);
+  }
+  auto foreign = client.predict(serve::Request(g, "haswell"));
+  ASSERT_TRUE(foreign.ok());
+  EXPECT_EQ(foreign->status.code(), StatusCode::kModelNotFound);
+  EXPECT_EQ(foreign->source, serve::Source::Shed);
+
+  WireStats stats{};
+  ASSERT_TRUE(client.get_stats(&stats).ok());
+  EXPECT_EQ(stats.net_requests, 3u);
+  EXPECT_EQ(stats.model_not_found, 1u);
+  EXPECT_EQ(stats.routed, 2u);
+  EXPECT_EQ(stats.queries, 2u);
+  EXPECT_EQ(stats.cache_hits + stats.cache_misses + stats.coalesced,
+            stats.queries);
+
+  client.close();
+  server.shutdown();
+  EXPECT_EQ(server.stats().open_slots, 0u);
 }
 
 /// Pipelines `burst` requests cycling over `graphs` on one connection,
 /// requests a drain (at once, or once the first refusal is back), and reads
 /// to EOF. Every answer must be the served model's serial predict (the
-/// router's answer, bit for bit) or an Overloaded refusal, and the drain
-/// must free every slot. Sets *refused to the number of refusals read.
-void drain_mid_burst(const serve::RouterConfig& config,
+/// InferenceServer's answer, bit for bit) or an Overloaded refusal, and the
+/// drain must free every slot. Sets *refused to the number of refusals read.
+void drain_mid_burst(const serve::ServerConfig& config,
                      const std::vector<graph::ProgramGraph>& graphs,
                      int burst, bool after_first_refusal, int* refused) {
   auto model = std::make_shared<const gnn::StaticModel>(small_config());
   std::vector<const graph::ProgramGraph*> ptrs;
   for (const auto& g : graphs) ptrs.push_back(&g);
   const std::vector<int> expected = model->predict(ptrs);
-  serve::Router router(config);
-  router.publish("static", model);
-  net::NetServer server(router, {});
+  serve::InferenceServer inference(model, config);
+  net::NetServer server(inference, {});
   ASSERT_TRUE(server.start().ok());
   net::NetClient client;
   ASSERT_TRUE(client.connect("127.0.0.1", server.port()).ok());
@@ -749,26 +785,25 @@ void drain_mid_burst(const serve::RouterConfig& config,
   // Double drain is idempotent and wait() after finish returns immediately.
   server.request_drain();
   server.wait();
-  router.shutdown();
 }
 
 TEST(NetServerTest, DrainAnswersInFlightThenExitsCleanly) {
   // One graph pipelined 16 times and drained at once: the duplicates
   // coalesce, so nothing is refused.
   int refused = -1;
-  drain_mid_burst({}, {suite_graph(7)}, 16, /*after_first_refusal=*/false,
-                  &refused);
+  drain_mid_burst(daemon_config(), {suite_graph(7)}, 16,
+                  /*after_first_refusal=*/false, &refused);
   EXPECT_EQ(refused, 0);
 
   // Distinct graphs into a 2-deep queue with the cache off, so each one
   // needs a forward. The whole burst is pipelined before any answer is
   // read, and one forward outlasts the arrival of the next queued requests,
-  // so the queue is full while the burst lands: the router refuses part of
+  // so the queue is full while the burst lands: the server refuses part of
   // it, and the drain comes mid-stream. Should refusals ever stop, enlarge
   // the burst; the check below must keep demanding them.
-  serve::RouterConfig tight;
+  serve::ServerConfig tight;
   tight.max_queue = 2;
-  tight.server.cache_capacity = 0;
+  tight.cache_capacity = 0;
   std::vector<graph::ProgramGraph> distinct;
   for (std::size_t r = 0; r < workloads::benchmark_suite().size(); ++r)
     distinct.push_back(suite_graph(static_cast<int>(r)));
@@ -778,14 +813,13 @@ TEST(NetServerTest, DrainAnswersInFlightThenExitsCleanly) {
 }
 
 TEST(NetServerTest, StartFailsCleanlyOnABadHost) {
-  serve::Router router;
+  serve::InferenceServer inference(small_model(), daemon_config());
   net::NetServerConfig config;
   config.host = "not-an-ipv4-address";
-  net::NetServer server(router, config);
+  net::NetServer server(inference, config);
   const Status status = server.start();
   EXPECT_FALSE(status.ok());
   server.shutdown();  // must be safe after a failed start
-  router.shutdown();
 }
 
 }  // namespace

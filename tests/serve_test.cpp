@@ -1,7 +1,8 @@
 // Inference-server tests: determinism of dynamically micro-batched
 // concurrent serving against serial StaticModel::predict, the
 // zero-allocation warm cache-hit contract (this binary counts global
-// operator new, like arena_test), hot-swap under load, the model registry,
+// operator new, like arena_test), admission control (every shed policy and
+// queue bound, priorities, deadlines), hot-swap under load, the model slot,
 // and the sharded LRU prediction cache.
 #include <gtest/gtest.h>
 
@@ -18,7 +19,7 @@
 #include "gnn/model.h"
 #include "graph/fingerprint.h"
 #include "graph/graph_builder.h"
-#include "serve/model_registry.h"
+#include "serve/model_slot.h"
 #include "serve/prediction_cache.h"
 #include "serve/server.h"
 #include "support/rng.h"
@@ -398,12 +399,10 @@ TEST(InferenceServerTest, HotSwapUnderLoadNeverDropsOrMixesQueries) {
   // flakes the seeds just need a nudge.
   ASSERT_NE(expected_a, expected_b);
 
-  serve::ModelRegistry registry;
-  registry.publish("static", model_a);
   serve::ServerConfig config;
   config.max_batch = 8;
   config.cache_capacity = 256;
-  serve::InferenceServer server(registry.slot("static"), config);
+  serve::InferenceServer server(model_a, config);
 
   constexpr int kClients = 4;
   constexpr int kQueriesPerClient = 200;
@@ -427,7 +426,7 @@ TEST(InferenceServerTest, HotSwapUnderLoadNeverDropsOrMixesQueries) {
   }
   // Swap mid-load.
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  const std::uint64_t v2 = registry.publish("static", model_b);
+  const std::uint64_t v2 = server.publish(model_b);
   for (auto& t : clients) t.join();
 
   EXPECT_EQ(wrong.load(), 0);
@@ -441,6 +440,323 @@ TEST(InferenceServerTest, HotSwapUnderLoadNeverDropsOrMixesQueries) {
     EXPECT_EQ(r.label, expected_b[g]);
     EXPECT_EQ(r.model_version, v2);
   }
+}
+
+// --- Admission control ------------------------------------------------------
+
+TEST(InferenceServerTest, AdmittedResponsesBitIdenticalForEveryPolicyAndBound) {
+  // The pinned determinism contract: N concurrent clients, for every shed
+  // policy and several queue bounds — every response that comes back Ok
+  // must equal the model's serial predict of that graph. Shedding may
+  // remove answers, never change them.
+  auto model = std::make_shared<const gnn::StaticModel>(small_config(0x1A));
+  const std::vector<int> expected = serial_predict(*model);
+  const auto& graphs = test_graphs();
+
+  for (serve::ShedPolicy policy :
+       {serve::ShedPolicy::Reject, serve::ShedPolicy::DropOldest,
+        serve::ShedPolicy::Block}) {
+    for (std::size_t max_queue : {std::size_t{0}, std::size_t{2},
+                                  std::size_t{16}}) {
+      serve::ServerConfig config;
+      config.max_queue = max_queue;
+      config.shed_policy = policy;
+      config.max_batch = 4;
+      config.cache_capacity = 16;
+      serve::InferenceServer server(model, config);
+
+      constexpr int kClients = 4;
+      constexpr int kQueriesPerClient = 64;
+      std::atomic<int> wrong{0};
+      std::atomic<int> ok_answers{0};
+      std::atomic<int> shed_answers{0};
+      std::vector<std::thread> clients;
+      for (int c = 0; c < kClients; ++c) {
+        clients.emplace_back([&, c] {
+          Rng rng(hash_combine64(0x2071E, static_cast<std::uint64_t>(c)));
+          for (int q = 0; q < kQueriesPerClient; ++q) {
+            const std::size_t g = rng.next_below(graphs.size());
+            const serve::Response r = server.predict(graphs[g]);
+            if (r.ok()) {
+              ok_answers.fetch_add(1);
+              if (r.label != expected[g]) wrong.fetch_add(1);
+            } else {
+              shed_answers.fetch_add(1);
+              if (r.status.code() != serve::StatusCode::kOverloaded)
+                wrong.fetch_add(1);
+            }
+          }
+        });
+      }
+      for (auto& t : clients) t.join();
+      EXPECT_EQ(wrong.load(), 0)
+          << "policy=" << serve::shed_policy_name(policy)
+          << " max_queue=" << max_queue;
+      EXPECT_EQ(ok_answers.load() + shed_answers.load(),
+                kClients * kQueriesPerClient);
+      if (max_queue == 0 || policy == serve::ShedPolicy::Block) {
+        // Unbounded or blocking admission: nothing may be shed.
+        EXPECT_EQ(shed_answers.load(), 0)
+            << "policy=" << serve::shed_policy_name(policy)
+            << " max_queue=" << max_queue;
+      }
+      const serve::ServerStats stats = server.stats();
+      EXPECT_EQ(stats.shed + stats.rejected,
+                static_cast<std::uint64_t>(shed_answers.load()));
+    }
+  }
+}
+
+TEST(InferenceServerTest, SheddingUnderOverloadNeverCorruptsAdmittedResults) {
+  // An async burst far beyond the bound: admitted answers must stay serial-
+  // predict bits, everything must resolve (answered or shed), and the
+  // admitted queue depth must never exceed the bound.
+  auto model = std::make_shared<const gnn::StaticModel>(small_config(0x2A));
+  const std::vector<int> expected = serial_predict(*model);
+  const auto& graphs = test_graphs();
+
+  for (serve::ShedPolicy policy :
+       {serve::ShedPolicy::Reject, serve::ShedPolicy::DropOldest}) {
+    serve::ServerConfig config;
+    config.max_queue = 4;
+    config.shed_policy = policy;
+    config.max_batch = 2;
+    config.cache_capacity = 0;  // every admitted query = a forward
+    config.background_loop = false;  // this thread drives the pump
+    serve::InferenceServer server(model, config);
+
+    constexpr int kBurst = 96;
+    int rejected = 0;
+    std::vector<std::pair<std::size_t, serve::InferenceServer::Future>>
+        admitted;
+    for (int q = 0; q < kBurst; ++q) {
+      const std::size_t g =
+          static_cast<std::size_t>(q) % graphs.size();
+      serve::StatusOr<serve::InferenceServer::Future> submitted =
+          server.submit(serve::Request(graphs[g]));
+      if (!submitted.ok()) {
+        EXPECT_EQ(submitted.status().code(),
+                  serve::StatusCode::kOverloaded);
+        ++rejected;
+        continue;
+      }
+      admitted.emplace_back(g, std::move(submitted).value());
+    }
+    int answered = 0, shed = 0, corrupted = 0;
+    for (auto& [g, future] : admitted) {
+      const serve::Response r = future.get();
+      if (r.ok()) {
+        ++answered;
+        if (r.label != expected[g]) ++corrupted;
+      } else {
+        EXPECT_EQ(r.status.code(), serve::StatusCode::kOverloaded);
+        EXPECT_EQ(r.source, serve::Source::Shed);
+        ++shed;
+      }
+    }
+    EXPECT_EQ(corrupted, 0) << serve::shed_policy_name(policy);
+    EXPECT_EQ(answered + shed + rejected, kBurst);
+    EXPECT_GT(answered, 0);
+    // With nobody pumping during the burst, a bound of 4 must have shed
+    // (DropOldest admits the newcomer and drops a victim) or rejected
+    // (Reject refuses the newcomer) most of it.
+    if (policy == serve::ShedPolicy::Reject) {
+      EXPECT_EQ(shed, 0);
+      EXPECT_GT(rejected, 0);
+    }
+    if (policy == serve::ShedPolicy::DropOldest) {
+      EXPECT_EQ(rejected, 0);
+      EXPECT_GT(shed, 0);
+    }
+    const serve::ServerStats stats = server.stats();
+    EXPECT_LE(stats.peak_queue, config.max_queue);
+    EXPECT_EQ(stats.shed, static_cast<std::uint64_t>(shed));
+    EXPECT_EQ(stats.rejected, static_cast<std::uint64_t>(rejected));
+  }
+}
+
+TEST(InferenceServerTest, HotSwapDuringSheddingKeepsEveryAnswerOnePublication) {
+  auto model_a = std::make_shared<const gnn::StaticModel>(small_config(0x3A));
+  auto model_b = std::make_shared<const gnn::StaticModel>(small_config(0x3B));
+  const std::vector<int> expected_a = serial_predict(*model_a);
+  const std::vector<int> expected_b = serial_predict(*model_b);
+  ASSERT_NE(expected_a, expected_b);
+  const auto& graphs = test_graphs();
+
+  serve::ServerConfig config;
+  config.max_queue = 3;
+  config.shed_policy = serve::ShedPolicy::DropOldest;
+  config.max_batch = 4;
+  config.cache_capacity = 64;
+  serve::InferenceServer server(model_a, config);
+
+  constexpr int kClients = 4;
+  constexpr int kQueriesPerClient = 150;
+  std::atomic<int> wrong{0};
+  std::atomic<int> resolved{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      Rng rng(hash_combine64(0x50AB, static_cast<std::uint64_t>(c)));
+      for (int q = 0; q < kQueriesPerClient; ++q) {
+        const std::size_t g = rng.next_below(graphs.size());
+        const serve::Response r = server.predict(graphs[g]);
+        if (r.ok()) {
+          // Exactly one publication's serial bits — never a mix, even
+          // while the queue is shedding around the swap.
+          if (r.label != expected_a[g] && r.label != expected_b[g])
+            wrong.fetch_add(1);
+        } else if (r.status.code() != serve::StatusCode::kOverloaded) {
+          wrong.fetch_add(1);
+        }
+        resolved.fetch_add(1);
+      }
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  const std::uint64_t v2 = server.publish(model_b);
+  EXPECT_EQ(v2, 2u);
+  for (auto& t : clients) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(resolved.load(), kClients * kQueriesPerClient);
+
+  // Quiesced: the new model answers, never the replaced publication's
+  // cache.
+  for (std::size_t g = 0; g < graphs.size(); ++g) {
+    serve::Response r = server.predict(graphs[g]);
+    // Drain any shedding backwash: retry the rare Overloaded result.
+    while (!r.ok()) r = server.predict(graphs[g]);
+    EXPECT_EQ(r.label, expected_b[g]);
+    EXPECT_EQ(r.model_version, v2);
+  }
+}
+
+TEST(InferenceServerTest,
+     DropOldestShedsLowestPriorityAndRejectsOutrankedNewcomers) {
+  // Deterministic single-threaded shedding: background_loop off and nobody
+  // pumping, so the queue evolves exactly as admission control dictates.
+  auto model = std::make_shared<const gnn::StaticModel>(small_config(0x6A));
+  const std::vector<int> expected = serial_predict(*model);
+  const auto& graphs = test_graphs();
+
+  serve::ServerConfig config;
+  config.background_loop = false;
+  config.cache_capacity = 0;
+  config.max_queue = 3;
+  config.shed_policy = serve::ShedPolicy::DropOldest;
+  serve::InferenceServer server(model, config);
+
+  auto submit_with = [&](std::size_t g, serve::Priority priority) {
+    serve::Request request(graphs[g]);
+    request.priority = priority;
+    return server.submit(request);
+  };
+
+  // Fill the queue: [High(0), Low(1), High(2)].
+  auto high1 = submit_with(0, serve::Priority::High);
+  auto low1 = submit_with(1, serve::Priority::Low);
+  auto high2 = submit_with(2, serve::Priority::High);
+  ASSERT_TRUE(high1.ok());
+  ASSERT_TRUE(low1.ok());
+  ASSERT_TRUE(high2.ok());
+
+  // A Normal newcomer sheds the oldest of the LOWEST priority class — the
+  // Low request, not the older High one.
+  auto normal1 = submit_with(3, serve::Priority::Normal);
+  ASSERT_TRUE(normal1.ok());
+  const serve::Response dropped = low1.value().get();
+  EXPECT_EQ(dropped.status.code(), serve::StatusCode::kOverloaded);
+  EXPECT_EQ(dropped.source, serve::Source::Shed);
+
+  // A Low newcomer is outranked by everything queued (High, High, Normal):
+  // it is rejected instead of promoting itself over admitted work.
+  auto low2 = submit_with(4, serve::Priority::Low);
+  EXPECT_FALSE(low2.ok());
+  EXPECT_EQ(low2.status().code(), serve::StatusCode::kOverloaded);
+
+  // The survivors answer with their serial bits.
+  EXPECT_EQ(high1.value().get().label, expected[0]);
+  EXPECT_EQ(high2.value().get().label, expected[2]);
+  EXPECT_EQ(normal1.value().get().label, expected[3]);
+
+  const serve::ServerStats stats = server.stats();
+  EXPECT_EQ(stats.shed, 1u);
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.forwards, 3u);
+  EXPECT_EQ(stats.peak_queue, 3u);
+  EXPECT_EQ(stats.source_shed, 2u);
+}
+
+TEST(InferenceServerTest, BlockPolicyBoundsQueueAndAnswersEverything) {
+  auto model = std::make_shared<const gnn::StaticModel>(small_config(0x4A));
+  const std::vector<int> expected = serial_predict(*model);
+  const auto& graphs = test_graphs();
+
+  serve::ServerConfig config;
+  config.max_queue = 3;
+  config.shed_policy = serve::ShedPolicy::Block;
+  config.max_batch = 2;
+  config.cache_capacity = 0;
+  config.background_loop = false;  // the submitter must self-pump
+  serve::InferenceServer server(model, config);
+
+  // A single thread async-submitting past the bound: Block admits
+  // everything (pumping while it waits for space) and nothing is shed.
+  std::vector<std::pair<std::size_t, serve::InferenceServer::Future>> futures;
+  for (int q = 0; q < 40; ++q) {
+    const std::size_t g = static_cast<std::size_t>(q) % graphs.size();
+    serve::StatusOr<serve::InferenceServer::Future> submitted =
+        server.submit(serve::Request(graphs[g]));
+    ASSERT_TRUE(submitted.ok()) << submitted.status().code_name();
+    futures.emplace_back(g, std::move(submitted).value());
+  }
+  for (auto& [g, future] : futures) {
+    const serve::Response r = future.get();
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.label, expected[g]);
+  }
+  const serve::ServerStats stats = server.stats();
+  EXPECT_EQ(stats.shed + stats.rejected, 0u);
+  EXPECT_LE(stats.peak_queue, config.max_queue);
+  // A few suite regions share a fingerprint, so a submit whose twin is
+  // still queued coalesces instead of forwarding (the cache is off);
+  // either way every query is answered by exactly one of the two.
+  EXPECT_EQ(stats.forwards + stats.coalesced, 40u);
+}
+
+TEST(InferenceServerTest, QueueTimeDeadlineExpiresToDeadlineExceeded) {
+  auto model = std::make_shared<const gnn::StaticModel>(small_config(0x5A));
+  const std::vector<int> expected = serial_predict(*model);
+  const auto& graphs = test_graphs();
+
+  serve::ServerConfig config;
+  config.background_loop = false;  // nothing pumps until we ask
+  config.cache_capacity = 0;
+  serve::InferenceServer server(model, config);
+
+  serve::Request patient(graphs[0]);
+  serve::Request hurried(graphs[1]);
+  hurried.deadline_us = 1;  // expires while nobody is pumping
+  serve::StatusOr<serve::InferenceServer::Future> first =
+      server.submit(patient);
+  serve::StatusOr<serve::InferenceServer::Future> second =
+      server.submit(hurried);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  // Collecting the patient request pumps the queue; the hurried one is
+  // picked up by the same pump, found expired, and shed instead of
+  // forwarded.
+  const serve::Response r1 = first.value().get();
+  const serve::Response r2 = second.value().get();
+  EXPECT_TRUE(r1.ok());
+  EXPECT_EQ(r1.label, expected[0]);
+  EXPECT_EQ(r2.status.code(), serve::StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(r2.source, serve::Source::Shed);
+  EXPECT_GE(r2.queue_us, 1);
+  const serve::ServerStats stats = server.stats();
+  EXPECT_EQ(stats.deadline_exceeded, 1u);
+  EXPECT_EQ(stats.forwards, 1u);
 }
 
 // --- In-flight coalescing ---------------------------------------------------
@@ -539,17 +855,15 @@ TEST(InferenceServerTest, WaitersAcrossHotSwapReportTheAnsweringVersion) {
   auto model_b = std::make_shared<const gnn::StaticModel>(small_config(0x24));
   const std::vector<int> expected_b = serial_predict(*model_b);
   const auto& graphs = test_graphs();
-  serve::ModelRegistry registry;
-  registry.publish("m", model_a);
   serve::ServerConfig config;
   config.background_loop = false;
   config.cache_capacity = 64;
-  serve::InferenceServer server(registry.slot("m"), config);
+  serve::InferenceServer server(model_a, config);
 
   auto leader = server.submit(serve::Request(graphs[1]));
   auto waiter = server.submit(serve::Request(graphs[1]));
   ASSERT_TRUE(leader.ok() && waiter.ok());
-  const std::uint64_t v2 = registry.publish("m", model_b);
+  const std::uint64_t v2 = server.publish(model_b);
 
   serve::Response rw = waiter.value().get();
   serve::Response rl = leader.value().get();
@@ -687,29 +1001,24 @@ TEST(InferenceServerFutureTest, AbandonAfterMoveReleasesTheRightSlot) {
   EXPECT_EQ(server.predict(graphs[1]).label, expected[1]);
 }
 
-TEST(ModelRegistryTest, PublishResolveRetireAndVersions) {
+TEST(ModelSlotTest, PublishVersionsAndSnapshots) {
   auto model_a = std::make_shared<const gnn::StaticModel>(small_config(0x1));
   auto model_b = std::make_shared<const gnn::StaticModel>(small_config(0x2));
-  serve::ModelRegistry registry;
+  serve::ModelSlot slot;
 
-  EXPECT_EQ(registry.resolve("gnn"), nullptr);
-  EXPECT_EQ(registry.version("gnn"), 0u);
+  EXPECT_EQ(slot.snapshot()->model, nullptr);
+  EXPECT_EQ(slot.snapshot()->version, 0u);
 
-  EXPECT_EQ(registry.publish("gnn", model_a), 1u);
-  EXPECT_EQ(registry.resolve("gnn").get(), model_a.get());
-  EXPECT_EQ(registry.publish("gnn", model_b), 2u);
-  EXPECT_EQ(registry.resolve("gnn").get(), model_b.get());
-  EXPECT_EQ(registry.version("gnn"), 2u);
-  EXPECT_EQ(registry.names(), std::vector<std::string>{"gnn"});
-
-  // A server stays attached to the slot across retire: the name is gone
-  // from the registry but the last publication keeps serving.
-  auto slot = registry.slot("gnn");
-  EXPECT_TRUE(registry.retire("gnn"));
-  EXPECT_FALSE(registry.retire("gnn"));
-  EXPECT_EQ(registry.resolve("gnn"), nullptr);
-  EXPECT_EQ(slot->snapshot()->model.get(), model_b.get());
-  EXPECT_EQ(slot->snapshot()->version, 2u);
+  EXPECT_EQ(slot.publish(model_a), 1u);
+  EXPECT_EQ(slot.snapshot()->model.get(), model_a.get());
+  // A snapshot taken before a publish keeps its (model, version) pair:
+  // a batch in flight finishes on the publication it started with.
+  const auto before = slot.snapshot();
+  EXPECT_EQ(slot.publish(model_b), 2u);
+  EXPECT_EQ(slot.snapshot()->model.get(), model_b.get());
+  EXPECT_EQ(slot.snapshot()->version, 2u);
+  EXPECT_EQ(before->model.get(), model_a.get());
+  EXPECT_EQ(before->version, 1u);
 }
 
 TEST(PredictionCacheTest, LRUEvictionAndStats) {

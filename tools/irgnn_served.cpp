@@ -2,9 +2,10 @@
 //
 // Builds a deterministic StaticModel from --hidden/--layers/--labels/
 // --model-seed (a client rebuilds the identical model from the same values
-// instead of receiving weights), publishes it as "static" behind a
-// serve::Router, and serves the net/codec wire protocol over TCP through
-// net::NetServer until SIGTERM/SIGINT, then drains gracefully: stop
+// instead of receiving weights), serves it through one
+// serve::InferenceServer under the name "static" (net::kModelName), and
+// speaks the net/codec wire protocol over TCP through net::NetServer until
+// SIGTERM/SIGINT, then drains gracefully: stop
 // accepting, answer every admitted query, flush every connection, exit 0.
 // The benchmark (benchmark/src/serve.cpp) gates that exit code and the
 // "open slots 0" at the end of the drained line.
@@ -22,7 +23,6 @@
 #include "gnn/model.h"
 #include "graph/graph_builder.h"
 #include "net/server.h"
-#include "serve/router.h"
 #include "support/argparse.h"
 #include "tensor/tensor.h"
 
@@ -43,8 +43,8 @@ void handle_signal(int) {
 int main(int argc, char** argv) {
   ArgParser parser("irgnn_served",
                    "TCP serving daemon for the wire protocol (net/codec): "
-                   "deterministic model, router admission control, graceful "
-                   "drain on SIGTERM");
+                   "deterministic model, admission control, graceful drain "
+                   "on SIGTERM");
   parser.add("hidden", "64", "served model hidden dimension")
       .add("layers", "3", "served model RGCN layers")
       .add("labels", "13", "served model label count")
@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
            "weight seed; a client rebuilds the served model from the same "
            "four model flags (deterministic construction replaces weight "
            "shipping)")
-      .add("max-queue", "256", "admission bound per model (0: unbounded)")
+      .add("max-queue", "256", "admission bound (0: unbounded)")
       .add("shed", "Reject",
            "admission shed policy: Reject | DropOldest | Block (also maps "
            "TCP write-buffer backpressure)")
@@ -129,16 +129,14 @@ int main(int argc, char** argv) {
   cfg.num_threads = threads;
   auto model = std::make_shared<const gnn::StaticModel>(cfg);
 
-  serve::RouterConfig router_config;
-  router_config.max_queue =
+  serve::ServerConfig server_config;
+  server_config.max_queue =
       static_cast<std::size_t>(parser.get_int("max-queue"));
-  router_config.shed_policy = policy;
-  router_config.server.max_batch =
-      static_cast<int>(parser.get_int("max-batch"));
-  router_config.server.cache_capacity =
+  server_config.shed_policy = policy;
+  server_config.max_batch = static_cast<int>(parser.get_int("max-batch"));
+  server_config.cache_capacity =
       static_cast<std::size_t>(parser.get_int("cache"));
-  serve::Router router(router_config);
-  router.publish("static", model);
+  serve::InferenceServer inference(model, server_config);
 
   net::NetServerConfig net_config;
   net_config.host = parser.get_string("host");
@@ -147,8 +145,7 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(parser.get_int("connections"));
   net_config.max_write_buffer =
       static_cast<std::size_t>(parser.get_int("write-buffer"));
-  net_config.shed_policy = policy;
-  net::NetServer server(router, net_config);
+  net::NetServer server(inference, net_config);
 
   support::Status status = server.start();
   if (!status.ok()) {
@@ -167,25 +164,25 @@ int main(int argc, char** argv) {
               net_config.host.c_str(), static_cast<unsigned>(server.port()),
               cfg.hidden_dim, cfg.num_layers, cfg.num_labels,
               static_cast<unsigned long long>(cfg.seed),
-              serve::shed_policy_name(policy), router_config.max_queue,
+              serve::shed_policy_name(policy), server_config.max_queue,
               threads);
   std::fflush(stdout);
 
   server.wait();  // returns when a signal triggered the drain and it finished
 
   const net::NetServerStats net_stats = server.stats();
-  const serve::RouterStats router_stats = router.stats();
-  router.shutdown();
+  const serve::ServerStats served = inference.stats();
+  inference.shutdown();
   std::printf("irgnn_served drained: %llu connections served, %llu requests, "
               "%llu responses, %llu queries (%llu hits, %llu misses, %llu "
               "coalesced), open slots %llu\n",
               static_cast<unsigned long long>(net_stats.accepted),
               static_cast<unsigned long long>(net_stats.requests),
               static_cast<unsigned long long>(net_stats.responses),
-              static_cast<unsigned long long>(router_stats.queries),
-              static_cast<unsigned long long>(router_stats.cache_hits),
-              static_cast<unsigned long long>(router_stats.cache_misses),
-              static_cast<unsigned long long>(router_stats.coalesced),
+              static_cast<unsigned long long>(served.queries),
+              static_cast<unsigned long long>(served.cache.hits),
+              static_cast<unsigned long long>(served.cache.misses),
+              static_cast<unsigned long long>(served.coalesced),
               static_cast<unsigned long long>(net_stats.open_slots));
   // A leaked slot after a full drain is a bug worth a nonzero exit.
   return net_stats.open_slots == 0 ? 0 : 2;
