@@ -10,8 +10,9 @@
 // [hidden, hidden] weights, plus square shapes for peak-throughput context.
 //
 // Engine sections follow the kernel table: a GEMM before/after pitting the
-// PR 2 one-dot-per-element kernel against the register-blocked 4x2
-// micro-kernel (same packed panel, bit-identical outputs), the kernel
+// one-dot-per-element reference against the kernel with output columns
+// across vector lanes (and the dB panels against a per-row axpy loop;
+// bit-identical outputs), the kernel
 // fan-out crossover that sets tensor::kParallelFlops (serial against a
 // 2-way row-block split, from one serve graph to one inference shard), the
 // fused RGCN layer against the op chain it replaces
@@ -213,53 +214,96 @@ int main(int argc, char** argv) {
   double infer_float_predict_ms = 0.0;
   std::uint64_t infer_float_malloc = 0;
 
-  // --- GEMM micro-kernel before/after --------------------------------------
-  // The PR 2 kernel (one simd::dot per output element) against the PR 3
-  // register-blocked 4x2 micro-kernel, on identical pre-packed panels and
-  // single-threaded raw buffers — pure kernel throughput, no tape, no
-  // packing in the timed region. Outputs are verified bit-identical.
+  // --- GEMM kernel before/after ---------------------------------------------
+  // The reference kernel (one simd::dot per output element, B packed
+  // transposed) against gemm_dot_cols (output columns across vector lanes,
+  // B in its natural [k, n] layout), both layouts built from one B, on
+  // single-threaded raw buffers: pure kernel throughput, no tape, no
+  // transposes in the timed region. 384 and 608 rows are training-shard
+  // shapes at the pipeline's hidden size. The dB row pits gemm_axpy_panels
+  // against the per-row simd::axpy loop it must match (dW = H^T G for one
+  // 608-row shard). Every output is verified bit-identical.
   {
-    Table gemm_table({"GEMM shape", "row-wise [ms]", "blocked [ms]",
+    Table gemm_table({"GEMM", "shape", "reference [ms]", "kernel [ms]",
                       "speedup", "GFLOP/s now", "bit-identical"});
-    for (const MmCase& c : gemm_shapes) {
+    auto add_gemm = [&](const std::string& kind, const std::string& shape,
+                        double flops, const Timing& ref, const Timing& now,
+                        bool identical) {
+      if (!identical) ++failures;
+      float_gemm_records.push_back(
+          {kind + " " + shape, ref.median_ms, now.median_ms, identical});
+      gemm_table.add_row({kind, shape, Table::fmt(ref.median_ms, 4),
+                          Table::fmt(now.median_ms, 4),
+                          Table::fmt(ref.median_ms / now.median_ms, 2),
+                          gflops(flops, now.median_ms),
+                          identical ? "yes" : "NO"});
+    };
+    std::vector<MmCase> dot_shapes(std::begin(gemm_shapes),
+                                   std::end(gemm_shapes));
+    dot_shapes.push_back({384, 32, 32});
+    dot_shapes.push_back({608, 32, 32});
+    for (const MmCase& c : dot_shapes) {
       const std::int64_t m = c.m, k = c.k, n = c.n;
       std::vector<float> a(static_cast<std::size_t>(m * k));
-      std::vector<float> bt(static_cast<std::size_t>(n * k));
+      std::vector<float> b(static_cast<std::size_t>(k * n));
       for (float& v : a) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-      for (float& v : bt) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+      for (float& v : b) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+      std::vector<float> bt(b.size());
+      for (std::int64_t l = 0; l < k; ++l)
+        for (std::int64_t j = 0; j < n; ++j) bt[j * k + l] = b[l * n + j];
       std::vector<float> c_row(static_cast<std::size_t>(m * n), 0.0f);
-      std::vector<float> c_blk = c_row;
+      std::vector<float> c_col = c_row;
       Timing rowwise = time_kernel(warmup, reps, [&] {
         tensor::detail::gemm_dot_rowwise<false>(a.data(), k, bt.data(), k, m,
                                                 n, k, c_row.data(), n);
       });
-      Timing blocked = time_kernel(warmup, reps, [&] {
-        tensor::detail::gemm_dot_panels<false>(a.data(), k, bt.data(), k, m,
-                                               n, k, c_blk.data(), n);
+      Timing cols = time_kernel(warmup, reps, [&] {
+        tensor::detail::gemm_dot_cols<false>(a.data(), k, b.data(), n, m, n,
+                                             k, c_col.data(), n);
       });
-      const bool identical = std::memcmp(c_row.data(), c_blk.data(),
-                                         c_row.size() * sizeof(float)) == 0;
-      if (!identical) ++failures;
-      const double flops = 2.0 * c.m * c.k * c.n;
-      const std::string shape = std::to_string(c.m) + "x" +
-                                std::to_string(c.k) + "x" + std::to_string(c.n);
-      float_gemm_records.push_back(
-          {shape, rowwise.median_ms, blocked.median_ms, identical});
-      gemm_table.add_row(
-          {shape, Table::fmt(rowwise.median_ms, 3),
-           Table::fmt(blocked.median_ms, 3),
-           Table::fmt(rowwise.median_ms / blocked.median_ms, 2),
-           gflops(flops, blocked.median_ms), identical ? "yes" : "NO"});
+      add_gemm("dot", std::to_string(c.m) + "x" + std::to_string(c.k) + "x" +
+                          std::to_string(c.n),
+               2.0 * c.m * c.k * c.n, rowwise, cols,
+               std::memcmp(c_row.data(), c_col.data(),
+                           c_row.size() * sizeof(float)) == 0);
     }
-    std::printf("\n=== GEMM kernel: PR 2 row-wise dots vs register-blocked "
-                "4x2 (1 thread, packed panels) ===\n");
+    {
+      // dW[l,:] += H[i,l] * G[i,:] over a relu'd H (about half zeros, so
+      // the zero skip is live) at rows = k = 32, m = 608, n = 32.
+      const std::int64_t rows = 32, m = 608, n = 32;
+      std::vector<float> ht(static_cast<std::size_t>(rows * m));
+      std::vector<float> g(static_cast<std::size_t>(m * n));
+      for (float& v : ht)
+        v = std::max(0.0f, static_cast<float>(rng.uniform(-1.0, 1.0)));
+      for (float& v : g) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+      std::vector<float> d_row(static_cast<std::size_t>(rows * n), 0.0f);
+      std::vector<float> d_pan = d_row;
+      Timing rowwise = time_kernel(warmup, reps, [&] {
+        for (std::int64_t l = 0; l < rows; ++l)
+          for (std::int64_t i = 0; i < m; ++i)
+            if (ht[l * m + i] != 0.0f)
+              simd::axpy(d_row.data() + l * n, ht[l * m + i], g.data() + i * n,
+                         n);
+      });
+      Timing panels = time_kernel(warmup, reps, [&] {
+        tensor::detail::gemm_axpy_panels(ht.data(), m, g.data(), n, rows, m, n,
+                                         d_pan.data(), n);
+      });
+      // Both sides ran warmup + reps passes over the same accumulators.
+      add_gemm("dB", "32x608x32", 2.0 * rows * m * n, rowwise, panels,
+               std::memcmp(d_row.data(), d_pan.data(),
+                           d_row.size() * sizeof(float)) == 0);
+    }
+    std::printf("\n=== GEMM kernel: reference vs output columns across "
+                "lanes (%d wide; 1 thread, no transposes timed) ===\n",
+                tensor::detail::kCols);
     gemm_table.print();
   }
 
   // --- Kernel fan-out crossover ---------------------------------------------
   // What tensor::kParallelFlops decides: run a kernel serially on the
   // caller, or split it into kRowBlock-row blocks on the pool. Left: the
-  // forward matmul's own GEMM on a pre-packed [64, 64] panel, once serially
+  // forward matmul's own GEMM against a [64, 64] weight, once serially
   // and once split 2 ways exactly as the parallel kernels split it — so the
   // crossover shows whatever the constant is set to. Right: tensor::matmul
   // at kernel parallelism 1 and 2, i.e. what the constant makes of it.
@@ -271,8 +315,6 @@ int main(int argc, char** argv) {
                      "matmul kpar 2 [ms]", "malloc B/rep"});
     const Tensor b = Tensor::xavier({64, 64}, rng);
     const std::int64_t k = b.rows(), n = b.cols();
-    std::vector<float> bt(static_cast<std::size_t>(n * k));
-    for (float& v : bt) v = static_cast<float>(rng.uniform(-1.0, 1.0));
     const int rows_sweep[] = {32, 64, 94, 128, 192, 256, 384, 512, 1024, 1504};
     for (int m : rows_sweep) {
       std::vector<float> a(static_cast<std::size_t>(m * k));
@@ -281,8 +323,8 @@ int main(int argc, char** argv) {
       const Tensor lhs = Tensor::from_data(
           {m, static_cast<int>(k)}, std::vector<float>(a), false);
       Timing serial = time_kernel(warmup, reps, [&] {
-        tensor::detail::gemm_dot_panels<false>(a.data(), k, bt.data(), k, m,
-                                               n, k, c.data(), n);
+        tensor::detail::gemm_dot_cols<false>(a.data(), k, b.data(), n, m, n,
+                                             k, c.data(), n);
       });
       const std::int64_t blocks =
           (m + tensor::kRowBlock - 1) / tensor::kRowBlock;
@@ -292,8 +334,8 @@ int main(int argc, char** argv) {
               const std::int64_t i0 = blk * tensor::kRowBlock;
               const std::int64_t i1 =
                   std::min<std::int64_t>(m, i0 + tensor::kRowBlock);
-              tensor::detail::gemm_dot_panels<false>(
-                  a.data() + i0 * k, k, bt.data(), k, i1 - i0, n, k,
+              tensor::detail::gemm_dot_cols<false>(
+                  a.data() + i0 * k, k, b.data(), n, i1 - i0, n, k,
                   c.data() + i0 * n, n);
             });
       });
@@ -511,8 +553,8 @@ int main(int argc, char** argv) {
       for (std::size_t i = 0; i < float_gemm_records.size(); ++i) {
         const GemmRecord& r = float_gemm_records[i];
         std::fprintf(f,
-                     "    {\"shape\": \"%s\", \"rowwise_ms\": %.4f, "
-                     "\"blocked_ms\": %.4f, \"speedup\": %.3f, "
+                     "    {\"shape\": \"%s\", \"reference_ms\": %.4f, "
+                     "\"kernel_ms\": %.4f, \"speedup\": %.3f, "
                      "\"bit_identical\": %s}%s\n",
                      r.shape.c_str(), r.before_ms, r.after_ms,
                      r.before_ms / r.after_ms, r.identical ? "true" : "false",

@@ -63,6 +63,12 @@ struct v8f {
                           g.v)};
   }
 
+  /// Lane-wise (s != 0) ? a : b, NaN counting as nonzero (C's s != 0).
+  static v8f where_nonzero(v8f s, v8f a, v8f b) {
+    return {_mm256_blendv_ps(
+        b.v, a.v, _mm256_cmp_ps(s.v, _mm256_setzero_ps(), _CMP_NEQ_UQ))};
+  }
+
   float hsum() const {
     __m128 lo = _mm256_castps256_ps128(v);    // l0 l1 l2 l3
     __m128 hi = _mm256_extractf128_ps(v, 1);  // l4 l5 l6 l7
@@ -105,6 +111,13 @@ struct v8f {
     __m128 z = _mm_setzero_ps();
     return {_mm_and_ps(_mm_cmpgt_ps(y.lo, z), g.lo),
             _mm_and_ps(_mm_cmpgt_ps(y.hi, z), g.hi)};
+  }
+
+  static v8f where_nonzero(v8f s, v8f a, v8f b) {
+    __m128 z = _mm_setzero_ps();
+    __m128 mlo = _mm_cmpneq_ps(s.lo, z), mhi = _mm_cmpneq_ps(s.hi, z);
+    return {_mm_or_ps(_mm_and_ps(mlo, a.lo), _mm_andnot_ps(mlo, b.lo)),
+            _mm_or_ps(_mm_and_ps(mhi, a.hi), _mm_andnot_ps(mhi, b.hi))};
   }
 
   float hsum() const {
@@ -159,6 +172,13 @@ struct v8f {
     v8f r;
     for (int i = 0; i < kLanes; ++i)
       r.lane[i] = y.lane[i] > 0.0f ? g.lane[i] : 0.0f;
+    return r;
+  }
+
+  static v8f where_nonzero(v8f s, v8f a, v8f b) {
+    v8f r;
+    for (int i = 0; i < kLanes; ++i)
+      r.lane[i] = s.lane[i] != 0.0f ? a.lane[i] : b.lane[i];
     return r;
   }
 

@@ -1,101 +1,139 @@
-// Register-blocked GEMM micro-kernels on top of simd::v8f.
+// GEMM micro-kernels with output columns across vector lanes.
 //
-// The PR 2 kernels computed one output element at a time: a single v8f
-// accumulator walking the shared (k) dimension, folded through the fixed
-// 8-lane tree, tail in order (simd::dot). That loads every A chunk once per
-// output column and every B chunk once per output row. The micro-kernels
-// here keep the *identical arithmetic per output element* — each C[i,j] is
-// still exactly simd::dot(A row i, packed B column j) — but compute a 4x2
-// block of C at once with all eight v8f accumulators held in registers, so
-// each A chunk is loaded once per two columns and each packed-B chunk once
-// per four rows. Register blocking changes only which loads are shared,
-// never the order of any float addition, which is what keeps the results
-// bit-identical to the PR 2 kernels (and to the scalar tree references in
-// tests/tensor_test.cpp) across ISAs, thread counts and block shapes.
+// The determinism contract fixes each dot-product output's arithmetic:
+// C[i,j] is exactly simd::dot(A row i, B column j, k). That is eight lane
+// partial sums, where lane l adds the products of reduction indices
+// l, l+8, l+16, ... in ascending order onto +0; the fold
+// ((l0+l4) + (l2+l6)) + ((l1+l5) + (l3+l7)); then the k mod 8 tail
+// products added in order; then c + s for the accumulating form.
 //
-// Layout convention: `a` is row-major [m, k] with leading dimension lda;
-// `bt` is the packed transpose of B — row j of bt is column j of B, length
-// k, leading dimension ldb — produced once per GEMM and reused across every
-// row block (the "packed B panel").
+// simd::dot keeps one output's eight lane partials in one register and
+// folds them with a horizontal sum. gemm_dot_cols turns that around: the
+// output columns sit across the vector lanes, and the eight lane classes
+// become eight accumulators. Accumulator l of a row holds lane l's partial
+// sum for kCols output columns at once, and the fold is the same tree of
+// lane-wise vector adds. Every output element therefore gets the same float
+// operations in the same order, with no horizontal sum and no packed B: B
+// is read in its natural [k, n] layout, one row segment per reduction
+// index. The column width is picked at compile time: 16 lanes (one __m512)
+// under AVX-512, otherwise 8 (one simd::v8f, which covers the AVX, SSE2 and
+// scalar builds). The last partial column vector is read and written
+// through a lane mask, so no element outside C or B is touched.
 //
-// gemm_axpy_panels is the register-blocked form of the dB backward GEMM
-// (dB[l,:] += A[i,l] * G[i,:], i ascending): four destination rows tile
-// their columns in 16-float strips held in registers across the whole i
-// loop, preserving the per-element add order and the A[i,l]==0 skip of the
-// PR 2 loop exactly.
+// gemm_axpy_panels is the dB backward GEMM (dB[l,:] += A[i,l] * G[i,:],
+// i ascending). It holds two column vectors of several destination rows in
+// registers across the whole i loop; each element still gets one multiply,
+// then one add, per nonzero A[i,l], in ascending i. The zero skip stays:
+// adding an unconditional +0 would turn a -0 accumulator into +0.
+//
+// Layout convention: every matrix is row-major with an explicit leading
+// dimension (lda, ldb, ...).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "support/simd.h"
 
+#if defined(__AVX512F__)
+#include <immintrin.h>
+#endif
+
 namespace irgnn::tensor::detail {
 
-/// Rows x packed-B columns of C computed per micro-kernel call. 8 v8f
-/// accumulators + 1 A broadcast + 2 B loads stay comfortably inside 16
-/// vector registers on AVX.
-inline constexpr std::int64_t kGemmBlockRows = 4;
-inline constexpr std::int64_t kGemmBlockCols = 2;
+/// kCols output columns held in one vector register. Lane-wise IEEE mul and
+/// add only, so the width changes which lanes compute, never the bits.
+struct ColVec {
+#if defined(__AVX512F__)
+  static constexpr int kCols = 16;
+  __m512 v;
 
-/// out[r][c] = dot(a + r*lda, b + c*ldb, k) for r < 4, c < 2, every element
-/// with the canonical block/tree/tail order of simd::dot. The 8 accumulators
-/// live in registers; each 8-float chunk of a row is loaded once per call
-/// instead of once per output element.
-inline void dot_panel_4x2(const float* a, std::int64_t lda, const float* b,
-                          std::int64_t ldb, std::int64_t k, float out[4][2]) {
-  using simd::v8f;
-  const float* a0 = a;
-  const float* a1 = a + lda;
-  const float* a2 = a + 2 * lda;
-  const float* a3 = a + 3 * lda;
-  const float* b0 = b;
-  const float* b1 = b + ldb;
-  v8f c00 = v8f::zero(), c01 = v8f::zero();
-  v8f c10 = v8f::zero(), c11 = v8f::zero();
-  v8f c20 = v8f::zero(), c21 = v8f::zero();
-  v8f c30 = v8f::zero(), c31 = v8f::zero();
-  std::int64_t i = 0;
-  for (; i + simd::kLanes <= k; i += simd::kLanes) {
-    const v8f vb0 = v8f::load(b0 + i);
-    const v8f vb1 = v8f::load(b1 + i);
-    v8f va = v8f::load(a0 + i);
-    c00 += va * vb0;
-    c01 += va * vb1;
-    va = v8f::load(a1 + i);
-    c10 += va * vb0;
-    c11 += va * vb1;
-    va = v8f::load(a2 + i);
-    c20 += va * vb0;
-    c21 += va * vb1;
-    va = v8f::load(a3 + i);
-    c30 += va * vb0;
-    c31 += va * vb1;
+  static __mmask16 mask(int cols) {
+    return static_cast<__mmask16>((1u << cols) - 1u);
   }
-  out[0][0] = c00.hsum();
-  out[0][1] = c01.hsum();
-  out[1][0] = c10.hsum();
-  out[1][1] = c11.hsum();
-  out[2][0] = c20.hsum();
-  out[2][1] = c21.hsum();
-  out[3][0] = c30.hsum();
-  out[3][1] = c31.hsum();
-  for (; i < k; ++i) {
-    const float fb0 = b0[i];
-    const float fb1 = b1[i];
-    out[0][0] += a0[i] * fb0;
-    out[0][1] += a0[i] * fb1;
-    out[1][0] += a1[i] * fb0;
-    out[1][1] += a1[i] * fb1;
-    out[2][0] += a2[i] * fb0;
-    out[2][1] += a2[i] * fb1;
-    out[3][0] += a3[i] * fb0;
-    out[3][1] += a3[i] * fb1;
+  static ColVec zero() { return {_mm512_setzero_ps()}; }
+  static ColVec broadcast(float s) { return {_mm512_set1_ps(s)}; }
+  static ColVec load(const float* p) { return {_mm512_loadu_ps(p)}; }
+  /// The first `cols` (< kCols) floats at p; the other lanes read as 0.
+  static ColVec load(const float* p, int cols) {
+    return {_mm512_maskz_loadu_ps(mask(cols), p)};
   }
-}
+  void store(float* p) const { _mm512_storeu_ps(p, v); }
+  void store(float* p, int cols) const {
+    _mm512_mask_storeu_ps(p, mask(cols), v);
+  }
+  friend ColVec operator+(ColVec a, ColVec b) {
+    return {_mm512_add_ps(a.v, b.v)};
+  }
+  friend ColVec operator*(ColVec a, ColVec b) {
+    return {_mm512_mul_ps(a.v, b.v)};
+  }
+  /// *this + s * x in the lanes where s != 0 (NaN counts as nonzero),
+  /// *this where s is +0 or -0: the dB GEMM's zero skip as a lane select,
+  /// because a branch on s mispredicts on relu'd activations, which are
+  /// about half zeros.
+  ColVec plus_product_unless_zero(ColVec s, ColVec x) const {
+    const __mmask16 nonzero =
+        _mm512_cmp_ps_mask(s.v, _mm512_setzero_ps(), _CMP_NEQ_UQ);
+    return {_mm512_mask_add_ps(v, nonzero, v, _mm512_mul_ps(s.v, x.v))};
+  }
+#else
+  static constexpr int kCols = simd::kLanes;
+  simd::v8f v;
 
-/// The PR 2-era kernel: one simd::dot per output element, no register
-/// reuse. Kept as the bench's "before" and as the bit-identity reference
-/// the register-blocked kernel is pinned against.
+  static ColVec zero() { return {simd::v8f::zero()}; }
+  static ColVec broadcast(float s) { return {simd::v8f::broadcast(s)}; }
+  static ColVec load(const float* p) { return {simd::v8f::load(p)}; }
+  static ColVec load(const float* p, int cols) {
+    float lanes[kCols] = {};
+    std::copy(p, p + cols, lanes);
+    return load(lanes);
+  }
+  void store(float* p) const { v.store(p); }
+  void store(float* p, int cols) const {
+    float lanes[kCols];
+    v.store(lanes);
+    std::copy(lanes, lanes + cols, p);
+  }
+  friend ColVec operator+(ColVec a, ColVec b) { return {a.v + b.v}; }
+  friend ColVec operator*(ColVec a, ColVec b) { return {a.v * b.v}; }
+  ColVec plus_product_unless_zero(ColVec s, ColVec x) const {
+    return {simd::v8f::where_nonzero(s.v, v + s.v * x.v, v)};
+  }
+#endif
+
+  /// The whole vector when Full, else the first `cols` lanes.
+  template <bool Full>
+  static ColVec load_cols(const float* p, int cols) {
+    return Full ? load(p) : load(p, cols);
+  }
+  template <bool Full>
+  static void store_cols(float* p, int cols, ColVec x) {
+    if (Full)
+      x.store(p);
+    else
+      x.store(p, cols);
+  }
+  ColVec& operator+=(ColVec o) { return *this = *this + o; }
+};
+
+inline constexpr int kCols = ColVec::kCols;
+
+// Rows per tile. gemm_dot_cols keeps 8 accumulators per output row, so two
+// rows fill 16 of AVX-512's 32 vector registers, and with 16 registers one
+// row is all that fits. gemm_axpy_panels keeps two column vectors per
+// destination row: 16 accumulators under AVX-512, 8 otherwise.
+#if defined(__AVX512F__)
+inline constexpr int kDotRows = 2;
+inline constexpr int kAxpyRows = 8;
+#else
+inline constexpr int kDotRows = 1;
+inline constexpr int kAxpyRows = 4;
+#endif
+
+/// The reference kernel: one simd::dot per output element, reading B packed
+/// transposed (row j of bt is column j of B, leading dimension ldb). Tests
+/// and the kernel bench pin gemm_dot_cols against it.
 /// C[i,j] op= dot(a row i, bt row j, k); op is += when Accumulate.
 template <bool Accumulate>
 inline void gemm_dot_rowwise(const float* a, std::int64_t lda,
@@ -115,149 +153,128 @@ inline void gemm_dot_rowwise(const float* a, std::int64_t lda,
   }
 }
 
-/// Register-blocked GEMM over dot products: C[i,j] op= dot(a row i, bt row
-/// j, k), computed in 4x2 blocks via dot_panel_4x2 with row/column
-/// remainders falling back to single dots. Bit-identical to
-/// gemm_dot_rowwise for every shape, including empty m/n/k.
-template <bool Accumulate>
-inline void gemm_dot_panels(const float* a, std::int64_t lda, const float* bt,
-                            std::int64_t ldb, std::int64_t m, std::int64_t n,
-                            std::int64_t k, float* c, std::int64_t ldc) {
+/// Rows x `cols` outputs of gemm_dot_cols (cols == kCols when Full):
+/// C[r, 0:cols] op= A[r, 0:k] B[0:k, 0:cols], simd::dot's arithmetic per
+/// element.
+template <bool Accumulate, int Rows, bool Full>
+inline void dot_tile(const float* a, std::int64_t lda, const float* b,
+                     std::int64_t ldb, std::int64_t k, float* c,
+                     std::int64_t ldc, int cols) {
+  ColVec acc[Rows][simd::kLanes];
+  for (auto& row : acc)
+    for (ColVec& lane : row) lane = ColVec::zero();
   std::int64_t i = 0;
-  for (; i + kGemmBlockRows <= m; i += kGemmBlockRows) {
-    const float* arow = a + i * lda;
-    float* crow = c + i * ldc;
-    std::int64_t j = 0;
-    for (; j + kGemmBlockCols <= n; j += kGemmBlockCols) {
-      float out[4][2];
-      dot_panel_4x2(arow, lda, bt + j * ldb, ldb, k, out);
-      for (std::int64_t r = 0; r < kGemmBlockRows; ++r)
-        for (std::int64_t cc = 0; cc < kGemmBlockCols; ++cc) {
-          if (Accumulate)
-            crow[r * ldc + j + cc] += out[r][cc];
-          else
-            crow[r * ldc + j + cc] = out[r][cc];
-        }
+  for (; i + simd::kLanes <= k; i += simd::kLanes)
+    for (int l = 0; l < simd::kLanes; ++l) {
+      const ColVec vb = ColVec::load_cols<Full>(b + (i + l) * ldb, cols);
+      for (int r = 0; r < Rows; ++r)
+        acc[r][l] += ColVec::broadcast(a[r * lda + i + l]) * vb;
     }
-    for (; j < n; ++j) {  // odd trailing column of this 4-row band
-      for (std::int64_t r = 0; r < kGemmBlockRows; ++r) {
-        const float v = simd::dot(arow + r * lda, bt + j * ldb, k);
-        if (Accumulate)
-          crow[r * ldc + j] += v;
-        else
-          crow[r * ldc + j] = v;
-      }
-    }
+  // Fold, then the tail products in ascending i for every row. The loops
+  // over r hold no inner loop, so the compiler unrolls them.
+  ColVec s[Rows];
+  for (int r = 0; r < Rows; ++r)
+    s[r] = ((acc[r][0] + acc[r][4]) + (acc[r][2] + acc[r][6])) +
+           ((acc[r][1] + acc[r][5]) + (acc[r][3] + acc[r][7]));
+  for (; i < k; ++i) {
+    const ColVec vb = ColVec::load_cols<Full>(b + i * ldb, cols);
+    for (int r = 0; r < Rows; ++r)
+      s[r] += ColVec::broadcast(a[r * lda + i]) * vb;
   }
-  if (i < m)  // remaining 1-3 rows
-    gemm_dot_rowwise<Accumulate>(a + i * lda, lda, bt, ldb, m - i, n, k,
-                                 c + i * ldc, ldc);
+  for (int r = 0; r < Rows; ++r) {
+    float* crow = c + r * ldc;
+    if (Accumulate) s[r] = ColVec::load_cols<Full>(crow, cols) + s[r];
+    ColVec::store_cols<Full>(crow, cols, s[r]);
+  }
 }
 
-/// Register-blocked outer-product accumulation (the dB backward GEMM):
+template <bool Accumulate, int Rows>
+inline void dot_rows(const float* a, std::int64_t lda, const float* b,
+                     std::int64_t ldb, std::int64_t n, std::int64_t k,
+                     float* c, std::int64_t ldc) {
+  std::int64_t j = 0;
+  for (; j + kCols <= n; j += kCols)
+    dot_tile<Accumulate, Rows, true>(a, lda, b + j, ldb, k, c + j, ldc, kCols);
+  if (j < n)
+    dot_tile<Accumulate, Rows, false>(a, lda, b + j, ldb, k, c + j, ldc,
+                                      static_cast<int>(n - j));
+}
+
+/// C[i,j] op= sum_l a[i,l] * b[l,j] over l < k, with `b` in its natural
+/// [k, n] layout; op is += when Accumulate. Bit-identical to
+/// gemm_dot_rowwise on B's packed transpose for every shape, including
+/// empty m/n/k.
+template <bool Accumulate>
+inline void gemm_dot_cols(const float* a, std::int64_t lda, const float* b,
+                          std::int64_t ldb, std::int64_t m, std::int64_t n,
+                          std::int64_t k, float* c, std::int64_t ldc) {
+  std::int64_t i = 0;
+  for (; i + kDotRows <= m; i += kDotRows)
+    dot_rows<Accumulate, kDotRows>(a + i * lda, lda, b, ldb, n, k,
+                                   c + i * ldc, ldc);
+  for (; i < m; ++i)
+    dot_rows<Accumulate, 1>(a + i * lda, lda, b, ldb, n, k, c + i * ldc, ldc);
+}
+
+/// Rows destination rows x Vecs column vectors of gemm_axpy_panels (one
+/// vector `cols` wide unless Full), accumulators held in registers across
+/// the i loop.
+template <int Rows, int Vecs, bool Full>
+inline void axpy_tile(const float* at, std::int64_t lda, const float* g,
+                      std::int64_t ldg, std::int64_t m, float* d,
+                      std::int64_t ldd, int cols) {
+  static_assert(Full || Vecs == 1, "only a single vector can be partial");
+  ColVec acc[Rows][Vecs];
+  for (int r = 0; r < Rows; ++r)
+    for (int v = 0; v < Vecs; ++v)
+      acc[r][v] = ColVec::load_cols<Full>(d + r * ldd + v * kCols, cols);
+  for (std::int64_t i = 0; i < m; ++i) {
+    ColVec gi[Vecs];
+    for (int v = 0; v < Vecs; ++v)
+      gi[v] = ColVec::load_cols<Full>(g + i * ldg + v * kCols, cols);
+    for (int r = 0; r < Rows; ++r) {
+      const ColVec s = ColVec::broadcast(at[r * lda + i]);
+      for (int v = 0; v < Vecs; ++v)
+        acc[r][v] = acc[r][v].plus_product_unless_zero(s, gi[v]);
+    }
+  }
+  for (int r = 0; r < Rows; ++r)
+    for (int v = 0; v < Vecs; ++v)
+      ColVec::store_cols<Full>(d + r * ldd + v * kCols, cols, acc[r][v]);
+}
+
+template <int Rows>
+inline void axpy_rows(const float* at, std::int64_t lda, const float* g,
+                      std::int64_t ldg, std::int64_t m, std::int64_t n,
+                      float* d, std::int64_t ldd) {
+  std::int64_t j = 0;
+  for (; j + 2 * kCols <= n; j += 2 * kCols)
+    axpy_tile<Rows, 2, true>(at, lda, g + j, ldg, m, d + j, ldd, kCols);
+  if (j + kCols <= n) {
+    axpy_tile<Rows, 1, true>(at, lda, g + j, ldg, m, d + j, ldd, kCols);
+    j += kCols;
+  }
+  if (j < n)
+    axpy_tile<Rows, 1, false>(at, lda, g + j, ldg, m, d + j, ldd,
+                              static_cast<int>(n - j));
+}
+
+/// Outer-product accumulation (the dB backward GEMM):
 ///   d[l, j] += at[l, i] * g[i, j]   for i ascending, skipping at[l,i]==0,
 /// over l in [0, rows), j in [0, n). `at` is A packed transposed ([rows, m],
 /// leading dimension lda); `g` is [m, n] with leading dimension ldg; `d` has
-/// leading dimension ldd. Four destination rows process their columns in
-/// 16-float strips whose accumulators stay in registers across the whole i
-/// loop — each element still receives exactly the adds of the PR 2 per-row
-/// simd::axpy loop, in the same ascending-i order with the same zero skip,
-/// so the result is bit-identical.
+/// leading dimension ldd. Each element gets exactly the adds of a per-row
+/// simd::axpy loop over i with the same zero skip, so the result is
+/// bit-identical to it.
 inline void gemm_axpy_panels(const float* at, std::int64_t lda, const float* g,
                              std::int64_t ldg, std::int64_t rows,
                              std::int64_t m, std::int64_t n, float* d,
                              std::int64_t ldd) {
-  using simd::v8f;
-  std::int64_t l = 0;
-  for (; l + 4 <= rows; l += 4) {
-    const float* t0 = at + l * lda;
-    const float* t1 = at + (l + 1) * lda;
-    const float* t2 = at + (l + 2) * lda;
-    const float* t3 = at + (l + 3) * lda;
-    float* d0 = d + l * ldd;
-    float* d1 = d + (l + 1) * ldd;
-    float* d2 = d + (l + 2) * ldd;
-    float* d3 = d + (l + 3) * ldd;
-    std::int64_t j = 0;
-    for (; j + 2 * simd::kLanes <= n; j += 2 * simd::kLanes) {
-      v8f a00 = v8f::load(d0 + j), a01 = v8f::load(d0 + j + simd::kLanes);
-      v8f a10 = v8f::load(d1 + j), a11 = v8f::load(d1 + j + simd::kLanes);
-      v8f a20 = v8f::load(d2 + j), a21 = v8f::load(d2 + j + simd::kLanes);
-      v8f a30 = v8f::load(d3 + j), a31 = v8f::load(d3 + j + simd::kLanes);
-      for (std::int64_t i = 0; i < m; ++i) {
-        const v8f g0 = v8f::load(g + i * ldg + j);
-        const v8f g1 = v8f::load(g + i * ldg + j + simd::kLanes);
-        if (t0[i] != 0.0f) {
-          const v8f s = v8f::broadcast(t0[i]);
-          a00 += s * g0;
-          a01 += s * g1;
-        }
-        if (t1[i] != 0.0f) {
-          const v8f s = v8f::broadcast(t1[i]);
-          a10 += s * g0;
-          a11 += s * g1;
-        }
-        if (t2[i] != 0.0f) {
-          const v8f s = v8f::broadcast(t2[i]);
-          a20 += s * g0;
-          a21 += s * g1;
-        }
-        if (t3[i] != 0.0f) {
-          const v8f s = v8f::broadcast(t3[i]);
-          a30 += s * g0;
-          a31 += s * g1;
-        }
-      }
-      a00.store(d0 + j);
-      a01.store(d0 + j + simd::kLanes);
-      a10.store(d1 + j);
-      a11.store(d1 + j + simd::kLanes);
-      a20.store(d2 + j);
-      a21.store(d2 + j + simd::kLanes);
-      a30.store(d3 + j);
-      a31.store(d3 + j + simd::kLanes);
-    }
-    for (; j + simd::kLanes <= n; j += simd::kLanes) {
-      v8f a0 = v8f::load(d0 + j);
-      v8f a1 = v8f::load(d1 + j);
-      v8f a2 = v8f::load(d2 + j);
-      v8f a3 = v8f::load(d3 + j);
-      for (std::int64_t i = 0; i < m; ++i) {
-        const v8f g0 = v8f::load(g + i * ldg + j);
-        if (t0[i] != 0.0f) a0 += v8f::broadcast(t0[i]) * g0;
-        if (t1[i] != 0.0f) a1 += v8f::broadcast(t1[i]) * g0;
-        if (t2[i] != 0.0f) a2 += v8f::broadcast(t2[i]) * g0;
-        if (t3[i] != 0.0f) a3 += v8f::broadcast(t3[i]) * g0;
-      }
-      a0.store(d0 + j);
-      a1.store(d1 + j);
-      a2.store(d2 + j);
-      a3.store(d3 + j);
-    }
-    for (; j < n; ++j) {  // scalar column tail
-      float s0 = d0[j], s1 = d1[j], s2 = d2[j], s3 = d3[j];
-      for (std::int64_t i = 0; i < m; ++i) {
-        const float gij = g[i * ldg + j];
-        if (t0[i] != 0.0f) s0 += t0[i] * gij;
-        if (t1[i] != 0.0f) s1 += t1[i] * gij;
-        if (t2[i] != 0.0f) s2 += t2[i] * gij;
-        if (t3[i] != 0.0f) s3 += t3[i] * gij;
-      }
-      d0[j] = s0;
-      d1[j] = s1;
-      d2[j] = s2;
-      d3[j] = s3;
-    }
-  }
-  for (; l < rows; ++l) {  // remaining 1-3 destination rows: PR 2 loop
-    const float* trow = at + l * lda;
-    float* drow = d + l * ldd;
-    for (std::int64_t i = 0; i < m; ++i) {
-      const float ail = trow[i];
-      if (ail == 0.0f) continue;
-      simd::axpy(drow, ail, g + i * ldg, n);
-    }
-  }
+  const std::int64_t tiled = rows - rows % kAxpyRows;
+  for (std::int64_t l = 0; l < tiled; l += kAxpyRows)
+    axpy_rows<kAxpyRows>(at + l * lda, lda, g, ldg, m, n, d + l * ldd, ldd);
+  for (std::int64_t l = tiled; l < rows; ++l)
+    axpy_rows<1>(at + l * lda, lda, g, ldg, m, n, d + l * ldd, ldd);
 }
 
 }  // namespace irgnn::tensor::detail

@@ -215,21 +215,22 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
         Node& B = *out.parents[1];
         const float* g = out.grad.data();
         if (A.requires_grad) {
-          // dA[i,l] += sum_j g[i,j] * B[l,j] — a GEMM over dot products with
-          // B's rows already contiguous in j (B itself is the packed panel).
-          // Register-blocked 4x2, bit-identical to one simd::dot per entry.
+          // dA[i,l] += sum_j g[i,j] * B[l,j], the reduction over j. The
+          // kernel reads its right operand as [n, k], so B is transposed
+          // once per call.
           float* ga = A.grad.data();
-          const float* pb = B.data.data();
+          support::PoolVector<float> bt;  // [n, k]
+          transpose_into(B.data.data(), k, n, bt);
           for_row_blocks(m, flops, [&](std::int64_t i0, std::int64_t i1) {
-            detail::gemm_dot_panels<true>(g + i0 * n, n, pb, n, i1 - i0, k, n,
-                                          ga + i0 * k, k);
+            detail::gemm_dot_cols<true>(g + i0 * n, n, bt.data(), k, i1 - i0,
+                                        k, n, ga + i0 * k, k);
           });
         }
         if (B.requires_grad) {
           // dB[l,:] += A[i,l] * g[i,:], i ascending. Pack A transposed so
           // each dB row reads a contiguous At row; parallel over dB rows,
-          // register-blocked four rows at a time with the column strips held
-          // in registers across the whole i loop.
+          // with each tile's column vectors held in registers across the
+          // whole i loop.
           float* gb = B.grad.data();
           support::PoolVector<float> at;  // [k, m]
           transpose_into(A.data.data(), m, k, at);
@@ -239,16 +240,14 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
           });
         }
       });
-  // Forward: pack B transposed once; the panel is reused by every row block.
-  // The register-blocked micro-kernel computes 4x2 outputs per call, each
-  // still the canonical 8-wide tree dot product of its A row and Bt row.
+  // Forward: B is read in place, each output still the canonical 8-wide
+  // tree dot product of its A row and B column.
   const float* pa = a.data();
   float* pc = node->data.data();
-  support::PoolVector<float> bt;  // [n, k]
-  transpose_into(b.data(), k, n, bt);
+  const float* pb = b.data();
   for_row_blocks(m, flops, [&](std::int64_t i0, std::int64_t i1) {
-    detail::gemm_dot_panels<false>(pa + i0 * k, k, bt.data(), k, i1 - i0, n,
-                                   k, pc + i0 * n, n);
+    detail::gemm_dot_cols<false>(pa + i0 * k, k, pb, n, i1 - i0, n, k,
+                                 pc + i0 * n, n);
   });
   return Tensor(node);
 }
@@ -672,6 +671,8 @@ void rgcn_backward(Node& out, std::int64_t m, std::int64_t k, std::int64_t n,
     for (; i < size; ++i) g[i] = y[i] > 0.0f ? 0.0f + gy[i] : 0.0f;
   }
   const float* pg = g.data();
+  // The dA GEMMs read each [k, n] weight transposed, as [n, k].
+  support::PoolVector<float> wt;
   if (tape.num_relations > 0) {
     const std::int64_t cap = tape.max_edges;
     support::PoolVector<float> gm(static_cast<std::size_t>(cap * n));
@@ -710,10 +711,10 @@ void rgcn_backward(Node& out, std::int64_t m, std::int64_t k, std::int64_t n,
         // The message matmul's dA into the gathered rows' zeroed gradient,
         // then the gather's scatter-add into h.grad in edge order.
         std::fill(drows.begin(), drows.begin() + e * k, 0.0f);
-        const float* pw = W.data.data();
+        transpose_into(W.data.data(), k, n, wt);
         for_row_blocks(e, flops, [&](std::int64_t i0, std::int64_t i1) {
-          detail::gemm_dot_panels<true>(gm.data() + i0 * n, n, pw, n, i1 - i0,
-                                        k, n, drows.data() + i0 * k, k);
+          detail::gemm_dot_cols<true>(gm.data() + i0 * n, n, wt.data(), k,
+                                      i1 - i0, k, n, drows.data() + i0 * k, k);
         });
         for (std::int64_t i = 0; i < e; ++i)
           simd::add_inplace(
@@ -725,10 +726,10 @@ void rgcn_backward(Node& out, std::int64_t m, std::int64_t k, std::int64_t n,
   // The self matmul is the chain's first node, so its backward runs last.
   const std::int64_t flops = m * k * n;
   if (H.requires_grad) {
-    const float* pw = W0.data.data();
+    transpose_into(W0.data.data(), k, n, wt);
     for_row_blocks(m, flops, [&](std::int64_t i0, std::int64_t i1) {
-      detail::gemm_dot_panels<true>(pg + i0 * n, n, pw, n, i1 - i0, k, n,
-                                    H.grad.data() + i0 * k, k);
+      detail::gemm_dot_cols<true>(pg + i0 * n, n, wt.data(), k, i1 - i0, k, n,
+                                  H.grad.data() + i0 * k, k);
     });
   }
   if (W0.requires_grad) {
@@ -803,11 +804,9 @@ Tensor rgcn_layer(const Tensor& h, const Tensor& self_weight,
   // Self term h W0, exactly matmul's forward.
   const float* ph = h.data();
   float* py = node->data.data();
-  support::PoolVector<float> wt;  // packed transposed weight [n, k]
-  transpose_into(self_weight.data(), k, n, wt);
   for_row_blocks(m, m * k * n, [&](std::int64_t i0, std::int64_t i1) {
-    detail::gemm_dot_panels<false>(ph + i0 * k, k, wt.data(), k, i1 - i0, n,
-                                   k, py + i0 * n, n);
+    detail::gemm_dot_cols<false>(ph + i0 * k, k, self_weight.data(), n,
+                                 i1 - i0, n, k, py + i0 * n, n);
   });
   if (max_edges > 0) {
     support::PoolVector<float> rows(static_cast<std::size_t>(max_edges * k));
@@ -820,15 +819,15 @@ Tensor rgcn_layer(const Tensor& h, const Tensor& self_weight,
       assert(edges.dst.size() == edges.src.size());
       assert(edges.coeff.size() == edges.src.size());
       // gather_rows then matmul, a row block at a time.
-      transpose_into(relation_weights[r].data(), k, n, wt);
+      const float* pw = relation_weights[r].data();
       for_row_blocks(e, e * k * n, [&](std::int64_t i0, std::int64_t i1) {
         for (std::int64_t i = i0; i < i1; ++i) {
           assert(edges.src[i] >= 0 && edges.src[i] < m);
           const float* hrow = ph + static_cast<std::int64_t>(edges.src[i]) * k;
           std::copy(hrow, hrow + k, rows.data() + i * k);
         }
-        detail::gemm_dot_panels<false>(rows.data() + i0 * k, k, wt.data(), k,
-                                       i1 - i0, n, k, msg.data() + i0 * n, n);
+        detail::gemm_dot_cols<false>(rows.data() + i0 * k, k, pw, n, i1 - i0,
+                                     n, k, msg.data() + i0 * n, n);
       });
       // index_add_rows into a zeroed aggregate in edge order, then the add.
       std::fill(agg.begin(), agg.end(), 0.0f);

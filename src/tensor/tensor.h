@@ -19,10 +19,10 @@
 // arena (support/arena.h), and backward closures live inline in the node
 // (support/inline_function.h) instead of on the heap.
 //
-// The GEMM inner loops are register-blocked (tensor/gemm.h): 4x2 blocks of
-// dot-product accumulators held in registers over a packed B panel, with
-// every output element's reduction order unchanged from the single-dot
-// kernels. InferenceGuard provides a thread-local no-grad mode in which ops
+// The GEMM kernels (tensor/gemm.h) put output columns across vector lanes
+// and read the right operand in its natural layout, with every output
+// element's reduction order unchanged from one simd::dot per element.
+// InferenceGuard provides a thread-local no-grad mode in which ops
 // record no tape at all — the inference fast path of gnn::StaticModel.
 #pragma once
 
@@ -182,8 +182,9 @@ bool inference_mode();
 
 // --- Ops (forward builds the tape) ------------------------------------------
 
-/// C[m,n] = A[m,k] * B[k,n]. Blocked over row/column tiles with B packed
-/// transposed so the inner loop is one 8-wide contiguous dot product.
+/// C[m,n] = A[m,k] * B[k,n]. B is read in place, with a vector of output
+/// columns per row tile; each C[i,j] is the 8-lane tree dot product of A's
+/// row i and B's column j.
 Tensor matmul(const Tensor& a, const Tensor& b);
 
 /// Elementwise addition of same-shape tensors.

@@ -338,6 +338,21 @@ std::vector<float> random_vec(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
+/// Every third entry from `offset` becomes +0 and every seventh -0 (the
+/// later write wins), so a kernel meets signed zeros in that operand.
+void plant_signed_zeros(std::vector<float>& v, std::size_t offset) {
+  for (std::size_t i = offset; i < v.size(); i += 3) v[i] = 0.0f;
+  for (std::size_t i = offset; i < v.size(); i += 7) v[i] = -0.0f;
+}
+
+/// Bitwise equality; EXPECT_EQ on floats would let -0 pass for +0.
+bool same_bits(const float* a, const float* b, std::int64_t n) {
+  // An empty vector's data() may be null, which memcmp must not be given.
+  return n == 0 ||
+         std::memcmp(a, b, static_cast<std::size_t>(n) * sizeof(float)) == 0;
+}
+
+
 // Sizes straddling every tail case: empty, sub-lane, exact lanes, lanes+tail.
 const std::int64_t kSimdSizes[] = {0, 1, 3, 7, 8, 9, 15, 16, 17, 31, 33, 64,
                                    100, 129};
@@ -400,76 +415,113 @@ TEST(SimdTest, MatmulForwardBitIdenticalToTreeReference) {
   }
 }
 
-TEST(SimdTest, RegisterBlockedGemmBitIdenticalToRowwise) {
-  // The register-blocked micro-kernel against the PR 2 one-dot-per-element
-  // kernel, raw buffers, no tape. Shapes cover: empty m/n/k, tails smaller
-  // than the 4x2 block, exact block multiples, odd everything.
+TEST(SimdTest, ColumnLaneGemmBitIdenticalToRowwise) {
+  // gemm_dot_cols (output columns across vector lanes, B read as [k, n])
+  // against one simd::dot per output element on B's packed transpose, both
+  // built from one B, raw buffers, no tape. Compared bit for bit, with
+  // signed zeros planted in A, B and C. Shapes: empty m/n/k; n straddling
+  // both column widths (8 and 16) and their doubles; m one row either side
+  // of the row tile; k with and without an 8-lane tail.
   struct Case {
     int m, n, k;
   };
-  for (const Case& c :
-       {Case{0, 0, 0}, Case{0, 3, 5}, Case{3, 0, 5}, Case{2, 5, 0},
-        Case{1, 1, 1}, Case{3, 1, 7}, Case{2, 2, 9}, Case{4, 2, 8},
-        Case{5, 3, 19}, Case{7, 2, 16}, Case{8, 6, 24}, Case{17, 13, 33},
-        Case{12, 7, 65}, Case{33, 31, 64}}) {
-    std::vector<float> a =
-        random_vec(static_cast<std::size_t>(c.m) * c.k, 9000 + c.m);
-    std::vector<float> bt =
-        random_vec(static_cast<std::size_t>(c.n) * c.k, 9100 + c.n);
-    std::vector<float> c_row(static_cast<std::size_t>(c.m) * c.n, 0.0f);
-    std::vector<float> c_blk = c_row;
-    tensor::detail::gemm_dot_rowwise<false>(a.data(), c.k, bt.data(), c.k,
-                                            c.m, c.n, c.k, c_row.data(), c.n);
-    tensor::detail::gemm_dot_panels<false>(a.data(), c.k, bt.data(), c.k,
-                                           c.m, c.n, c.k, c_blk.data(), c.n);
-    EXPECT_EQ(c_row, c_blk) << "assign " << c.m << "x" << c.n << "x" << c.k;
+  std::vector<Case> cases = {{0, 0, 0},  {0, 3, 5},   {3, 0, 5},
+                             {2, 5, 0},  {1, 1, 1},   {5, 3, 19},
+                             {17, 13, 33}, {12, 7, 65}, {33, 31, 64}};
+  const int r = detail::kDotRows;
+  for (int n : {7, 8, 9, 15, 16, 17, 31, 32, 33})
+    for (int m : {r - 1, r, r + 1, 2 * r + 1})
+      for (int k : {5, 32, 37}) cases.push_back({m, n, k});
+  for (const Case& c : cases) {
+    const std::size_t mk = static_cast<std::size_t>(c.m) * c.k;
+    const std::size_t kn = static_cast<std::size_t>(c.k) * c.n;
+    const std::size_t mn = static_cast<std::size_t>(c.m) * c.n;
+    std::vector<float> a = random_vec(mk, 9000 + c.m);
+    std::vector<float> b = random_vec(kn, 9100 + c.n);
+    plant_signed_zeros(a, 1);
+    plant_signed_zeros(b, 2);
+    std::vector<float> bt(kn);
+    for (int l = 0; l < c.k; ++l)
+      for (int j = 0; j < c.n; ++j)
+        bt[static_cast<std::size_t>(j) * c.k + l] =
+            b[static_cast<std::size_t>(l) * c.n + j];
+    const std::string shape = std::to_string(c.m) + "x" + std::to_string(c.n) +
+                              "x" + std::to_string(c.k);
 
-    // Accumulate variant (the dA backward form) onto a non-zero C.
-    std::vector<float> acc_row =
-        random_vec(static_cast<std::size_t>(c.m) * c.n, 9200 + c.k);
-    std::vector<float> acc_blk = acc_row;
-    tensor::detail::gemm_dot_rowwise<true>(a.data(), c.k, bt.data(), c.k,
-                                           c.m, c.n, c.k, acc_row.data(),
-                                           c.n);
-    tensor::detail::gemm_dot_panels<true>(a.data(), c.k, bt.data(), c.k, c.m,
-                                          c.n, c.k, acc_blk.data(), c.n);
-    EXPECT_EQ(acc_row, acc_blk)
-        << "accumulate " << c.m << "x" << c.n << "x" << c.k;
+    // Assign form over a C that holds stale values, signed zeros included.
+    std::vector<float> c_row = random_vec(mn, 9200 + c.k);
+    plant_signed_zeros(c_row, 0);
+    std::vector<float> c_col = c_row;
+    detail::gemm_dot_rowwise<false>(a.data(), c.k, bt.data(), c.k, c.m, c.n,
+                                    c.k, c_row.data(), c.n);
+    detail::gemm_dot_cols<false>(a.data(), c.k, b.data(), c.n, c.m, c.n, c.k,
+                                 c_col.data(), c.n);
+    EXPECT_TRUE(same_bits(c_row.data(), c_col.data(),
+                          static_cast<std::int64_t>(mn)))
+        << "assign " << shape;
+
+    // Accumulate form (the dA backward) onto a non-zero C.
+    std::vector<float> acc_row = random_vec(mn, 9300 + c.k);
+    plant_signed_zeros(acc_row, 0);
+    std::vector<float> acc_col = acc_row;
+    detail::gemm_dot_rowwise<true>(a.data(), c.k, bt.data(), c.k, c.m, c.n,
+                                   c.k, acc_row.data(), c.n);
+    detail::gemm_dot_cols<true>(a.data(), c.k, b.data(), c.n, c.m, c.n, c.k,
+                                acc_col.data(), c.n);
+    EXPECT_TRUE(same_bits(acc_row.data(), acc_col.data(),
+                          static_cast<std::int64_t>(mn)))
+        << "accumulate " << shape;
   }
 }
 
-TEST(SimdTest, RegisterBlockedAxpyPanelsBitIdenticalToRowwiseAxpy) {
-  // gemm_axpy_panels (dB backward) against the PR 2 per-row axpy loop,
-  // including the A[i,l]==0 skip (zeros planted explicitly) and row/column
-  // tails smaller than the 4-row / 16-float blocks.
+TEST(SimdTest, WideAxpyPanelsBitIdenticalToRowwiseAxpy) {
+  // gemm_axpy_panels (dB backward) against the per-row simd::axpy loop,
+  // compared bit for bit. The A[i,l]==0 skip is what keeps a -0 in dB: an
+  // all-zero At row (both signs) over a dB row of -0s must leave it -0,
+  // where an unconditional add of 0 * g would make it +0. Shapes: empty
+  // dimensions, destination rows one either side of the row tile, n
+  // straddling one and two column vectors of either width.
   struct Case {
     int rows, m, n;
   };
-  for (const Case& c :
-       {Case{0, 3, 5}, Case{1, 1, 1}, Case{3, 4, 7}, Case{4, 5, 16},
-        Case{5, 9, 19}, Case{7, 3, 8}, Case{8, 6, 33}, Case{13, 11, 40},
-        Case{16, 2, 0}, Case{19, 7, 23}}) {
+  std::vector<Case> cases = {{0, 3, 5},  {1, 1, 1},  {16, 2, 0},
+                             {5, 0, 19}, {13, 11, 40}, {19, 7, 23}};
+  const int r = detail::kAxpyRows;
+  for (int n : {7, 8, 9, 15, 16, 17, 31, 32, 33})
+    for (int rows : {r - 1, r, r + 1, 2 * r + 1})
+      for (int m : {1, 6, 11}) cases.push_back({rows, m, n});
+  for (const Case& c : cases) {
     std::vector<float> at =
-        random_vec(static_cast<std::size_t>(c.rows) * c.m, 9300 + c.rows);
-    for (std::size_t i = 0; i < at.size(); i += 3) at[i] = 0.0f;  // skips
+        random_vec(static_cast<std::size_t>(c.rows) * c.m, 9400 + c.rows);
+    plant_signed_zeros(at, 0);
+    for (int l = 1; l < c.rows; l += 4)  // all-zero rows: every add skipped
+      for (int i = 0; i < c.m; ++i)
+        at[static_cast<std::size_t>(l) * c.m + i] = i % 2 ? -0.0f : 0.0f;
     std::vector<float> g =
-        random_vec(static_cast<std::size_t>(c.m) * c.n, 9400 + c.n);
+        random_vec(static_cast<std::size_t>(c.m) * c.n, 9500 + c.n);
+    plant_signed_zeros(g, 1);
     std::vector<float> d_ref =
-        random_vec(static_cast<std::size_t>(c.rows) * c.n, 9500 + c.m);
+        random_vec(static_cast<std::size_t>(c.rows) * c.n, 9600 + c.m);
+    plant_signed_zeros(d_ref, 0);
+    for (int l = 1; l < c.rows; l += 4)
+      for (int j = 0; j < c.n; ++j)
+        d_ref[static_cast<std::size_t>(l) * c.n + j] = -0.0f;
     std::vector<float> d_blk = d_ref;
-    for (int l = 0; l < c.rows; ++l) {  // the PR 2 loop, verbatim
+    for (int l = 0; l < c.rows; ++l) {
       const float* trow = at.data() + static_cast<std::int64_t>(l) * c.m;
       float* drow = d_ref.data() + static_cast<std::int64_t>(l) * c.n;
       for (int i = 0; i < c.m; ++i) {
-        float ail = trow[i];
+        const float ail = trow[i];
         if (ail == 0.0f) continue;
         simd::axpy(drow, ail, g.data() + static_cast<std::int64_t>(i) * c.n,
                    c.n);
       }
     }
-    tensor::detail::gemm_axpy_panels(at.data(), c.m, g.data(), c.n, c.rows,
-                                     c.m, c.n, d_blk.data(), c.n);
-    EXPECT_EQ(d_ref, d_blk) << c.rows << "x" << c.m << "x" << c.n;
+    detail::gemm_axpy_panels(at.data(), c.m, g.data(), c.n, c.rows, c.m, c.n,
+                             d_blk.data(), c.n);
+    EXPECT_TRUE(same_bits(d_ref.data(), d_blk.data(),
+                          static_cast<std::int64_t>(d_ref.size())))
+        << c.rows << "x" << c.m << "x" << c.n;
   }
 }
 
@@ -722,11 +774,6 @@ Tensor copy_of(const Tensor& t, bool requires_grad) {
   return Tensor::from_data(t.shape(),
                            std::vector<float>(t.data(), t.data() + t.numel()),
                            requires_grad);
-}
-
-/// Bitwise equality; EXPECT_EQ on floats would let -0 pass for +0.
-bool same_bits(const float* a, const float* b, std::int64_t n) {
-  return std::memcmp(a, b, static_cast<std::size_t>(n) * sizeof(float)) == 0;
 }
 
 TEST(TensorTest, FusedRgcnLayerMatchesUnfusedChain) {
