@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <new>
 
 #include "gnn/model.h"
 #include "graph/fingerprint.h"
@@ -24,7 +25,7 @@ std::int64_t us_between(Clock::time_point from, Clock::time_point to) {
 }  // namespace
 
 InferenceServer::InferenceServer(ModelPtr model, const ServerConfig& config)
-    : config_(config), cache_(config.cache_capacity, config.cache_shards) {
+    : config_(config), cache_(config.cache_capacity) {
   assert(model && "InferenceServer requires a model");
   slot_.publish(std::move(model));
   config_.max_batch = std::max(1, config_.max_batch);
@@ -168,6 +169,10 @@ std::uint32_t InferenceServer::alloc_slot_locked() {
     free_slots_.pop_back();
     return slot;
   }
+  // Room for every slot on the free list up front, so free_slot_locked
+  // never allocates (it undoes a failed admission). Reallocates only when
+  // slots_ is about to double.
+  free_slots_.reserve(std::max(slots_.capacity(), slots_.size() + 1));
   slots_.emplace_back();
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }
@@ -179,9 +184,7 @@ void InferenceServer::free_slot_locked(std::uint32_t slot) {
   s.abandoned = false;
   s.graph = nullptr;
   s.next_waiter = -1;
-  s.leading = false;
   s.inflight_key = 0;
-  s.probe = false;
   s.callback.reset();
   free_slots_.push_back(slot);
 }
@@ -190,23 +193,6 @@ void InferenceServer::resolve_one_locked(std::uint32_t slot,
                                          const Response& response,
                                          FiredList& fired) {
   QuerySlot& s = slots_[slot];
-  // Half-open probe bookkeeping rides resolution so EVERY probe outcome is
-  // covered — answered by the forward (Ok closes the breaker, Internal
-  // re-arms the probe timer) but also shed or expired before reaching one
-  // (re-arm; the probe franchise must never leak with probe_in_flight
-  // stuck true).
-  if (s.probe) {
-    s.probe = false;
-    breaker_probe_in_flight_ = false;
-    if (response.status.ok()) {
-      breaker_open_ = false;
-      breaker_failures_ = 0;
-    } else {
-      breaker_next_probe_ =
-          Clock::now() +
-          std::chrono::microseconds(config_.breaker_probe_interval_us);
-    }
-  }
   // Centralized outcome accounting: the source buckets are a partition of
   // every resolved query.
   switch (response.status.code()) {
@@ -244,14 +230,11 @@ void InferenceServer::resolve_slot_locked(std::uint32_t slot,
   std::int32_t waiter;
   {
     QuerySlot& s = slots_[slot];
-    if (s.leading) {
-      // Precise erase: a Block-policy admission that slept through this
-      // leader's lifetime may have registered a newer leader under the
-      // same key — never remove someone else's entry.
-      auto it = in_flight_.find(s.inflight_key);
-      if (it != in_flight_.end() && it->second == slot) in_flight_.erase(it);
-      s.leading = false;
-    }
+    // Precise erase: a Block-policy admission that slept through this
+    // leader's lifetime may have registered a newer leader under the same
+    // key — never remove someone else's entry.
+    auto it = in_flight_.find(s.inflight_key);
+    if (it != in_flight_.end() && it->second == slot) in_flight_.erase(it);
     waiter = s.next_waiter;
     s.next_waiter = -1;
   }
@@ -275,6 +258,7 @@ void InferenceServer::resolve_slot_locked(std::uint32_t slot,
 
 Status InferenceServer::admit_locked(std::unique_lock<std::mutex>& lock,
                                      const Request& request, std::uint64_t fp,
+                                     std::uint64_t key,
                                      std::uint32_t* slot_out,
                                      std::uint64_t* gen_out,
                                      FiredList& fired) {
@@ -338,7 +322,24 @@ Status InferenceServer::admit_locked(std::unique_lock<std::mutex>& lock,
       }
     }
   }
-  const std::uint32_t slot = alloc_slot_locked();
+  // A new slot may grow slots_, and the queue block and the in-flight node
+  // come from the BufferPool. No other thread sees the slot before the lock
+  // drops, so an allocation failure is undone in full and refused like a
+  // full queue: no orphan slot, no stale in-flight entry.
+  constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  std::uint32_t slot = kNoSlot;
+  bool queued = false;
+  try {
+    slot = alloc_slot_locked();
+    queue_.push_back(slot);
+    queued = true;
+    in_flight_[key] = slot;
+  } catch (const std::bad_alloc&) {
+    if (queued) queue_.pop_back();
+    if (slot != kNoSlot) free_slot_locked(slot);
+    ++rejected_;
+    return Status::Overloaded("out of memory at admission");
+  }
   QuerySlot& s = slots_[slot];
   s.graph = request.graph;
   s.fp = fp;
@@ -348,9 +349,9 @@ Status InferenceServer::admit_locked(std::unique_lock<std::mutex>& lock,
   s.response = Response{};
   s.state = SlotState::Queued;
   s.abandoned = false;
+  s.inflight_key = key;
   *slot_out = slot;
   *gen_out = s.gen;
-  queue_.push_back(slot);
   peak_queue_ = std::max<std::uint64_t>(peak_queue_, queue_.size());
   cv_queue_.notify_all();
   return Status::Ok();
@@ -363,8 +364,12 @@ bool InferenceServer::try_coalesce_locked(const Request& request,
   auto it = in_flight_.find(key);
   if (it == in_flight_.end()) return false;
   const std::uint32_t leader = it->second;
-  const std::uint32_t waiter = alloc_slot_locked();  // may grow slots_ —
-                                                     // take refs after
+  std::uint32_t waiter;
+  try {
+    waiter = alloc_slot_locked();  // may grow slots_ — take refs after
+  } catch (const std::bad_alloc&) {
+    return false;  // admitted as a miss instead, or refused there
+  }
   QuerySlot& w = slots_[waiter];
   w.graph = request.graph;
   w.fp = fp;
@@ -376,7 +381,7 @@ bool InferenceServer::try_coalesce_locked(const Request& request,
   w.state = SlotState::Queued;
   w.abandoned = false;
   QuerySlot& l = slots_[leader];
-  assert(l.state == SlotState::Queued && l.leading && l.inflight_key == key &&
+  assert(l.state == SlotState::Queued && l.inflight_key == key &&
          "in-flight map points at a live leader until resolution erases it");
   w.next_waiter = l.next_waiter;
   l.next_waiter = static_cast<std::int32_t>(waiter);
@@ -402,50 +407,13 @@ StatusOr<InferenceServer::Future> InferenceServer::admit_or_coalesce(
     // leader is guaranteed to resolve (the drain pumps the queue dry), so
     // attaching is as safe as the cache-hit-during-drain exception and
     // cheaper than refusing.
-    if (config_.coalesce &&
-        try_coalesce_locked(request, fp, key, &slot, &gen))
+    if (try_coalesce_locked(request, fp, key, &slot, &gen))
       return Future(this, slot, gen);
     // A genuine miss (neither cached nor in flight): count it against the
     // cache before admission, so hits + misses + coalesced partitions the
-    // queries even when admission then rejects — short-circuited misses
-    // included.
+    // queries even when admission then rejects.
     cache_.note_miss(key);
-    // Degraded mode: an open breaker answers the miss Unavailable right
-    // here, without a queue slot or a forward. Exceptions: shutdown still
-    // wins (admit_locked answers ShuttingDown below), and once per probe
-    // interval one miss is admitted as the half-open probe. Hits and
-    // coalesced waiters never reach this point — degraded mode only refuses
-    // work that would need the failing model.
-    bool as_probe = false;
-    if (config_.breaker_trip_threshold > 0 && breaker_open_ && !stop_) {
-      if (!breaker_probe_in_flight_ && Clock::now() >= breaker_next_probe_) {
-        as_probe = true;
-        // Claim the probe franchise before admit_locked, which may drop the
-        // lock (ShedPolicy::Block): a second miss sneaking in meanwhile
-        // must short-circuit, not launch a second probe.
-        breaker_probe_in_flight_ = true;
-      } else {
-        ++breaker_short_circuits_;
-        admitted = Status::Unavailable();
-      }
-    }
-    if (admitted.ok()) {
-      admitted = admit_locked(lock, request, fp, &slot, &gen, fired);
-      if (as_probe) {
-        if (admitted.ok()) {
-          slots_[slot].probe = true;
-          ++breaker_probes_;
-        } else {
-          breaker_probe_in_flight_ = false;  // return the franchise
-        }
-      }
-    }
-    if (admitted.ok() && config_.coalesce) {
-      QuerySlot& s = slots_[slot];
-      s.leading = true;
-      s.inflight_key = key;
-      in_flight_[key] = slot;
-    }
+    admitted = admit_locked(lock, request, fp, key, &slot, &gen, fired);
   }
   // A shed victim's continuation runs on the thread that shed it, outside
   // the lock.
@@ -616,25 +584,6 @@ void InferenceServer::pump_one(std::unique_lock<std::mutex>& lock) {
       }
     }
     lock.lock();
-    // Breaker accounting per forward attempt, before the batch resolves
-    // (resolution handles the probe slot: Ok closes the breaker, failure
-    // re-arms the probe timer).
-    if (config_.breaker_trip_threshold > 0) {
-      if (forward_status.ok()) {
-        breaker_failures_ = 0;
-        breaker_open_ = false;  // any success restores full service
-      } else {
-        ++breaker_failures_;
-        if (!breaker_open_ &&
-            breaker_failures_ >= config_.breaker_trip_threshold) {
-          breaker_open_ = true;
-          ++breaker_trips_;
-          breaker_next_probe_ =
-              Clock::now() +
-              std::chrono::microseconds(config_.breaker_probe_interval_us);
-        }
-      }
-    }
     for (std::size_t i = 0; i < batch_slots_.size(); ++i) {
       Response response = slots_[batch_slots_[i]].response;  // queue_us
       response.model_version = published->version;
@@ -727,10 +676,6 @@ ServerStats InferenceServer::stats() const {
   out.internal_errors = internal_errors_;
   out.peak_queue = peak_queue_;
   out.invalid_arguments = invalid_arguments_.load(std::memory_order_relaxed);
-  out.breaker_trips = breaker_trips_;
-  out.breaker_probes = breaker_probes_;
-  out.breaker_short_circuits = breaker_short_circuits_;
-  out.breaker_open = breaker_open_;
   out.cache = cache_.stats();
   // Responses by source — a partition of every resolved query. Cache hits
   // already count per-shard; source_batch/source_coalesced come from the
@@ -740,11 +685,9 @@ ServerStats InferenceServer::stats() const {
   out.source_cache = out.cache.hits;
   out.source_batch = source_batch_;
   out.source_coalesced = source_coalesced_;
-  // Short-circuited misses are shed-class: refused without a forward, like
-  // rejections — part of the source partition (invalid_arguments is NOT:
-  // those were never counted as queries).
-  out.source_shed = shed_ + rejected_ + deadline_exceeded_ +
-                    internal_errors_ + breaker_short_circuits_;
+  // (invalid_arguments is NOT part of the partition: those were never
+  // counted as queries).
+  out.source_shed = shed_ + rejected_ + deadline_exceeded_ + internal_errors_;
   return out;
 }
 

@@ -12,9 +12,10 @@
 // idles waiting for company. Four properties define the design:
 //
 //   Exception-free query path. submit() returns StatusOr<Future>; every
-//   failure a client can observe — queue full (Overloaded), deadline missed
-//   (DeadlineExceeded), submit after shutdown (ShuttingDown), a failed
-//   forward (Internal) — is a Status or an error Response, never a throw.
+//   failure a client can observe — queue full or out of memory at
+//   admission (Overloaded), deadline missed (DeadlineExceeded), submit
+//   after shutdown (ShuttingDown), a failed forward (Internal) — is a
+//   Status or an error Response, never a throw.
 //
 //   Bounded admission. `max_queue` caps how many admitted queries may wait;
 //   a full queue sheds per `shed_policy` (Reject the newcomer, DropOldest
@@ -59,14 +60,13 @@
 // reported version. Accounting partitions exactly:
 // cache hits + cache misses + coalesced == queries.
 //
-// Failure containment: a per-server circuit breaker (ServerConfig::
-// breaker_trip_threshold) trips after N consecutive failed forwards into a
-// cache-only degraded mode — hits and coalesced waiters keep answering
-// bit-identically, new misses get Status::Unavailable without spending a
-// forward — and a periodic half-open probe restores full service on the
-// first success. Fault paths are exercised deterministically through the
-// IRGNN_FAILPOINT sites (support/failpoint.h; compiled out by default) and
-// tests/chaos_test.cpp.
+// Failure containment: a failed forward resolves its whole batch Internal
+// (and its coalesced waiters with it) and the server serves on; an
+// allocation that fails while a query is being admitted is undone in full
+// and refused Overloaded, counted in `rejected`. Cache hits never reach the
+// model, so a failing model still answers every cached graph. Fault paths
+// are exercised deterministically through the IRGNN_FAILPOINT sites
+// (support/failpoint.h; compiled out by default) and tests/chaos_test.cpp.
 //
 // One server answers for one model, as the paper trains one predictor per
 // target machine. Request::model is read only by net::NetServer, which
@@ -107,26 +107,9 @@ struct ServerConfig {
   std::size_t max_queue = 0;
   ShedPolicy shed_policy = ShedPolicy::Reject;
 
-  /// Prediction-cache entry budget (0 disables caching) and shard count.
+  /// Prediction-cache entry budget (0 disables caching). Coalescing (see
+  /// the header comment) works with or without a cache.
   std::size_t cache_capacity = 4096;
-  int cache_shards = 8;
-
-  /// Attach duplicate in-flight queries to one leader slot instead of
-  /// enqueuing them (see the header comment). Independent of the cache:
-  /// coalescing works with cache_capacity == 0. Off is only useful as a
-  /// measurement baseline.
-  bool coalesce = true;
-
-  /// Circuit breaker: after this many CONSECUTIVE failed forwards (each
-  /// micro-batch is one forward) the server trips to degraded mode — cache
-  /// hits and coalesced waiters still answer, but a new miss gets
-  /// Status::Unavailable immediately instead of burning a forward on a
-  /// model that is failing. 0 (default) disables the breaker. While open,
-  /// every `breaker_probe_interval_us` one real miss is admitted as a
-  /// half-open probe; if its forward succeeds the breaker closes and full
-  /// service resumes, if it fails the probe timer re-arms.
-  int breaker_trip_threshold = 0;
-  std::int64_t breaker_probe_interval_us = 10000;
 
   /// Run the serving loop as a task on the shared ThreadPool. Turn off for
   /// servers created inside pool-parallel sections (clients then drive the
@@ -150,7 +133,8 @@ struct ServerStats {
 
   // Admission control.
   std::uint64_t shed = 0;        // admitted, then dropped by DropOldest
-  std::uint64_t rejected = 0;    // refused at submit (queue full, Reject)
+  std::uint64_t rejected = 0;    // refused at submit (queue full, or out
+                                 // of memory at admission)
   std::uint64_t deadline_exceeded = 0;  // expired while queued
   std::uint64_t internal_errors = 0;    // resolved Internal (failed forward)
   std::uint64_t peak_queue = 0;  // high-water admitted-queue depth
@@ -159,13 +143,6 @@ struct ServerStats {
   // counter, so invalid requests appear in no conservation law (they are
   // neither hits, misses nor coalesced).
   std::uint64_t invalid_arguments = 0;
-
-  // Circuit breaker (see ServerConfig::breaker_trip_threshold).
-  std::uint64_t breaker_trips = 0;           // closed/half-open -> open
-  std::uint64_t breaker_probes = 0;          // half-open probes admitted
-  std::uint64_t breaker_short_circuits = 0;  // misses answered Unavailable
-                                             // without a forward (shed-class)
-  bool breaker_open = false;                 // state at snapshot time
 
   // Responses by Source — a partition of every resolved client query
   // (cache = hits, batch = client forwards, coalesced = waiters answered
@@ -291,15 +268,10 @@ class InferenceServer {
     // Coalescing: a queued leader heads an intrusive chain of waiter slots
     // (waiters are never in queue_; they resolve with the leader, before
     // the leader's own slot is recycled — an abandoned leader still
-    // answers them). `leading` marks an in_flight_ entry under
-    // `inflight_key` that resolution must erase.
+    // answers them). Every slot admitted to queue_ leads the in_flight_
+    // entry under `inflight_key`, which its resolution erases.
     std::int32_t next_waiter = -1;
-    bool leading = false;
     std::uint64_t inflight_key = 0;
-    // Half-open breaker probe: the one real miss allowed through an open
-    // breaker; its resolution closes the breaker (Ok) or re-arms the probe
-    // timer (anything else).
-    bool probe = false;
     ResponseCallback callback;  // then() continuation
   };
 
@@ -313,8 +285,8 @@ class InferenceServer {
   std::uint32_t alloc_slot_locked();
   void free_slot_locked(std::uint32_t slot);
 
-  /// Resolves `slot` with `response` under the lock: erases its in-flight
-  /// entry if it leads one, resolves its coalesced waiters with the derived
+  /// Resolves the leader `slot` with `response` under the lock: erases its
+  /// in-flight entry, resolves its coalesced waiters with the derived
   /// outcome (Source::Coalesced when Ok), then marks the slot Done, counts
   /// the outcome in the source buckets, frees it if abandoned, and detaches
   /// its continuation into `fired` if it has one. The caller must notify
@@ -337,17 +309,18 @@ class InferenceServer {
 
   /// Admission control. Pre: lock held, not a cache hit. Applies stop_ and
   /// the bounded-queue policy (shedding a victim into `fired`, or blocking
-  /// while helping pump), then enqueues. On Ok, *slot/*gen identify the
+  /// while helping pump), then enqueues the query and registers it as the
+  /// in-flight leader for `key`. An allocation failure on the way is undone
+  /// in full and refused Overloaded. On Ok, *slot/*gen identify the
   /// admitted query.
   Status admit_locked(std::unique_lock<std::mutex>& lock,
                       const Request& request, std::uint64_t fp,
-                      std::uint32_t* slot, std::uint64_t* gen,
-                      FiredList& fired);
+                      std::uint64_t key, std::uint32_t* slot,
+                      std::uint64_t* gen, FiredList& fired);
 
   /// The shared miss path of submit()/predict(): coalesce onto an in-
-  /// flight leader, or count the miss, admit and register the new leader
-  /// in the in-flight map. Runs any shed-victim continuations before
-  /// returning.
+  /// flight leader, or count the miss and admit a new leader. Runs any
+  /// shed-victim continuations before returning.
   StatusOr<Future> admit_or_coalesce(const Request& request, std::uint64_t fp,
                                      std::uint64_t version);
 
@@ -417,18 +390,6 @@ class InferenceServer {
   std::vector<std::uint64_t> batch_fps_;
   std::vector<int> batch_preds_;
   FiredList pump_fired_;
-
-  // Circuit breaker (guarded by mutex_). Closed: failures_ counts the
-  // consecutive-failed-forward run. Open: misses short-circuit Unavailable;
-  // next_probe_ gates the single half-open probe (probe_in_flight_ keeps a
-  // second probe from slipping in while one is queued or mid-forward).
-  int breaker_failures_ = 0;
-  bool breaker_open_ = false;
-  bool breaker_probe_in_flight_ = false;
-  Clock::time_point breaker_next_probe_{};
-  std::uint64_t breaker_trips_ = 0;
-  std::uint64_t breaker_probes_ = 0;
-  std::uint64_t breaker_short_circuits_ = 0;
 
   // Stats. queries_ is atomic so the zero-allocation hit path never takes
   // the server mutex; the rest mutate under mutex_. invalid_arguments_ is

@@ -40,7 +40,7 @@ enum class StatusCode : std::uint8_t {
   kModelNotFound = 3,     // no model is served under the requested name
   kShuttingDown = 4,      // submitted after shutdown() began
   kInternal = 5,          // the answering forward failed (e.g. bad_alloc)
-  kUnavailable = 6,   // circuit breaker open: miss short-circuited, retry later
+  kUnavailable = 6,       // peer unreachable: connect/send/recv failed
   kInvalidArgument = 7,  // malformed request (e.g. empty graph), never admitted
 };
 
@@ -103,7 +103,7 @@ class Status {
     return Status(StatusCode::kInternal, message);
   }
   static constexpr Status Unavailable(
-      const char* message = "model circuit breaker open") {
+      const char* message = "connection unavailable") {
     return Status(StatusCode::kUnavailable, message);
   }
   static constexpr Status InvalidArgument(

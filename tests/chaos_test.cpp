@@ -3,9 +3,8 @@
 // Two kinds of test live here:
 //
 //   Deterministic scripted runs (one driver thread): the failpoint schedule
-//   is a pure function of the seed, the breaker is configured time-free
-//   (probe interval 0, or far beyond the test), and the ENTIRE final stats
-//   snapshot — queries, forwards, trips, probes, short-circuits, cache
+//   is a pure function of the seed, no serving decision reads a clock, and
+//   the ENTIRE final stats snapshot — queries, forwards, failures, cache
 //   counters — must reproduce bit-for-bit across runs and across model
 //   thread counts.
 //
@@ -169,9 +168,9 @@ TEST_F(ChaosTest, FailpointTriggerModes) {
   EXPECT_EQ(hit_unit_site(), 0);
 }
 
-// --- Circuit breaker --------------------------------------------------------
+// --- Outage and allocation failure -----------------------------------------
 
-TEST_F(ChaosTest, BreakerTripsServesCacheShortCircuitsMissesAndRecovers) {
+TEST_F(ChaosTest, ForwardOutageFailsMissesInternalAndServesTheCache) {
   if (!failpoints::enabled()) GTEST_SKIP() << "failpoints compiled out";
   auto model = std::make_shared<const gnn::StaticModel>(small_config(0xB1));
   const std::vector<int> expected = serial_predict(*model);
@@ -180,8 +179,6 @@ TEST_F(ChaosTest, BreakerTripsServesCacheShortCircuitsMissesAndRecovers) {
   serve::ServerConfig config;
   config.background_loop = false;
   config.cache_capacity = 64;
-  config.breaker_trip_threshold = 3;
-  config.breaker_probe_interval_us = 1000;
   serve::InferenceServer server(model, config);
 
   // Healthy warm-up: graph 0 lands in the cache, and nothing errs before a
@@ -191,64 +188,40 @@ TEST_F(ChaosTest, BreakerTripsServesCacheShortCircuitsMissesAndRecovers) {
   ASSERT_EQ(healthy.label, expected[0]);
   const std::uint64_t forwards_before_fault = server.stats().forwards;
 
-  // 100% forward failure: three distinct misses trip the breaker.
+  // 100% forward failure: every miss answers Internal, and the cached graph
+  // keeps answering from the cache with its serial label.
   failpoints::set_seed(7);
   failpoints::FailpointSpec always;
   always.every_nth = 1;
   failpoints::configure("serve.forward", always);
-  for (int g = 1; g <= 3; ++g) {
-    const serve::Response r = server.predict(graphs[static_cast<std::size_t>(g)]);
-    EXPECT_EQ(r.status.code(), support::StatusCode::kInternal);
-  }
-  serve::ServerStats tripped = server.stats();
-  EXPECT_EQ(tripped.breaker_trips, 1u);
-  EXPECT_TRUE(tripped.breaker_open);
-  EXPECT_EQ(tripped.internal_errors, 3u);
-  // A failed forward completes nothing: the outage has cost no forwards.
-  EXPECT_EQ(tripped.forwards, forwards_before_fault);
-
-  // Degraded mode, within the probe interval: new misses answer Unavailable
-  // WITHOUT spending a forward; cached traffic keeps flowing bit-identically.
-  int short_circuited = 0;
   for (int i = 0; i < 8; ++i) {
     const serve::Response miss =
-        server.predict(graphs[static_cast<std::size_t>(4 + (i % 3))]);
-    if (miss.status.code() == support::StatusCode::kUnavailable)
-      ++short_circuited;
+        server.predict(graphs[static_cast<std::size_t>(1 + (i % 3))]);
+    EXPECT_EQ(miss.status.code(), support::StatusCode::kInternal);
+    EXPECT_EQ(miss.source, serve::Source::Shed);
     const serve::Response hit = server.predict(graphs[0]);
     EXPECT_TRUE(hit.ok());
     EXPECT_EQ(hit.label, expected[0]);
     EXPECT_EQ(hit.source, serve::Source::Cache);
   }
-  serve::ServerStats degraded = server.stats();
-  EXPECT_GT(degraded.breaker_short_circuits, 0u);
-  EXPECT_EQ(static_cast<int>(degraded.breaker_short_circuits),
-            short_circuited);
-  // Zero forwards were burned on short-circuited misses; the only extra
-  // forwards (if any) are failed half-open probes, which count no forward
-  // either (a failed forward never increments forwards_). So: none at all.
-  EXPECT_EQ(degraded.forwards, forwards_before_fault);
-  // Conservation holds under degradation: a short-circuited miss is still
-  // a miss.
-  EXPECT_EQ(degraded.cache.hits + degraded.cache.misses + degraded.coalesced,
-            degraded.queries);
+  const serve::ServerStats outage = server.stats();
+  EXPECT_EQ(outage.internal_errors, 8u);
+  // A failed forward completes nothing: the outage has cost no forwards.
+  EXPECT_EQ(outage.forwards, forwards_before_fault);
+  EXPECT_EQ(outage.cache.hits + outage.cache.misses + outage.coalesced,
+            outage.queries);
+  EXPECT_EQ(outage.source_cache + outage.source_batch +
+                outage.source_coalesced + outage.source_shed,
+            outage.queries);
 
-  // Recovery: heal the model, wait out the probe interval; the next miss is
-  // admitted as the half-open probe, succeeds, and closes the breaker.
+  // Recovery: heal the model; a fresh miss forwards normally again.
   failpoints::disable("serve.forward");
-  std::this_thread::sleep_for(std::chrono::milliseconds(3));
-  const serve::Response probe = server.predict(graphs[7]);
-  EXPECT_TRUE(probe.ok());
-  EXPECT_EQ(probe.label, expected[7]);
-  serve::ServerStats recovered = server.stats();
-  EXPECT_FALSE(recovered.breaker_open);
-  EXPECT_GE(recovered.breaker_probes, 1u);
-  // Full service: a fresh miss forwards normally again.
   const serve::Response after = server.predict(graphs[8]);
   EXPECT_TRUE(after.ok());
   EXPECT_EQ(after.label, expected[8]);
+  EXPECT_EQ(after.source, serve::Source::Batch);
   const serve::ServerStats final_stats = server.stats();
-  EXPECT_EQ(final_stats.breaker_trips, 1u) << "the script trips it once";
+  EXPECT_EQ(final_stats.forwards, forwards_before_fault + 1);
   EXPECT_EQ(final_stats.cache.hits + final_stats.cache.misses +
                 final_stats.coalesced,
             final_stats.queries);
@@ -263,27 +236,68 @@ TEST_F(ChaosTest, AllocationFailureIsContainedToAnInternalResponse) {
   serve::ServerConfig config;
   config.background_loop = false;
   config.cache_capacity = 0;  // every predict forwards
-  config.coalesce = false;    // no in-flight map nodes on the submit path
   serve::InferenceServer server(model, config);
 
-  // Warm up: steady-state containers stop allocating, so once armed, the
-  // first BufferPool::allocate call is the forward's own scratch.
+  // Warm up: steady-state containers stop allocating.
   for (int i = 0; i < 4; ++i)
     ASSERT_EQ(server.predict(graphs[1]).label, expected[1]);
+  const serve::ServerStats warm = server.stats();
 
   failpoints::set_seed(3);
   failpoints::FailpointSpec one;
   one.probability = 1.0;
   one.max_fires = 1;
+
+  // On the submit path: admitting a miss allocates its in-flight entry
+  // from the BufferPool. The injected bad_alloc comes back as a Status
+  // through both entry points, and the admission is undone.
   failpoints::configure("arena.allocate", one);
-  // The injected bad_alloc takes the exact path of real allocation
-  // pressure: caught by the pump, resolved Internal — never thrown at us.
-  const serve::Response r = server.predict(graphs[1]);
-  EXPECT_EQ(r.status.code(), support::StatusCode::kInternal);
-  EXPECT_GE(failpoints::fires("arena.allocate"), 1u);
+  const serve::Response refused = server.predict(graphs[1]);
+  EXPECT_EQ(refused.status.code(), support::StatusCode::kOverloaded);
+  EXPECT_EQ(refused.source, serve::Source::Shed);
+  EXPECT_EQ(failpoints::fires("arena.allocate"), 1u);
+  failpoints::configure("arena.allocate", one);
+  const serve::StatusOr<serve::InferenceServer::Future> submit_refused =
+      server.submit(serve::Request(graphs[1]));
+  ASSERT_FALSE(submit_refused.ok());
+  EXPECT_EQ(submit_refused.status().code(),
+            support::StatusCode::kOverloaded);
+  EXPECT_EQ(failpoints::fires("arena.allocate"), 1u);
   failpoints::disable("arena.allocate");
-  // The server survived and serves on.
-  EXPECT_EQ(server.predict(graphs[1]).label, expected[1]);
+  const serve::ServerStats refusals = server.stats();
+  EXPECT_EQ(refusals.rejected, warm.rejected + 2);
+  EXPECT_EQ(refusals.forwards, warm.forwards);
+
+  // Inside the forward: the query is admitted before the fault is armed,
+  // so the first pool allocation is the forward's own scratch. The pump
+  // catches the bad_alloc and resolves the batch Internal.
+  serve::StatusOr<serve::InferenceServer::Future> admitted =
+      server.submit(serve::Request(graphs[1]));
+  ASSERT_TRUE(admitted.ok());
+  failpoints::configure("arena.allocate", one);
+  const serve::Response failed = std::move(admitted).value().get();
+  EXPECT_EQ(failed.status.code(), support::StatusCode::kInternal);
+  EXPECT_EQ(failpoints::fires("arena.allocate"), 1u);
+  failpoints::disable("arena.allocate");
+
+  // The server serves on. Had a refusal left an orphan queued slot, this
+  // forward would carry it too; had it left a stale in-flight entry, this
+  // query would attach to a dead leader instead of forwarding.
+  const serve::Response served = server.predict(graphs[1]);
+  EXPECT_TRUE(served.ok());
+  EXPECT_EQ(served.label, expected[1]);
+  EXPECT_EQ(served.source, serve::Source::Batch);
+  const serve::ServerStats final_stats = server.stats();
+  EXPECT_EQ(final_stats.forwards, warm.forwards + 1);
+  EXPECT_EQ(final_stats.max_batch, 1u);
+  EXPECT_EQ(final_stats.coalesced, 0u);
+  EXPECT_EQ(final_stats.internal_errors, 1u);
+  EXPECT_EQ(final_stats.cache.hits + final_stats.cache.misses +
+                final_stats.coalesced,
+            final_stats.queries);
+  EXPECT_EQ(final_stats.source_cache + final_stats.source_batch +
+                final_stats.source_coalesced + final_stats.source_shed,
+            final_stats.queries);
 }
 
 // --- Scripted deterministic fault window ------------------------------------
@@ -298,23 +312,17 @@ bool operator==(const serve::ServerStats& a, const serve::ServerStats& b) {
     return std::make_tuple(
         s.queries, s.forwards, s.batches, s.max_batch, s.model_swaps,
         s.coalesced, s.shed, s.rejected, s.deadline_exceeded,
-        s.internal_errors, s.peak_queue, s.invalid_arguments,
-        s.breaker_trips, s.breaker_probes, s.breaker_short_circuits,
-        s.breaker_open, s.source_cache, s.source_batch, s.source_coalesced,
-        s.source_shed, s.cache.hits, s.cache.misses);
+        s.internal_errors, s.peak_queue, s.invalid_arguments, s.source_cache,
+        s.source_batch, s.source_coalesced, s.source_shed, s.cache.hits,
+        s.cache.misses);
   };
   return key(a) == key(b);
 }
 
 /// One driver thread, three phases (healthy -> 35% forward failure ->
-/// healed), breaker configured time-free: with probe_interval_us == 0 every
-/// open-breaker miss immediately probes (recovery path, no short-circuits);
-/// with a probe interval far beyond the test, every open-breaker miss
-/// short-circuits (degraded path, no recovery). Either way no decision
-/// depends on a clock, so the whole run — answers AND stats — is a pure
-/// function of (seed, probe_interval).
-ScriptedRun run_scripted(int model_threads, std::uint64_t seed,
-                         std::int64_t probe_interval_us) {
+/// healed). No decision depends on a clock, so the whole run — answers AND
+/// stats — is a pure function of the seed.
+ScriptedRun run_scripted(int model_threads, std::uint64_t seed) {
   failpoints::disable_all();
   failpoints::set_seed(seed);
   auto model = std::make_shared<const gnn::StaticModel>(
@@ -323,8 +331,6 @@ ScriptedRun run_scripted(int model_threads, std::uint64_t seed,
   serve::ServerConfig config;
   config.background_loop = false;
   config.cache_capacity = 16;
-  config.breaker_trip_threshold = 2;
-  config.breaker_probe_interval_us = probe_interval_us;
   serve::InferenceServer server(model, config);
 
   const auto& graphs = test_graphs();
@@ -346,7 +352,7 @@ ScriptedRun run_scripted(int model_threads, std::uint64_t seed,
   failpoints::configure("serve.forward", flaky);
   drive(120);  // fault window
   failpoints::disable("serve.forward");
-  drive(60);  // healed (recovery only reachable when probes are allowed)
+  drive(60);  // healed
 
   out.stats = server.stats();
   failpoints::disable_all();
@@ -355,45 +361,33 @@ ScriptedRun run_scripted(int model_threads, std::uint64_t seed,
 
 TEST_F(ChaosTest, ScriptedFaultWindowReproducesBitForBit) {
   if (!failpoints::enabled()) GTEST_SKIP() << "failpoints compiled out";
-  // probe_interval 0: open-breaker misses probe immediately (recovery
-  // exercised). probe_interval 10 minutes: they short-circuit for the rest
-  // of the run (degraded mode exercised). Both must be pure functions of
-  // the seed — across reruns AND across model thread counts.
-  for (std::int64_t interval_us : {std::int64_t{0}, std::int64_t{600000000}}) {
-    const ScriptedRun once = run_scripted(1, 0xD1CE, interval_us);
-    const ScriptedRun again = run_scripted(1, 0xD1CE, interval_us);
-    const ScriptedRun threaded = run_scripted(4, 0xD1CE, interval_us);
-    EXPECT_EQ(once.answers, again.answers) << "interval " << interval_us;
-    EXPECT_TRUE(once.stats == again.stats) << "interval " << interval_us;
-    EXPECT_EQ(once.answers, threaded.answers)
-        << "model threads changed the fault schedule, interval "
-        << interval_us;
-    EXPECT_TRUE(once.stats == threaded.stats)
-        << "model threads changed the final stats, interval " << interval_us;
-    // The window actually exercised the machinery.
-    EXPECT_GT(once.stats.internal_errors, 0u) << "interval " << interval_us;
-    EXPECT_GT(once.stats.breaker_trips, 0u) << "interval " << interval_us;
-    if (interval_us == 0) {
-      EXPECT_GT(once.stats.breaker_probes, 0u);
-      EXPECT_FALSE(once.stats.breaker_open) << "probes should have closed it";
-    } else {
-      EXPECT_GT(once.stats.breaker_short_circuits, 0u);
-    }
-    // Conservation, under injection, exactly.
-    EXPECT_EQ(once.stats.cache.hits + once.stats.cache.misses +
-                  once.stats.coalesced,
-              once.stats.queries);
-    // Different seed, different run (schedule or traffic or both).
-    const ScriptedRun other = run_scripted(1, 0xFACE, interval_us);
-    EXPECT_NE(once.answers, other.answers);
-  }
+  // A pure function of the seed — across reruns AND across model thread
+  // counts.
+  const ScriptedRun once = run_scripted(1, 0xD1CE);
+  const ScriptedRun again = run_scripted(1, 0xD1CE);
+  const ScriptedRun threaded = run_scripted(4, 0xD1CE);
+  EXPECT_EQ(once.answers, again.answers);
+  EXPECT_TRUE(once.stats == again.stats);
+  EXPECT_EQ(once.answers, threaded.answers)
+      << "model threads changed the fault schedule";
+  EXPECT_TRUE(once.stats == threaded.stats)
+      << "model threads changed the final stats";
+  // The window actually exercised the machinery.
+  EXPECT_GT(once.stats.internal_errors, 0u);
+  // Conservation, under injection, exactly.
+  EXPECT_EQ(once.stats.cache.hits + once.stats.cache.misses +
+                once.stats.coalesced,
+            once.stats.queries);
+  // Different seed, different run (schedule or traffic or both).
+  const ScriptedRun other = run_scripted(1, 0xFACE);
+  EXPECT_NE(once.answers, other.answers);
 }
 
 // --- Concurrent chaos against one server ------------------------------------
 
 /// Free-running clients, optional fault injection, a mid-run hot swap, and
-/// a mix of sync predicts and submit+then futures, with the breaker armed.
-/// Asserts invariants that hold under EVERY interleaving.
+/// a mix of sync predicts and submit+then futures. Asserts invariants that
+/// hold under EVERY interleaving.
 void run_concurrent_chaos(bool with_faults) {
   auto model_v1 =
       std::make_shared<const gnn::StaticModel>(small_config(0xC0C0A));
@@ -408,8 +402,6 @@ void run_concurrent_chaos(bool with_faults) {
   config.shed_policy = serve::ShedPolicy::DropOldest;
   config.max_batch = 8;
   config.cache_capacity = 64;
-  config.breaker_trip_threshold = 4;
-  config.breaker_probe_interval_us = 500;
   serve::InferenceServer server(model_v1, config);
   const std::uint64_t v1 = server.model_version();
 
@@ -433,7 +425,7 @@ void run_concurrent_chaos(bool with_faults) {
   std::atomic<bool> wrong_bits{false};
 
   // Every Ok answer must be the serial predict of its graph BY THE VERSION
-  // THAT REPORTS IT — a degraded/failing server may refuse, never lie, and
+  // THAT REPORTS IT — a failing server may refuse, never lie, and
   // never answer from a version it does not name.
   auto check = [&](std::size_t g, const serve::Response& r) {
     if (!r.ok()) {
@@ -510,7 +502,6 @@ void run_concurrent_chaos(bool with_faults) {
     EXPECT_GT(stats.internal_errors, 0u) << "faults were armed but never hit";
   } else {
     EXPECT_EQ(stats.internal_errors, 0u);
-    EXPECT_EQ(stats.breaker_trips, 0u);
   }
   failpoints::disable_all();
 }
