@@ -11,8 +11,9 @@
 //
 // Engine sections follow the kernel table: a GEMM before/after pitting the
 // one-dot-per-element reference against the kernel with output columns
-// across vector lanes (and the dB panels against a per-row axpy loop;
-// bit-identical outputs), the kernel
+// across vector lanes (and the dB GEMM against a per-row axpy loop, and
+// reading A in place against the packed-transposed copy the backward used
+// to make; bit-identical outputs), the kernel
 // fan-out crossover that sets tensor::kParallelFlops (serial against a
 // 2-way row-block split, from one serve graph to one inference shard), the
 // fused RGCN layer against the op chain it replaces
@@ -218,11 +219,12 @@ int main(int argc, char** argv) {
   // The reference kernel (one simd::dot per output element, B packed
   // transposed) against gemm_dot_cols (output columns across vector lanes,
   // B in its natural [k, n] layout), both layouts built from one B, on
-  // single-threaded raw buffers: pure kernel throughput, no tape, no
-  // transposes in the timed region. 384 and 608 rows are training-shard
-  // shapes at the pipeline's hidden size. The dB row pits gemm_axpy_panels
+  // single-threaded raw buffers: pure kernel throughput, no tape, and no
+  // transposes in the timed region but the dW rows' pack. 384 and 608 rows are training-shard
+  // shapes at the pipeline's hidden size. The dB row pits gemm_axpy_natural
   // against the per-row simd::axpy loop it must match (dW = H^T G for one
-  // 608-row shard). Every output is verified bit-identical.
+  // 608-row shard); the dW rows price the pack the backward no longer
+  // makes. Every output is verified bit-identical.
   {
     Table gemm_table({"GEMM", "shape", "reference [ms]", "kernel [ms]",
                       "speedup", "GFLOP/s now", "bit-identical"});
@@ -269,33 +271,74 @@ int main(int argc, char** argv) {
     }
     {
       // dW[l,:] += H[i,l] * G[i,:] over a relu'd H (about half zeros, so
-      // the zero skip is live) at rows = k = 32, m = 608, n = 32.
+      // the zero skip is live) at rows = k = 32, m = 608, n = 32, H read in
+      // place, against the per-row simd::axpy loop it must match.
       const std::int64_t rows = 32, m = 608, n = 32;
-      std::vector<float> ht(static_cast<std::size_t>(rows * m));
+      std::vector<float> h(static_cast<std::size_t>(m * rows));
       std::vector<float> g(static_cast<std::size_t>(m * n));
-      for (float& v : ht)
+      for (float& v : h)
         v = std::max(0.0f, static_cast<float>(rng.uniform(-1.0, 1.0)));
       for (float& v : g) v = static_cast<float>(rng.uniform(-1.0, 1.0));
       std::vector<float> d_row(static_cast<std::size_t>(rows * n), 0.0f);
-      std::vector<float> d_pan = d_row;
+      std::vector<float> d_nat = d_row;
       Timing rowwise = time_kernel(warmup, reps, [&] {
         for (std::int64_t l = 0; l < rows; ++l)
           for (std::int64_t i = 0; i < m; ++i)
-            if (ht[l * m + i] != 0.0f)
-              simd::axpy(d_row.data() + l * n, ht[l * m + i], g.data() + i * n,
-                         n);
+            if (h[i * rows + l] != 0.0f)
+              simd::axpy(d_row.data() + l * n, h[i * rows + l],
+                         g.data() + i * n, n);
       });
-      Timing panels = time_kernel(warmup, reps, [&] {
-        tensor::detail::gemm_axpy_panels(ht.data(), m, g.data(), n, rows, m, n,
-                                         d_pan.data(), n);
+      Timing natural = time_kernel(warmup, reps, [&] {
+        tensor::detail::gemm_axpy_natural(h.data(), rows, nullptr, g.data(), n,
+                                          rows, m, n, d_nat.data(), n);
       });
       // Both sides ran warmup + reps passes over the same accumulators.
-      add_gemm("dB", "32x608x32", 2.0 * rows * m * n, rowwise, panels,
-               std::memcmp(d_row.data(), d_pan.data(),
+      add_gemm("dB", "32x608x32", 2.0 * rows * m * n, rowwise, natural,
+               std::memcmp(d_row.data(), d_nat.data(),
                            d_row.size() * sizeof(float)) == 0);
     }
+    {
+      // The backward's two dB GEMMs at a training-shard shape (e = 300
+      // product rows, 32x32 weight), as the backward ran them before
+      // (pack A transposed, then the packed kernel) against reading A in
+      // place. "dW0": A = H, [e, 32] (the self matmul, and matmul's dB).
+      // "dW_r": A = h[src[i], :] for 300 edges into a 384-node h (the
+      // message GEMM; the old path gathered and transposed in one copy).
+      const std::int64_t k = 32, e = 300, n = 32, nodes = 384;
+      std::vector<float> h(static_cast<std::size_t>(nodes * k));
+      std::vector<float> g(static_cast<std::size_t>(e * n));
+      std::vector<int> src(static_cast<std::size_t>(e));
+      for (float& v : h)
+        v = std::max(0.0f, static_cast<float>(rng.uniform(-1.0, 1.0)));
+      for (float& v : g) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+      for (int& s : src) s = static_cast<int>(rng.next_below(nodes));
+      std::vector<float> at(static_cast<std::size_t>(k * e));
+      for (bool gathered : {false, true}) {
+        std::vector<float> d_old(static_cast<std::size_t>(k * n), 0.0f);
+        std::vector<float> d_new = d_old;
+        const int* idx = gathered ? src.data() : nullptr;
+        Timing packed = time_kernel(warmup, reps, [&] {
+          for (std::int64_t i = 0; i < e; ++i) {
+            const float* row = h.data() + (idx ? idx[i] : i) * k;
+            for (std::int64_t l = 0; l < k; ++l) at[l * e + i] = row[l];
+          }
+          tensor::detail::gemm_axpy(
+              tensor::detail::PackedTransposedA{at.data(), e}, g.data(), n, k,
+              e, n, d_old.data(), n);
+        });
+        Timing natural = time_kernel(warmup, reps, [&] {
+          tensor::detail::gemm_axpy_natural(h.data(), k, idx, g.data(), n, k,
+                                            e, n, d_new.data(), n);
+        });
+        add_gemm(gathered ? "dW_r pack->in place" : "dW0 pack->in place",
+                 "32x300x32", 2.0 * k * e * n, packed, natural,
+                 std::memcmp(d_old.data(), d_new.data(),
+                             d_old.size() * sizeof(float)) == 0);
+      }
+    }
     std::printf("\n=== GEMM kernel: reference vs output columns across "
-                "lanes (%d wide; 1 thread, no transposes timed) ===\n",
+                "lanes (%d wide; 1 thread; only the dW rows time a pack) "
+                "===\n",
                 tensor::detail::kCols);
     gemm_table.print();
   }

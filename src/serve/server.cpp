@@ -612,16 +612,23 @@ void InferenceServer::pump_one(std::unique_lock<std::mutex>& lock) {
   }
   // Hand the pump role back before running continuations: another pumper
   // may start (and reuse the scratch) as soon as pumping_ drops, so the
-  // fired list moves to the stack first.
-  FiredList fired = std::move(pump_fired_);
-  pump_fired_.clear();
+  // fired list moves to the stack first, and pump_fired_ takes the spare
+  // list's storage. Swaps, not moves: both buffers keep their capacity, so
+  // a warm pump allocates nothing.
+  FiredList fired;
+  fired.swap(pump_fired_);
+  pump_fired_.swap(fired_spare_);
   pumping_ = false;
   cv_done_.notify_all();
   if (!fired.empty()) {
     lock.unlock();
     for (FiredCallback& f : fired) f.fn(f.response);
+    fired.clear();
     lock.lock();
   }
+  // Keep the larger buffer as the spare (a concurrent pump may have
+  // returned one meanwhile).
+  if (fired.capacity() > fired_spare_.capacity()) fired_spare_.swap(fired);
 }
 
 Response InferenceServer::wait(std::uint32_t slot, std::uint64_t gen) {

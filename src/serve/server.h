@@ -390,6 +390,9 @@ class InferenceServer {
   std::vector<std::uint64_t> batch_fps_;
   std::vector<int> batch_preds_;
   FiredList pump_fired_;
+  // The other continuation buffer: pump_one swaps pump_fired_ out to run
+  // it unlocked, swaps this one in, and returns the run one here.
+  FiredList fired_spare_;
 
   // Stats. queries_ is atomic so the zero-allocation hit path never takes
   // the server mutex; the rest mutate under mutex_. invalid_arguments_ is

@@ -1,5 +1,6 @@
 #include "sim/cache.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace irgnn::sim {
@@ -20,6 +21,8 @@ int exact_log2(long long value, const char* what) {
 SetAssociativeCache::SetAssociativeCache(int size_bytes, int associativity,
                                          int line_bytes)
     : associativity_(static_cast<std::size_t>(associativity)) {
+  if (associativity > 255)
+    throw std::invalid_argument("cache associativity must be at most 255");
   const long long ways_bytes =
       static_cast<long long>(associativity) * line_bytes;
   const long long num_sets = ways_bytes > 0 ? size_bytes / ways_bytes : 0;
@@ -27,36 +30,45 @@ SetAssociativeCache::SetAssociativeCache(int size_bytes, int associativity,
                                   "cache set count must be a power of two")) -
               1;
   const std::size_t ways = static_cast<std::size_t>(num_sets) * associativity_;
-  tags_.assign(ways, kEmpty);
-  lru_.assign(ways, 0);
-  prefetched_.assign(ways, 0);
+  fill_.assign(static_cast<std::size_t>(num_sets), 0);
+  tags_.resize(ways);
+  lru_.resize(ways);
+  prefetched_.resize(ways);
+}
+
+void SetAssociativeCache::reset() {
+  std::fill(fill_.begin(), fill_.end(), 0);
+  tick_ = 0;
 }
 
 bool SetAssociativeCache::access(std::uint64_t line, bool* was_prefetched) {
-  const std::size_t base = set_base(line);
-  for (std::size_t w = base; w < base + associativity_; ++w) {
+  const std::size_t set = set_of(line);
+  const std::size_t base = set * associativity_;
+  for (std::size_t w = base; w < base + fill_[set]; ++w) {
     if (tags_[w] == line) {
       lru_[w] = ++tick_;
       if (was_prefetched) *was_prefetched = prefetched_[w] != 0;
       prefetched_[w] = 0;  // demand touch clears the tag
       return true;
     }
-    if (tags_[w] == kEmpty) break;
   }
   return false;
 }
 
 bool SetAssociativeCache::insert_if_absent(std::uint64_t line,
                                            bool prefetched) {
-  const std::size_t base = set_base(line);
+  const std::size_t set = set_of(line);
+  const std::size_t base = set * associativity_;
+  const std::size_t end = base + fill_[set];
   std::size_t victim = base;
-  for (std::size_t w = base; w < base + associativity_; ++w) {
+  for (std::size_t w = base; w < end; ++w) {
     if (tags_[w] == line) return false;
-    if (tags_[w] == kEmpty) {
-      victim = w;
-      break;
-    }
     if (lru_[w] < lru_[victim]) victim = w;
+  }
+  // A set with a free way fills it; a full set evicts its LRU way.
+  if (fill_[set] < associativity_) {
+    victim = end;
+    ++fill_[set];
   }
   tags_[victim] = line;
   lru_[victim] = ++tick_;
@@ -65,11 +77,10 @@ bool SetAssociativeCache::insert_if_absent(std::uint64_t line,
 }
 
 bool SetAssociativeCache::contains(std::uint64_t line) const {
-  const std::size_t base = set_base(line);
-  for (std::size_t w = base; w < base + associativity_; ++w) {
+  const std::size_t set = set_of(line);
+  const std::size_t base = set * associativity_;
+  for (std::size_t w = base; w < base + fill_[set]; ++w)
     if (tags_[w] == line) return true;
-    if (tags_[w] == kEmpty) break;
-  }
   return false;
 }
 
@@ -78,6 +89,14 @@ CoreCacheModel::L2Variant::L2Variant(const MachineDesc& machine,
     : adjacent(prefetch.l2_adjacent),
       streamer(prefetch.l2_streamer),
       cache(machine.l2_size_bytes, machine.l2_assoc, machine.line_bytes) {}
+
+void CoreCacheModel::L2Variant::reset(const PrefetcherConfig& prefetch) {
+  adjacent = prefetch.l2_adjacent;
+  streamer = prefetch.l2_streamer;
+  cache.reset();
+  stats = CacheStats{};
+  streams.clear();
+}
 
 void CoreCacheModel::L2Variant::prefetch(std::uint64_t line) {
   if (cache.insert_if_absent(line, /*prefetched=*/true))
@@ -131,24 +150,51 @@ void CoreCacheModel::L2Variant::demand(std::uint64_t line, int page_shift) {
   if (adjacent) prefetch(line ^ 1ull);
 }
 
+namespace {
+
+/// Throws std::invalid_argument unless `variants` is non-empty and agrees
+/// on both DCU bits.
+void check_variants(const std::vector<PrefetcherConfig>& variants) {
+  if (variants.empty())
+    throw std::invalid_argument("CoreCacheModel needs at least one variant");
+  for (const PrefetcherConfig& variant : variants)
+    if (variant.dcu_next_line != variants[0].dcu_next_line ||
+        variant.dcu_ip != variants[0].dcu_ip)
+      throw std::invalid_argument(
+          "CoreCacheModel variants must agree on the DCU prefetchers");
+}
+
+}  // namespace
+
 CoreCacheModel::CoreCacheModel(const MachineDesc& machine,
                                const std::vector<PrefetcherConfig>& variants)
-    : line_shift_(exact_log2(machine.line_bytes,
+    : machine_(machine),
+      line_shift_(exact_log2(machine.line_bytes,
                              "line size must be a power of two")),
       page_shift_(exact_log2(4096 / machine.line_bytes,
                              "a 4KB page must hold a power of two of lines")),
       dcu_next_line_(!variants.empty() && variants[0].dcu_next_line),
       dcu_ip_(!variants.empty() && variants[0].dcu_ip),
       l1_(machine.l1_size_bytes, machine.l1_assoc, machine.line_bytes) {
-  if (variants.empty())
-    throw std::invalid_argument("CoreCacheModel needs at least one variant");
+  check_variants(variants);
   l2_.reserve(variants.size());
-  for (const PrefetcherConfig& variant : variants) {
-    if (variant.dcu_next_line != dcu_next_line_ || variant.dcu_ip != dcu_ip_)
-      throw std::invalid_argument(
-          "CoreCacheModel variants must agree on the DCU prefetchers");
+  for (const PrefetcherConfig& variant : variants)
     l2_.emplace_back(machine, variant);
-  }
+}
+
+void CoreCacheModel::reset(const std::vector<PrefetcherConfig>& variants) {
+  check_variants(variants);
+  dcu_next_line_ = variants[0].dcu_next_line;
+  dcu_ip_ = variants[0].dcu_ip;
+  l1_.reset();
+  l1_stats_ = CacheStats{};
+  stride_table_.clear();
+  if (l2_.size() > variants.size())
+    l2_.erase(l2_.begin() + static_cast<std::ptrdiff_t>(variants.size()),
+              l2_.end());
+  for (std::size_t v = 0; v < l2_.size(); ++v) l2_[v].reset(variants[v]);
+  for (std::size_t v = l2_.size(); v < variants.size(); ++v)
+    l2_.emplace_back(machine_, variants[v]);
 }
 
 CacheStats CoreCacheModel::stats(std::size_t v) const {

@@ -57,11 +57,16 @@ struct CacheStats {
 };
 
 /// LRU set-associative cache of lines. The geometry must give a power-of-two
-/// number of sets (the constructor throws std::invalid_argument otherwise),
-/// so a line's set is a mask of its low bits.
+/// number of sets and at most 255 ways (the constructor throws
+/// std::invalid_argument otherwise), so a line's set is a mask of its low
+/// bits and a set's fill count fits a byte.
 class SetAssociativeCache {
  public:
   SetAssociativeCache(int size_bytes, int associativity, int line_bytes);
+
+  /// Empties the cache: afterwards it behaves exactly as a newly
+  /// constructed one. Clears one byte per set, not the ways.
+  void reset();
 
   /// Demand lookup. On a hit, updates LRU, stores in *was_prefetched
   /// whether the line still carried the prefetch tag, clears the tag and
@@ -76,16 +81,16 @@ class SetAssociativeCache {
   int num_sets() const { return static_cast<int>(set_mask_ + 1); }
 
  private:
-  static constexpr std::uint64_t kEmpty = ~0ull;  // no line is ever ~0
-
-  std::size_t set_base(std::uint64_t line) const {
-    return static_cast<std::size_t>(line & set_mask_) * associativity_;
+  std::size_t set_of(std::uint64_t line) const {
+    return static_cast<std::size_t>(line & set_mask_);
   }
 
   std::uint64_t set_mask_;
   std::size_t associativity_;
   // num_sets * associativity ways, set-major. Ways fill in order and are
-  // never invalidated, so the occupied ways of a set are a prefix.
+  // never invalidated, so the occupied ways of set s are the prefix of
+  // fill_[s] ways; the ways past it hold stale values that are never read.
+  std::vector<std::uint8_t> fill_;
   std::vector<std::uint64_t> tags_;
   std::vector<std::uint64_t> lru_;
   std::vector<std::uint8_t> prefetched_;
@@ -105,6 +110,13 @@ class CoreCacheModel {
   CoreCacheModel(const MachineDesc& machine, const PrefetcherConfig& prefetch)
       : CoreCacheModel(machine, std::vector<PrefetcherConfig>{prefetch}) {}
 
+  /// Empties every cache, table and counter and takes a new set of
+  /// variants (same rules as the constructor; on a throw the model is
+  /// unchanged). Afterwards the model reports exactly what a newly
+  /// constructed one with these variants would, without reallocating the
+  /// caches.
+  void reset(const std::vector<PrefetcherConfig>& variants);
+
   void access(const MemoryAccess& access);
   /// Statistics of variant `v`: exactly what a one-variant model with that
   /// configuration reports over the same accesses.
@@ -115,6 +127,9 @@ class CoreCacheModel {
   // statistics (L2 hits/misses, L2 prefetches issued and hit).
   struct L2Variant {
     L2Variant(const MachineDesc& machine, const PrefetcherConfig& prefetch);
+
+    /// Empty cache, monitors and statistics, under new L2 prefetcher bits.
+    void reset(const PrefetcherConfig& prefetch);
 
     void prefetch(std::uint64_t line);
     void demand(std::uint64_t line, int page_shift);
@@ -141,6 +156,7 @@ class CoreCacheModel {
 
   void issue_l1_prefetch(std::uint64_t line);
 
+  MachineDesc machine_;  // builds the L2s of variants beyond the current count
   int line_shift_;  // log2(line bytes)
   int page_shift_;  // log2(lines per 4KB page)
   bool dcu_next_line_;

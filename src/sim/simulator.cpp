@@ -40,11 +40,15 @@ Simulator::PhaseCacheStats Simulator::core_stats(
   Trace trace =
       generate_trace(traits, phase_index, threads, size_scale, drift_call);
   std::array<PhaseCacheStats, 16> all;
+  std::vector<PrefetcherConfig> variants(4);
   for (int dcu = 0; dcu < 4; ++dcu) {
-    std::vector<PrefetcherConfig> variants;
     for (int l2 = 0; l2 < 4; ++l2)
-      variants.push_back(PrefetcherConfig::from_msr_mask(4 * dcu + l2));
-    CoreCacheModel core(machine_, variants);
+      variants[l2] = PrefetcherConfig::from_msr_mask(4 * dcu + l2);
+    if (core_)
+      core_->reset(variants);
+    else
+      core_.emplace(machine_, variants);
+    CoreCacheModel& core = *core_;
     for (const MemoryAccess& access : trace.accesses) core.access(access);
     for (int l2 = 0; l2 < 4; ++l2) {
       const CacheStats cs = core.stats(l2);

@@ -18,12 +18,13 @@
 //      al., plus auxiliary ratios).
 //
 // The simulator is deterministic; a Simulator instance is not thread-safe
-// (it memoizes trace results), so parallel drivers use one instance per
-// region.
+// (it memoizes trace results and reuses one cache model across trace
+// passes), so parallel drivers use one instance per region.
 #pragma once
 
 #include <array>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "sim/cache.h"
@@ -106,6 +107,10 @@ class Simulator {
   std::map<std::tuple<std::string, std::size_t, int, double, int>,
            std::array<PhaseCacheStats, 16>>
       stats_cache_;
+  // The cache model of every trace pass, built on first use and reset
+  // between passes: a reset clears one byte per cache set, where a new
+  // model would allocate and clear every way of one L1 and four L2s.
+  std::optional<CoreCacheModel> core_;
 };
 
 }  // namespace irgnn::sim

@@ -12,7 +12,9 @@
 // Three adapters plug the pool into standard containers and smart pointers:
 //
 //   PoolAllocator<T>  - std::allocator drop-in; PoolVector<T> is the vector
-//                       alias the tensor layer uses for float/int buffers.
+//                       alias the tensor layer uses for float/int buffers
+//                       (UninitPoolVector<T> for outputs written whole,
+//                       which resize without a zero fill).
 //   make_pooled<T>()  - allocate_shared through the pool, so shared_ptr
 //                       control blocks recycle too.
 //
@@ -27,6 +29,7 @@
 #include <memory>
 #include <mutex>
 #include <new>
+#include <utility>
 #include <vector>
 
 namespace irgnn::support {
@@ -117,6 +120,30 @@ class PoolAllocator {
 /// A vector whose storage recycles through the arena.
 template <typename T>
 using PoolVector = std::vector<T, PoolAllocator<T>>;
+
+/// PoolAllocator whose value-less construct default-initializes, so
+/// resize(n) on a vector of floats leaves the new elements unwritten
+/// (assign(n, 0.0f) still fills). For buffers whose owner writes every
+/// element before reading any.
+template <typename T>
+class UninitPoolAllocator : public PoolAllocator<T> {
+ public:
+  UninitPoolAllocator() noexcept = default;
+  template <typename U>
+  UninitPoolAllocator(const UninitPoolAllocator<U>&) noexcept {}
+
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+template <typename T>
+using UninitPoolVector = std::vector<T, UninitPoolAllocator<T>>;
 
 /// allocate_shared through the pool: object and control block recycle as one
 /// bucket-sized block.

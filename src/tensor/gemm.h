@@ -20,11 +20,16 @@
 // scalar builds). The last partial column vector is read and written
 // through a lane mask, so no element outside C or B is touched.
 //
-// gemm_axpy_panels is the dB backward GEMM (dB[l,:] += A[i,l] * G[i,:],
-// i ascending). It holds two column vectors of several destination rows in
+// gemm_axpy is the dB backward GEMM (dB[l,:] += A[i,l] * G[i,:], i
+// ascending). It holds two column vectors of several destination rows in
 // registers across the whole i loop; each element still gets one multiply,
 // then one add, per nonzero A[i,l], in ascending i. The zero skip stays:
-// adding an unconditional +0 would turn a -0 accumulator into +0.
+// adding an unconditional +0 would turn a -0 accumulator into +0. A tile
+// of destination rows l0.. reads A[i, l0:] as a few contiguous floats per
+// i, so A is read in place (gemm_axpy_natural), also through a row index:
+// the message GEMM's gathered rows A[src[i], :] are never copied. The
+// packed-transposed source (A copied to [rows, m]) is what the kernel
+// bench prices the in-place read against.
 //
 // Layout convention: every matrix is row-major with an explicit leading
 // dimension (lda, ldb, ...).
@@ -155,36 +160,47 @@ inline void gemm_dot_rowwise(const float* a, std::int64_t lda,
 
 /// Rows x `cols` outputs of gemm_dot_cols (cols == kCols when Full):
 /// C[r, 0:cols] op= A[r, 0:k] B[0:k, 0:cols], simd::dot's arithmetic per
-/// element.
+/// element. The lane accumulators are named locals (p* for row 0, q* for
+/// row 1), not an array: GCC keeps an accumulator array on the stack and
+/// spills it around the fold, while named locals stay in registers from the
+/// first product through the fold.
 template <bool Accumulate, int Rows, bool Full>
 inline void dot_tile(const float* a, std::int64_t lda, const float* b,
                      std::int64_t ldb, std::int64_t k, float* c,
                      std::int64_t ldc, int cols) {
-  ColVec acc[Rows][simd::kLanes];
-  for (auto& row : acc)
-    for (ColVec& lane : row) lane = ColVec::zero();
-  std::int64_t i = 0;
-  for (; i + simd::kLanes <= k; i += simd::kLanes)
-    for (int l = 0; l < simd::kLanes; ++l) {
-      const ColVec vb = ColVec::load_cols<Full>(b + (i + l) * ldb, cols);
-      for (int r = 0; r < Rows; ++r)
-        acc[r][l] += ColVec::broadcast(a[r * lda + i + l]) * vb;
-    }
-  // Fold, then the tail products in ascending i for every row. The loops
-  // over r hold no inner loop, so the compiler unrolls them.
-  ColVec s[Rows];
-  for (int r = 0; r < Rows; ++r)
-    s[r] = ((acc[r][0] + acc[r][4]) + (acc[r][2] + acc[r][6])) +
-           ((acc[r][1] + acc[r][5]) + (acc[r][3] + acc[r][7]));
-  for (; i < k; ++i) {
+  static_assert(Rows == 1 || Rows == 2, "a tile holds one or two rows");
+  static_assert(simd::kLanes == 8, "one accumulator per lane class");
+  ColVec p0 = ColVec::zero(), p1 = p0, p2 = p0, p3 = p0, p4 = p0, p5 = p0,
+         p6 = p0, p7 = p0;
+  ColVec q0 = p0, q1 = p0, q2 = p0, q3 = p0, q4 = p0, q5 = p0, q6 = p0,
+         q7 = p0;
+  // Reduction index i: row 0 adds A[0,i] * B[i,:] onto p, row 1 A[1,i] *
+  // B[i,:] onto q.
+  auto step = [&](std::int64_t i, ColVec& p, ColVec& q) {
     const ColVec vb = ColVec::load_cols<Full>(b + i * ldb, cols);
-    for (int r = 0; r < Rows; ++r)
-      s[r] += ColVec::broadcast(a[r * lda + i]) * vb;
+    p += ColVec::broadcast(a[i]) * vb;
+    if constexpr (Rows == 2) q += ColVec::broadcast(a[lda + i]) * vb;
+  };
+  std::int64_t i = 0;
+  for (; i + simd::kLanes <= k; i += simd::kLanes) {
+    step(i, p0, q0);
+    step(i + 1, p1, q1);
+    step(i + 2, p2, q2);
+    step(i + 3, p3, q3);
+    step(i + 4, p4, q4);
+    step(i + 5, p5, q5);
+    step(i + 6, p6, q6);
+    step(i + 7, p7, q7);
   }
-  for (int r = 0; r < Rows; ++r) {
-    float* crow = c + r * ldc;
-    if (Accumulate) s[r] = ColVec::load_cols<Full>(crow, cols) + s[r];
-    ColVec::store_cols<Full>(crow, cols, s[r]);
+  // Fold, then the tail products in ascending i.
+  ColVec s0 = ((p0 + p4) + (p2 + p6)) + ((p1 + p5) + (p3 + p7));
+  ColVec s1 = ((q0 + q4) + (q2 + q6)) + ((q1 + q5) + (q3 + q7));
+  for (; i < k; ++i) step(i, s0, s1);
+  if (Accumulate) s0 = ColVec::load_cols<Full>(c, cols) + s0;
+  ColVec::store_cols<Full>(c, cols, s0);
+  if constexpr (Rows == 2) {
+    if (Accumulate) s1 = ColVec::load_cols<Full>(c + ldc, cols) + s1;
+    ColVec::store_cols<Full>(c + ldc, cols, s1);
   }
 }
 
@@ -216,13 +232,40 @@ inline void gemm_dot_cols(const float* a, std::int64_t lda, const float* b,
     dot_rows<Accumulate, 1>(a + i * lda, lda, b, ldb, n, k, c + i * ldc, ldc);
 }
 
-/// Rows destination rows x Vecs column vectors of gemm_axpy_panels (one
-/// vector `cols` wide unless Full), accumulators held in registers across
-/// the i loop.
-template <int Rows, int Vecs, bool Full>
-inline void axpy_tile(const float* at, std::int64_t lda, const float* g,
-                      std::int64_t ldg, std::int64_t m, float* d,
-                      std::int64_t ldd, int cols) {
+/// Where the dB GEMM reads its left operand, as A[i, l] for product row i
+/// and destination row l (relative to the tile's first row). Every source
+/// yields the same values for the same A, so the kernels below differ only
+/// in which addresses they read, never in the arithmetic.
+struct PackedTransposedA {  // at[l, i]: A packed transposed, [rows, m]
+  const float* at;
+  std::int64_t lda;
+  float operator()(std::int64_t i, int l) const { return at[l * lda + i]; }
+  PackedTransposedA rows_from(std::int64_t l0) const {
+    return {at + l0 * lda, lda};
+  }
+};
+struct NaturalA {  // a[i, l]: A in place, [m, lda]
+  const float* a;
+  std::int64_t lda;
+  float operator()(std::int64_t i, int l) const { return a[i * lda + l]; }
+  NaturalA rows_from(std::int64_t l0) const { return {a + l0, lda}; }
+};
+struct GatheredA {  // a[idx[i], l]: the rows idx selects, read in place
+  const float* a;
+  std::int64_t lda;
+  const int* idx;
+  float operator()(std::int64_t i, int l) const {
+    return a[static_cast<std::int64_t>(idx[i]) * lda + l];
+  }
+  GatheredA rows_from(std::int64_t l0) const { return {a + l0, lda, idx}; }
+};
+
+/// Rows destination rows x Vecs column vectors of the dB GEMM (one vector
+/// `cols` wide unless Full), accumulators held in registers across the i
+/// loop.
+template <int Rows, int Vecs, bool Full, typename Src>
+inline void axpy_tile(const Src& a, const float* g, std::int64_t ldg,
+                      std::int64_t m, float* d, std::int64_t ldd, int cols) {
   static_assert(Full || Vecs == 1, "only a single vector can be partial");
   ColVec acc[Rows][Vecs];
   for (int r = 0; r < Rows; ++r)
@@ -233,7 +276,7 @@ inline void axpy_tile(const float* at, std::int64_t lda, const float* g,
     for (int v = 0; v < Vecs; ++v)
       gi[v] = ColVec::load_cols<Full>(g + i * ldg + v * kCols, cols);
     for (int r = 0; r < Rows; ++r) {
-      const ColVec s = ColVec::broadcast(at[r * lda + i]);
+      const ColVec s = ColVec::broadcast(a(i, r));
       for (int v = 0; v < Vecs; ++v)
         acc[r][v] = acc[r][v].plus_product_unless_zero(s, gi[v]);
     }
@@ -243,38 +286,53 @@ inline void axpy_tile(const float* at, std::int64_t lda, const float* g,
       ColVec::store_cols<Full>(d + r * ldd + v * kCols, cols, acc[r][v]);
 }
 
-template <int Rows>
-inline void axpy_rows(const float* at, std::int64_t lda, const float* g,
-                      std::int64_t ldg, std::int64_t m, std::int64_t n,
-                      float* d, std::int64_t ldd) {
+template <int Rows, typename Src>
+inline void axpy_rows(const Src& a, const float* g, std::int64_t ldg,
+                      std::int64_t m, std::int64_t n, float* d,
+                      std::int64_t ldd) {
   std::int64_t j = 0;
   for (; j + 2 * kCols <= n; j += 2 * kCols)
-    axpy_tile<Rows, 2, true>(at, lda, g + j, ldg, m, d + j, ldd, kCols);
+    axpy_tile<Rows, 2, true>(a, g + j, ldg, m, d + j, ldd, kCols);
   if (j + kCols <= n) {
-    axpy_tile<Rows, 1, true>(at, lda, g + j, ldg, m, d + j, ldd, kCols);
+    axpy_tile<Rows, 1, true>(a, g + j, ldg, m, d + j, ldd, kCols);
     j += kCols;
   }
   if (j < n)
-    axpy_tile<Rows, 1, false>(at, lda, g + j, ldg, m, d + j, ldd,
+    axpy_tile<Rows, 1, false>(a, g + j, ldg, m, d + j, ldd,
                               static_cast<int>(n - j));
 }
 
 /// Outer-product accumulation (the dB backward GEMM):
-///   d[l, j] += at[l, i] * g[i, j]   for i ascending, skipping at[l,i]==0,
-/// over l in [0, rows), j in [0, n). `at` is A packed transposed ([rows, m],
-/// leading dimension lda); `g` is [m, n] with leading dimension ldg; `d` has
-/// leading dimension ldd. Each element gets exactly the adds of a per-row
+///   d[l, j] += A[i, l] * g[i, j]   for i ascending, skipping A[i,l]==0,
+/// over l in [0, rows), j in [0, n), with A read through `a` (one of the
+/// sources above). `g` is [m, n] with leading dimension ldg; `d` has leading
+/// dimension ldd. Each element gets exactly the adds of a per-row
 /// simd::axpy loop over i with the same zero skip, so the result is
-/// bit-identical to it.
-inline void gemm_axpy_panels(const float* at, std::int64_t lda, const float* g,
-                             std::int64_t ldg, std::int64_t rows,
-                             std::int64_t m, std::int64_t n, float* d,
-                             std::int64_t ldd) {
+/// bit-identical to it whatever the source.
+template <typename Src>
+inline void gemm_axpy(const Src& a, const float* g, std::int64_t ldg,
+                      std::int64_t rows, std::int64_t m, std::int64_t n,
+                      float* d, std::int64_t ldd) {
   const std::int64_t tiled = rows - rows % kAxpyRows;
   for (std::int64_t l = 0; l < tiled; l += kAxpyRows)
-    axpy_rows<kAxpyRows>(at + l * lda, lda, g, ldg, m, n, d + l * ldd, ldd);
+    axpy_rows<kAxpyRows>(a.rows_from(l), g, ldg, m, n, d + l * ldd, ldd);
   for (std::int64_t l = tiled; l < rows; ++l)
-    axpy_rows<1>(at + l * lda, lda, g, ldg, m, n, d + l * ldd, ldd);
+    axpy_rows<1>(a.rows_from(l), g, ldg, m, n, d + l * ldd, ldd);
+}
+
+/// The dB GEMM over A in its natural [m, lda] layout, with `a` pointing at
+/// column l0 and `d` at dB row l0: product row i reads the `rows`
+/// contiguous floats A[i, l0:], or, with a non-null `idx`, A[idx[i], l0:]
+/// (a gather GEMM that never copies the gathered rows).
+inline void gemm_axpy_natural(const float* a, std::int64_t lda,
+                              const int* idx, const float* g,
+                              std::int64_t ldg, std::int64_t rows,
+                              std::int64_t m, std::int64_t n, float* d,
+                              std::int64_t ldd) {
+  if (idx != nullptr)
+    gemm_axpy(GatheredA{a, lda, idx}, g, ldg, rows, m, n, d, ldd);
+  else
+    gemm_axpy(NaturalA{a, lda}, g, ldg, rows, m, n, d, ldd);
 }
 
 }  // namespace irgnn::tensor::detail

@@ -47,10 +47,18 @@ void for_row_blocks(std::int64_t rows, std::int64_t flops, const Fn& fn) {
       });
 }
 
-std::shared_ptr<Node> make_node(Shape shape) {
+/// How a new node's data starts: zero-filled, or unwritten for an op that
+/// writes every element before anything reads it.
+enum class Output { kZeroed, kOverwritten };
+
+std::shared_ptr<Node> make_node(Shape shape, Output output = Output::kZeroed) {
   auto node = support::make_pooled<Node>();
   node->shape = shape;
-  node->data.assign(static_cast<std::size_t>(shape.numel()), 0.0f);
+  const auto numel = static_cast<std::size_t>(shape.numel());
+  if (output == Output::kZeroed)
+    node->data.assign(numel, 0.0f);
+  else
+    node->data.resize(numel);
   return node;
 }
 
@@ -59,8 +67,9 @@ std::shared_ptr<Node> make_node(Shape shape) {
 /// propagation — parents' buffers can recycle the moment their handles die.
 std::shared_ptr<Node> make_op_node(
     Shape shape, const std::shared_ptr<Node>* parents, std::size_t count,
-    support::InlineFunction<void(Node&), 64> backward) {
-  auto node = make_node(shape);
+    support::InlineFunction<void(Node&), 64> backward,
+    Output output = Output::kZeroed) {
+  auto node = make_node(shape, output);
   if (t_inference_mode) return node;
   for (std::size_t p = 0; p < count; ++p)
     node->requires_grad |= parents[p]->requires_grad;
@@ -78,9 +87,10 @@ std::shared_ptr<Node> make_op_node(
 
 std::shared_ptr<Node> make_op_node(
     Shape shape, std::initializer_list<std::shared_ptr<Node>> parents,
-    support::InlineFunction<void(Node&), 64> backward) {
+    support::InlineFunction<void(Node&), 64> backward,
+    Output output = Output::kZeroed) {
   return make_op_node(shape, parents.begin(), parents.size(),
-                      std::move(backward));
+                      std::move(backward), output);
 }
 
 }  // namespace
@@ -227,19 +237,18 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
           });
         }
         if (B.requires_grad) {
-          // dB[l,:] += A[i,l] * g[i,:], i ascending. Pack A transposed so
-          // each dB row reads a contiguous At row; parallel over dB rows,
-          // with each tile's column vectors held in registers across the
-          // whole i loop.
+          // dB[l,:] += A[i,l] * g[i,:], i ascending, with A read in place;
+          // parallel over dB rows, with each tile's column vectors held in
+          // registers across the whole i loop.
           float* gb = B.grad.data();
-          support::PoolVector<float> at;  // [k, m]
-          transpose_into(A.data.data(), m, k, at);
+          const float* pa = A.data.data();
           for_row_blocks(k, flops, [&](std::int64_t l0, std::int64_t l1) {
-            detail::gemm_axpy_panels(at.data() + l0 * m, m, g, n, l1 - l0, m,
-                                     n, gb + l0 * n, n);
+            detail::gemm_axpy_natural(pa + l0, k, nullptr, g, n, l1 - l0, m,
+                                      n, gb + l0 * n, n);
           });
         }
-      });
+      },
+      Output::kOverwritten);
   // Forward: B is read in place, each output still the canonical 8-wide
   // tree dot product of its A row and B column.
   const float* pa = a.data();
@@ -405,7 +414,8 @@ Tensor add_bias_act(const Tensor& a, const Tensor& b, Act act) {
             }
           }
         });
-      });
+      },
+      Output::kOverwritten);
   const float* pa = a.data();
   const float* pb = b.data();
   float* py = node->data.data();
@@ -536,7 +546,8 @@ Tensor layer_norm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
             }
           }
         }
-      });
+      },
+      Output::kOverwritten);
   // Rows normalize independently (stats slots are per-row too). Mean and
   // variance use the canonical tree reductions of support/simd.h.
   const float* px = x.data();
@@ -676,7 +687,6 @@ void rgcn_backward(Node& out, std::int64_t m, std::int64_t k, std::int64_t n,
   if (tape.num_relations > 0) {
     const std::int64_t cap = tape.max_edges;
     support::PoolVector<float> gm(static_cast<std::size_t>(cap * n));
-    support::PoolVector<float> rows_t(static_cast<std::size_t>(k * cap));
     support::PoolVector<float> drows(static_cast<std::size_t>(cap * k));
     for (int j = tape.num_relations - 1; j >= 0; --j) {
       Node& W = *out.parents[2 + j];
@@ -695,16 +705,12 @@ void rgcn_backward(Node& out, std::int64_t m, std::int64_t k, std::int64_t n,
       });
       if (W.requires_grad) {
         // The message matmul's dB: dW_r[l,:] += rows[i,l] * gm[i,:], i
-        // ascending, with the gathered rows packed transposed straight from
-        // h (rows_t[l,i] = h[src[i],l]).
-        for (std::int64_t i = 0; i < e; ++i) {
-          const float* hrow =
-              H.data.data() + static_cast<std::int64_t>(src[i]) * k;
-          for (std::int64_t l = 0; l < k; ++l) rows_t[l * e + i] = hrow[l];
-        }
+        // ascending, with the gathered rows read in place from h
+        // (rows[i,l] = h[src[i],l]).
+        const float* ph = H.data.data();
         for_row_blocks(k, flops, [&](std::int64_t l0, std::int64_t l1) {
-          detail::gemm_axpy_panels(rows_t.data() + l0 * e, e, gm.data(), n,
-                                   l1 - l0, e, n, W.grad.data() + l0 * n, n);
+          detail::gemm_axpy_natural(ph + l0, k, src, gm.data(), n, l1 - l0,
+                                    e, n, W.grad.data() + l0 * n, n);
         });
       }
       if (H.requires_grad) {
@@ -733,11 +739,10 @@ void rgcn_backward(Node& out, std::int64_t m, std::int64_t k, std::int64_t n,
     });
   }
   if (W0.requires_grad) {
-    support::PoolVector<float> ht;  // [k, m]
-    transpose_into(H.data.data(), m, k, ht);
+    const float* ph = H.data.data();
     for_row_blocks(k, flops, [&](std::int64_t l0, std::int64_t l1) {
-      detail::gemm_axpy_panels(ht.data() + l0 * m, m, pg, n, l1 - l0, m, n,
-                               W0.grad.data() + l0 * n, n);
+      detail::gemm_axpy_natural(ph + l0, k, nullptr, pg, n, l1 - l0, m, n,
+                                W0.grad.data() + l0 * n, n);
     });
   }
 }
@@ -799,7 +804,8 @@ Tensor rgcn_layer(const Tensor& h, const Tensor& self_weight,
   }
   auto node = make_op_node(
       {static_cast<int>(m), static_cast<int>(n)}, parents.data(), num_parents,
-      [m, k, n, tape](Node& out) { rgcn_backward(out, m, k, n, *tape); });
+      [m, k, n, tape](Node& out) { rgcn_backward(out, m, k, n, *tape); },
+      Output::kOverwritten);
 
   // Self term h W0, exactly matmul's forward.
   const float* ph = h.data();
@@ -931,18 +937,38 @@ Tensor nll_loss(const Tensor& log_probs, const std::vector<int>& targets) {
 
 Tensor dropout(const Tensor& x, float p, Rng& rng, bool training) {
   if (!training || p <= 0.0f) return x;
-  auto mask = support::make_pooled<support::PoolVector<float>>(
-      static_cast<std::size_t>(x.numel()));
-  float keep = 1.0f - p;
-  for (float& v : *mask) v = rng.bernoulli(keep) ? 1.0f / keep : 0.0f;
-  auto node = make_op_node(x.shape(), {x.node()}, [mask](Node& out) {
-    Node& X = *out.parents[0];
-    if (!X.requires_grad) return;
-    for (std::size_t i = 0; i < out.data.size(); ++i)
-      X.grad[i] += (*mask)[i] * out.grad[i];
-  });
-  for (std::int64_t i = 0; i < x.numel(); ++i)
-    node->data[i] = (*mask)[i] * x.data()[i];
+  const float keep = 1.0f - p;
+  // Rng::bernoulli(keep) is uniform() < keep with uniform() = (r >> 11) *
+  // 2^-53, exact in double. keep is a float, so keep * 2^53 is exact too,
+  // and for the integer r >> 11 the test is (r >> 11) < ceil(keep * 2^53):
+  // the same draw, the same outcome, no int-to-double conversion. A keep
+  // that is not positive (p >= 1, or NaN) keeps nothing, as uniform() <
+  // keep would.
+  const std::uint64_t threshold =
+      keep > 0.0f ? static_cast<std::uint64_t>(std::ceil(
+                        static_cast<double>(keep) * 0x1.0p53))
+                  : 0;
+  const float scale = 1.0f / keep;
+  const std::size_t numel = static_cast<std::size_t>(x.numel());
+  auto mask = support::make_pooled<support::UninitPoolVector<float>>(numel);
+  auto node = make_op_node(
+      x.shape(), {x.node()},
+      [mask](Node& out) {
+        Node& X = *out.parents[0];
+        if (!X.requires_grad) return;
+        for (std::size_t i = 0; i < out.data.size(); ++i)
+          X.grad[i] += (*mask)[i] * out.grad[i];
+      },
+      Output::kOverwritten);
+  // One pass writes the mask (kept for the backward) and the output.
+  const float* px = x.data();
+  float* pm = mask->data();
+  float* py = node->data.data();
+  for (std::size_t i = 0; i < numel; ++i) {
+    const float m = (rng() >> 11) < threshold ? scale : 0.0f;
+    pm[i] = m;
+    py[i] = m * px[i];
+  }
   return Tensor(node);
 }
 

@@ -21,7 +21,12 @@
 //
 // The GEMM kernels (tensor/gemm.h) put output columns across vector lanes
 // and read the right operand in its natural layout, with every output
-// element's reduction order unchanged from one simd::dot per element.
+// element's reduction order unchanged from one simd::dot per element. The
+// dB GEMM reads A in place too (through the edge list for gathered rows),
+// so a backward copies no activation, only the small weight transposes of
+// the dA GEMMs. Ops that write every output element (non-accumulating
+// matmul, add_bias_act, layer_norm, dropout, rgcn_layer) skip the zero
+// fill of their data buffer.
 // InferenceGuard provides a thread-local no-grad mode in which ops
 // record no tape at all — the inference fast path of gnn::StaticModel.
 #pragma once
@@ -61,7 +66,8 @@ struct Node {
   static constexpr int kMaxParents = 2 + kMaxRgcnRelations;
 
   Shape shape;
-  support::PoolVector<float> data;
+  /// Zero-filled at creation unless the op writes every element itself.
+  support::UninitPoolVector<float> data;
   support::PoolVector<float> grad;  // sized lazily on first backward touch
   bool requires_grad = false;
   int num_parents = 0;
@@ -258,7 +264,9 @@ Tensor log_softmax(const Tensor& x);
 /// Mean negative log-likelihood of `targets` under log-probabilities.
 Tensor nll_loss(const Tensor& log_probs, const std::vector<int>& targets);
 
-/// Inverted dropout; identity when `training` is false.
+/// Inverted dropout; identity when `training` is false. Element i is kept
+/// when draw i of `rng` would make Rng::bernoulli(1 - p) true (one draw
+/// per element, in order), and scaled by 1 / (1 - p).
 Tensor dropout(const Tensor& x, float p, Rng& rng, bool training);
 
 /// argmax of one contiguous row (strict >, first maximum wins) — the

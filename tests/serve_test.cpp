@@ -389,6 +389,65 @@ TEST(InferenceServerTest, WarmCacheHitPerformsZeroHeapAllocations) {
   EXPECT_EQ(first, expected);
 }
 
+TEST(InferenceServerTest, WarmMissesThroughThenPerformZeroHeapAllocations) {
+  // The path NetServer answers every request by: submit, then a then()
+  // continuation that the pump fires after the forward. No cache, so every
+  // query is a miss. Each round queues the 12 graphs with a continuation
+  // each, then drives the pump with a 13th query that coalesces onto graph
+  // 0 and waits. Once warm (the pump's two continuation buffers have grown
+  // in the first rounds), a round must not touch the heap.
+  auto model = std::make_shared<const gnn::StaticModel>(small_config(0x1A));
+  const std::vector<int> expected = serial_predict(*model);
+  const auto& graphs = test_graphs();
+  serve::ServerConfig config;
+  config.background_loop = false;  // this thread pumps, inside the window
+  config.cache_capacity = 0;
+  serve::InferenceServer server(model, config);
+  int fired = 0;
+  int wrong = 0;
+  auto round = [&] {
+    for (std::size_t g = 0; g < graphs.size(); ++g) {
+      serve::StatusOr<serve::InferenceServer::Future> submitted =
+          server.submit(serve::Request(graphs[g]));
+      ASSERT_TRUE(submitted.ok());
+      submitted.value().then([&fired, &wrong, &expected,
+                              g](const serve::Response& r) {
+        if (!r.ok() || r.label != expected[g]) ++wrong;
+        ++fired;
+      });
+    }
+    serve::StatusOr<serve::InferenceServer::Future> driver =
+        server.submit(serve::Request(graphs[0]));
+    ASSERT_TRUE(driver.ok());
+    const serve::Response r = driver.value().get();
+    ASSERT_TRUE(r.ok());
+    ASSERT_EQ(r.label, expected[0]);
+    ASSERT_EQ(r.source, serve::Source::Coalesced);
+  };
+  for (int warm = 0; warm < 3; ++warm) round();
+  ASSERT_EQ(fired, static_cast<int>(3 * graphs.size()));
+  const serve::ServerStats warm_stats = server.stats();
+
+  quiesce_pool();
+  const std::uint64_t heap_before = g_heap_allocations.load();
+  for (int rep = 0; rep < 10; ++rep) round();
+  const std::uint64_t heap_delta = g_heap_allocations.load() - heap_before;
+  EXPECT_EQ(heap_delta, 0u) << "warm misses answered through then() "
+                               "allocated";
+
+  EXPECT_EQ(fired, static_cast<int>(13 * graphs.size()));
+  EXPECT_EQ(wrong, 0);
+  // One batch per round, one forward per distinct graph (two suite regions
+  // may be structurally identical); every other query coalesced.
+  std::set<std::uint64_t> distinct;
+  for (const auto& g : graphs) distinct.insert(graph::fingerprint(g));
+  const serve::ServerStats stats = server.stats();
+  EXPECT_EQ(stats.forwards - warm_stats.forwards, 10 * distinct.size());
+  EXPECT_EQ(stats.batches - warm_stats.batches, 10u);
+  EXPECT_EQ(stats.coalesced - warm_stats.coalesced,
+            10 * (graphs.size() + 1 - distinct.size()));
+}
+
 TEST(InferenceServerTest, HotSwapUnderLoadNeverDropsOrMixesQueries) {
   auto model_a = std::make_shared<const gnn::StaticModel>(small_config(0xAA));
   auto model_b = std::make_shared<const gnn::StaticModel>(small_config(0xBB));

@@ -217,6 +217,88 @@ TEST(LockstepTest, SharedL1VariantsMatchSingleMaskRuns) {
   }
 }
 
+TEST(LockstepTest, ResetModelReportsWhatAFreshModelReports) {
+  // One model reused the way Simulator reuses it: reset between traces and
+  // between DCU settings, after its caches, stride table and streamer
+  // monitors were filled by the previous pass. Every variant must report
+  // exactly what a newly built model reports. Besides three region traces,
+  // one strided walk is cut in two halves inside one 4KB page: a stale
+  // stride entry, stream monitor or prefetched L1 line left by the first
+  // half would change the second half's statistics. The last pass per
+  // trace resets to a single variant: a change of variant count must not
+  // leak state either.
+  std::vector<std::vector<MemoryAccess>> traces;
+  for (const char* region : {"sp rhs", "bfs 135", "kmeans"}) {
+    const workloads::RegionSpec* spec = workloads::find_region(region);
+    ASSERT_NE(spec, nullptr) << region;
+    traces.push_back(generate_trace(spec->traits, 0, 4, 1.0, 0).accesses);
+  }
+  for (std::uint64_t half : {0, 1}) {
+    traces.emplace_back();
+    for (std::uint64_t i = 32 * half; i < 32 * (half + 1); ++i)
+      traces.back().push_back(make_access(4096 + 64 * i, /*pc=*/3));
+  }
+  for (const auto& machine :
+       {MachineDesc::sandy_bridge(), MachineDesc::skylake()}) {
+    CoreCacheModel reused(machine, PrefetcherConfig::from_msr_mask(0));
+    for (std::size_t t = 0; t < traces.size(); ++t) {
+      auto check = [&](const std::vector<PrefetcherConfig>& variants) {
+        reused.reset(variants);
+        CoreCacheModel fresh(machine, variants);
+        for (const MemoryAccess& a : traces[t]) {
+          reused.access(a);
+          fresh.access(a);
+        }
+        for (std::size_t v = 0; v < variants.size(); ++v)
+          expect_same_stats(reused.stats(v), fresh.stats(v),
+                            machine.name + " trace " + std::to_string(t) +
+                                " mask " +
+                                std::to_string(variants[v].msr_mask()));
+      };
+      check({PrefetcherConfig::from_msr_mask(5)});
+      for (int dcu = 0; dcu < 4; ++dcu) {
+        std::vector<PrefetcherConfig> variants;
+        for (int l2 = 0; l2 < 4; ++l2)
+          variants.push_back(PrefetcherConfig::from_msr_mask(4 * dcu + l2));
+        check(variants);
+      }
+    }
+  }
+}
+
+TEST(LockstepTest, ResetRefusesVariantsThatSplitTheDcuBits) {
+  MachineDesc machine = MachineDesc::skylake();
+  CoreCacheModel core(machine, PrefetcherConfig::from_msr_mask(0));
+  EXPECT_THROW(core.reset({}), std::invalid_argument);
+  EXPECT_THROW(core.reset({PrefetcherConfig::from_msr_mask(0),
+                           PrefetcherConfig::from_msr_mask(4)}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(core.reset({PrefetcherConfig::from_msr_mask(8),
+                              PrefetcherConfig::from_msr_mask(11)}));
+}
+
+TEST(CacheTest, ResetEmptiesEverySet) {
+  // 2 sets x 2 ways: fill both sets, reset, and the cache is empty again
+  // and fills and evicts exactly like a new one.
+  SetAssociativeCache cache(256, 2, 64);
+  for (std::uint64_t line : {0, 1, 2, 3}) cache.insert_if_absent(line, true);
+  cache.reset();
+  for (std::uint64_t line : {0, 1, 2, 3}) {
+    EXPECT_FALSE(cache.contains(line)) << line;
+    EXPECT_FALSE(cache.access(line)) << line;
+  }
+  cache.insert_if_absent(4, false);
+  cache.insert_if_absent(6, false);
+  EXPECT_TRUE(cache.access(4));  // touch 4: now 6 is LRU
+  cache.insert_if_absent(8, false);
+  EXPECT_TRUE(cache.contains(4));
+  EXPECT_FALSE(cache.contains(6));
+  EXPECT_TRUE(cache.contains(8));
+  bool was_prefetched = true;
+  EXPECT_TRUE(cache.access(8, &was_prefetched));
+  EXPECT_FALSE(was_prefetched);
+}
+
 TEST(LockstepTest, VariantsMustShareTheDcuBits) {
   MachineDesc machine = MachineDesc::skylake();
   EXPECT_THROW(CoreCacheModel(machine, std::vector<PrefetcherConfig>{}),

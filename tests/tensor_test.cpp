@@ -474,13 +474,17 @@ TEST(SimdTest, ColumnLaneGemmBitIdenticalToRowwise) {
   }
 }
 
-TEST(SimdTest, WideAxpyPanelsBitIdenticalToRowwiseAxpy) {
-  // gemm_axpy_panels (dB backward) against the per-row simd::axpy loop,
-  // compared bit for bit. The A[i,l]==0 skip is what keeps a -0 in dB: an
-  // all-zero At row (both signs) over a dB row of -0s must leave it -0,
-  // where an unconditional add of 0 * g would make it +0. Shapes: empty
-  // dimensions, destination rows one either side of the row tile, n
-  // straddling one and two column vectors of either width.
+TEST(SimdTest, AxpyGemmBitIdenticalToRowwiseAxpyForEverySource) {
+  // The dB GEMM against the per-row simd::axpy loop, compared bit for bit,
+  // reading A three ways: in place ([m, k], gemm_axpy_natural without an
+  // index), through a row index (A[idx[i], :] of a taller A, repeated
+  // indices included) and packed transposed (the kernel bench's baseline).
+  // The A[i,l]==0 skip is what keeps a -0 in dB: an all-zero A column
+  // (both signs) over a dB row of -0s must leave it -0, where an
+  // unconditional add of 0 * g would make it +0. Shapes: empty dimensions,
+  // destination rows one either side of the row tile, n straddling one and
+  // two column vectors of either width. The kernel sees columns l0.. of a
+  // wider A, as a row block of the parallel backward does.
   struct Case {
     int rows, m, n;
   };
@@ -491,37 +495,95 @@ TEST(SimdTest, WideAxpyPanelsBitIdenticalToRowwiseAxpy) {
     for (int rows : {r - 1, r, r + 1, 2 * r + 1})
       for (int m : {1, 6, 11}) cases.push_back({rows, m, n});
   for (const Case& c : cases) {
-    std::vector<float> at =
-        random_vec(static_cast<std::size_t>(c.rows) * c.m, 9400 + c.rows);
-    plant_signed_zeros(at, 0);
-    for (int l = 1; l < c.rows; l += 4)  // all-zero rows: every add skipped
-      for (int i = 0; i < c.m; ++i)
-        at[static_cast<std::size_t>(l) * c.m + i] = i % 2 ? -0.0f : 0.0f;
+    const int l0 = 3;                 // the kernel's first A column
+    const int k = l0 + c.rows + 2;    // A's width
+    const int src_rows = c.m + 4;     // the gathered A is taller
+    // Row i of the product is A row idx[i]; i and i + 2 share a row.
+    std::vector<int> idx(static_cast<std::size_t>(c.m));
+    for (int i = 0; i < c.m; ++i)
+      idx[i] = i % 3 == 2 ? idx[i - 2] : (5 * i + 1) % src_rows;
+    std::vector<float> a_src = random_vec(
+        static_cast<std::size_t>(src_rows) * k, 9400 + c.rows);
+    plant_signed_zeros(a_src, 0);
+    for (int l = l0 + 1; l < l0 + c.rows; l += 4)  // all-zero columns
+      for (int i = 0; i < src_rows; ++i)
+        a_src[static_cast<std::size_t>(i) * k + l] = i % 2 ? -0.0f : 0.0f;
+    // The same rows gathered ([m, k]) and packed transposed ([rows, m]).
+    std::vector<float> a(static_cast<std::size_t>(c.m) * k);
+    std::vector<float> at(static_cast<std::size_t>(c.rows) * c.m);
+    for (int i = 0; i < c.m; ++i)
+      for (int l = 0; l < k; ++l) {
+        const float v = a_src[static_cast<std::size_t>(idx[i]) * k + l];
+        a[static_cast<std::size_t>(i) * k + l] = v;
+        if (l >= l0 && l < l0 + c.rows)
+          at[static_cast<std::size_t>(l - l0) * c.m + i] = v;
+      }
     std::vector<float> g =
         random_vec(static_cast<std::size_t>(c.m) * c.n, 9500 + c.n);
     plant_signed_zeros(g, 1);
     std::vector<float> d_ref =
         random_vec(static_cast<std::size_t>(c.rows) * c.n, 9600 + c.m);
     plant_signed_zeros(d_ref, 0);
-    for (int l = 1; l < c.rows; l += 4)
+    for (int l = 1; l < c.rows; l += 4)  // -0 accumulators
       for (int j = 0; j < c.n; ++j)
         d_ref[static_cast<std::size_t>(l) * c.n + j] = -0.0f;
-    std::vector<float> d_blk = d_ref;
+    std::vector<float> d_nat = d_ref, d_idx = d_ref, d_packed = d_ref;
     for (int l = 0; l < c.rows; ++l) {
-      const float* trow = at.data() + static_cast<std::int64_t>(l) * c.m;
       float* drow = d_ref.data() + static_cast<std::int64_t>(l) * c.n;
       for (int i = 0; i < c.m; ++i) {
-        const float ail = trow[i];
+        const float ail = a[static_cast<std::size_t>(i) * k + l0 + l];
         if (ail == 0.0f) continue;
         simd::axpy(drow, ail, g.data() + static_cast<std::int64_t>(i) * c.n,
                    c.n);
       }
     }
-    detail::gemm_axpy_panels(at.data(), c.m, g.data(), c.n, c.rows, c.m, c.n,
-                             d_blk.data(), c.n);
-    EXPECT_TRUE(same_bits(d_ref.data(), d_blk.data(),
-                          static_cast<std::int64_t>(d_ref.size())))
-        << c.rows << "x" << c.m << "x" << c.n;
+    detail::gemm_axpy_natural(a.data() + l0, k, nullptr, g.data(), c.n,
+                              c.rows, c.m, c.n, d_nat.data(), c.n);
+    detail::gemm_axpy_natural(a_src.data() + l0, k, idx.data(), g.data(), c.n,
+                              c.rows, c.m, c.n, d_idx.data(), c.n);
+    detail::gemm_axpy(detail::PackedTransposedA{at.data(), c.m}, g.data(),
+                      c.n, c.rows, c.m, c.n, d_packed.data(), c.n);
+    const std::string shape = std::to_string(c.rows) + "x" +
+                              std::to_string(c.m) + "x" + std::to_string(c.n);
+    const auto size = static_cast<std::int64_t>(d_ref.size());
+    EXPECT_TRUE(same_bits(d_ref.data(), d_nat.data(), size))
+        << "natural " << shape;
+    EXPECT_TRUE(same_bits(d_ref.data(), d_idx.data(), size))
+        << "indexed " << shape;
+    EXPECT_TRUE(same_bits(d_ref.data(), d_packed.data(), size))
+        << "packed " << shape;
+  }
+}
+
+TEST(TensorTest, DropoutMaskAndOutputMatchBernoulliDraws) {
+  // The integer threshold against the double comparison it replaced:
+  // mask[i] = bernoulli(keep) ? 1 / keep : 0 and y[i] = mask[i] * x[i],
+  // bit for bit, over the same draws. 203 elements: not a multiple of 8.
+  // The backward adds mask[i] * g[i] into the input's zeroed gradient.
+  const int rows = 7, cols = 29;
+  const std::vector<float> values = random_vec(rows * cols, 77);
+  const std::vector<float> upstream = random_vec(rows * cols, 78);
+  for (float p : {0.1f, 0.3f, 0.5f, 0.9f}) {
+    Tensor x = Tensor::from_data({rows, cols}, values, /*requires_grad=*/true);
+    Rng rng(1234), ref_rng(1234);
+    Tensor y = dropout(x, p, rng, /*training=*/true);
+    const float keep = 1.0f - p;
+    std::vector<float> mask(values.size()), expected(values.size()),
+        expected_grad(values.size());
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      mask[i] = ref_rng.bernoulli(keep) ? 1.0f / keep : 0.0f;
+      expected[i] = mask[i] * values[i];
+      expected_grad[i] = 0.0f + mask[i] * upstream[i];
+    }
+    EXPECT_EQ(rng(), ref_rng()) << "p " << p << ": same number of draws";
+    EXPECT_TRUE(same_bits(y.data(), expected.data(), y.numel())) << "p " << p;
+    auto node = y.node();
+    node->ensure_grad();
+    std::copy(upstream.begin(), upstream.end(), node->grad.begin());
+    x.grad();  // materialize
+    node->backward_fn(*node);
+    EXPECT_TRUE(same_bits(x.grad(), expected_grad.data(), x.numel()))
+        << "p " << p;
   }
 }
 
