@@ -221,7 +221,7 @@ int main(int argc, char** argv) {
   // B in its natural [k, n] layout), both layouts built from one B, on
   // single-threaded raw buffers: pure kernel throughput, no tape, and no
   // transposes in the timed region but the dW rows' pack. 384 and 608 rows are training-shard
-  // shapes at the pipeline's hidden size. The dB row pits gemm_axpy_natural
+  // shapes at the pipeline's hidden size. The dB row pits gemm_axpy over A in place
   // against the per-row simd::axpy loop it must match (dW = H^T G for one
   // 608-row shard); the dW rows price the pack the backward no longer
   // makes. Every output is verified bit-identical.
@@ -289,8 +289,8 @@ int main(int argc, char** argv) {
                          g.data() + i * n, n);
       });
       Timing natural = time_kernel(warmup, reps, [&] {
-        tensor::detail::gemm_axpy_natural(h.data(), rows, nullptr, g.data(), n,
-                                          rows, m, n, d_nat.data(), n);
+        tensor::detail::gemm_axpy(tensor::detail::NaturalA{h.data(), rows},
+                                  g.data(), n, rows, m, n, d_nat.data(), n);
       });
       // Both sides ran warmup + reps passes over the same accumulators.
       add_gemm("dB", "32x608x32", 2.0 * rows * m * n, rowwise, natural,
@@ -327,8 +327,13 @@ int main(int argc, char** argv) {
               e, n, d_old.data(), n);
         });
         Timing natural = time_kernel(warmup, reps, [&] {
-          tensor::detail::gemm_axpy_natural(h.data(), k, idx, g.data(), n, k,
-                                            e, n, d_new.data(), n);
+          if (gathered)
+            tensor::detail::gemm_axpy(
+                tensor::detail::GatheredA{h.data(), k, src.data()}, g.data(),
+                n, k, e, n, d_new.data(), n);
+          else
+            tensor::detail::gemm_axpy(tensor::detail::NaturalA{h.data(), k},
+                                      g.data(), n, k, e, n, d_new.data(), n);
         });
         add_gemm(gathered ? "dW_r pack->in place" : "dW0 pack->in place",
                  "32x300x32", 2.0 * k * e * n, packed, natural,

@@ -168,8 +168,7 @@ void check_variants(const std::vector<PrefetcherConfig>& variants) {
 
 CoreCacheModel::CoreCacheModel(const MachineDesc& machine,
                                const std::vector<PrefetcherConfig>& variants)
-    : machine_(machine),
-      line_shift_(exact_log2(machine.line_bytes,
+    : line_shift_(exact_log2(machine.line_bytes,
                              "line size must be a power of two")),
       page_shift_(exact_log2(4096 / machine.line_bytes,
                              "a 4KB page must hold a power of two of lines")),
@@ -184,17 +183,15 @@ CoreCacheModel::CoreCacheModel(const MachineDesc& machine,
 
 void CoreCacheModel::reset(const std::vector<PrefetcherConfig>& variants) {
   check_variants(variants);
+  if (variants.size() != l2_.size())
+    throw std::invalid_argument(
+        "CoreCacheModel::reset needs as many variants as the model has");
   dcu_next_line_ = variants[0].dcu_next_line;
   dcu_ip_ = variants[0].dcu_ip;
   l1_.reset();
   l1_stats_ = CacheStats{};
   stride_table_.clear();
-  if (l2_.size() > variants.size())
-    l2_.erase(l2_.begin() + static_cast<std::ptrdiff_t>(variants.size()),
-              l2_.end());
   for (std::size_t v = 0; v < l2_.size(); ++v) l2_[v].reset(variants[v]);
-  for (std::size_t v = l2_.size(); v < variants.size(); ++v)
-    l2_.emplace_back(machine_, variants[v]);
 }
 
 CacheStats CoreCacheModel::stats(std::size_t v) const {

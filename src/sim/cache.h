@@ -111,10 +111,10 @@ class CoreCacheModel {
       : CoreCacheModel(machine, std::vector<PrefetcherConfig>{prefetch}) {}
 
   /// Empties every cache, table and counter and takes a new set of
-  /// variants (same rules as the constructor; on a throw the model is
-  /// unchanged). Afterwards the model reports exactly what a newly
-  /// constructed one with these variants would, without reallocating the
-  /// caches.
+  /// variants, as many as the model was built with (the constructor's
+  /// rules; std::invalid_argument otherwise, leaving the model unchanged).
+  /// Afterwards the model reports exactly what a newly constructed one with
+  /// these variants would, without reallocating the caches.
   void reset(const std::vector<PrefetcherConfig>& variants);
 
   void access(const MemoryAccess& access);
@@ -156,7 +156,6 @@ class CoreCacheModel {
 
   void issue_l1_prefetch(std::uint64_t line);
 
-  MachineDesc machine_;  // builds the L2s of variants beyond the current count
   int line_shift_;  // log2(line bytes)
   int page_shift_;  // log2(lines per 4KB page)
   bool dcu_next_line_;

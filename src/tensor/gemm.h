@@ -26,8 +26,9 @@
 // then one add, per nonzero A[i,l], in ascending i. The zero skip stays:
 // adding an unconditional +0 would turn a -0 accumulator into +0. A tile
 // of destination rows l0.. reads A[i, l0:] as a few contiguous floats per
-// i, so A is read in place (gemm_axpy_natural), also through a row index:
-// the message GEMM's gathered rows A[src[i], :] are never copied. The
+// i, so A is read in place (NaturalA), also through a row index
+// (GatheredA): the message GEMM's gathered rows A[src[i], :] are never
+// copied. The
 // packed-transposed source (A copied to [rows, m]) is what the kernel
 // bench prices the in-place read against.
 //
@@ -318,21 +319,6 @@ inline void gemm_axpy(const Src& a, const float* g, std::int64_t ldg,
     axpy_rows<kAxpyRows>(a.rows_from(l), g, ldg, m, n, d + l * ldd, ldd);
   for (std::int64_t l = tiled; l < rows; ++l)
     axpy_rows<1>(a.rows_from(l), g, ldg, m, n, d + l * ldd, ldd);
-}
-
-/// The dB GEMM over A in its natural [m, lda] layout, with `a` pointing at
-/// column l0 and `d` at dB row l0: product row i reads the `rows`
-/// contiguous floats A[i, l0:], or, with a non-null `idx`, A[idx[i], l0:]
-/// (a gather GEMM that never copies the gathered rows).
-inline void gemm_axpy_natural(const float* a, std::int64_t lda,
-                              const int* idx, const float* g,
-                              std::int64_t ldg, std::int64_t rows,
-                              std::int64_t m, std::int64_t n, float* d,
-                              std::int64_t ldd) {
-  if (idx != nullptr)
-    gemm_axpy(GatheredA{a, lda, idx}, g, ldg, rows, m, n, d, ldd);
-  else
-    gemm_axpy(NaturalA{a, lda}, g, ldg, rows, m, n, d, ldd);
 }
 
 }  // namespace irgnn::tensor::detail

@@ -243,8 +243,8 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
           float* gb = B.grad.data();
           const float* pa = A.data.data();
           for_row_blocks(k, flops, [&](std::int64_t l0, std::int64_t l1) {
-            detail::gemm_axpy_natural(pa + l0, k, nullptr, g, n, l1 - l0, m,
-                                      n, gb + l0 * n, n);
+            detail::gemm_axpy(detail::NaturalA{pa + l0, k}, g, n, l1 - l0, m,
+                              n, gb + l0 * n, n);
           });
         }
       },
@@ -709,8 +709,8 @@ void rgcn_backward(Node& out, std::int64_t m, std::int64_t k, std::int64_t n,
         // (rows[i,l] = h[src[i],l]).
         const float* ph = H.data.data();
         for_row_blocks(k, flops, [&](std::int64_t l0, std::int64_t l1) {
-          detail::gemm_axpy_natural(ph + l0, k, src, gm.data(), n, l1 - l0,
-                                    e, n, W.grad.data() + l0 * n, n);
+          detail::gemm_axpy(detail::GatheredA{ph + l0, k, src}, gm.data(), n,
+                            l1 - l0, e, n, W.grad.data() + l0 * n, n);
         });
       }
       if (H.requires_grad) {
@@ -741,8 +741,8 @@ void rgcn_backward(Node& out, std::int64_t m, std::int64_t k, std::int64_t n,
   if (W0.requires_grad) {
     const float* ph = H.data.data();
     for_row_blocks(k, flops, [&](std::int64_t l0, std::int64_t l1) {
-      detail::gemm_axpy_natural(ph + l0, k, nullptr, pg, n, l1 - l0, m, n,
-                                W0.grad.data() + l0 * n, n);
+      detail::gemm_axpy(detail::NaturalA{ph + l0, k}, pg, n, l1 - l0, m, n,
+                        W0.grad.data() + l0 * n, n);
     });
   }
 }

@@ -224,9 +224,9 @@ TEST(LockstepTest, ResetModelReportsWhatAFreshModelReports) {
   // exactly what a newly built model reports. Besides three region traces,
   // one strided walk is cut in two halves inside one 4KB page: a stale
   // stride entry, stream monitor or prefetched L1 line left by the first
-  // half would change the second half's statistics. The last pass per
-  // trace resets to a single variant: a change of variant count must not
-  // leak state either.
+  // half would change the second half's statistics. Each trace starts with
+  // the last DCU setting, so its first pass follows the previous trace's
+  // last one under the same prefetchers.
   std::vector<std::vector<MemoryAccess>> traces;
   for (const char* region : {"sp rhs", "bfs 135", "kmeans"}) {
     const workloads::RegionSpec* spec = workloads::find_region(region);
@@ -240,7 +240,10 @@ TEST(LockstepTest, ResetModelReportsWhatAFreshModelReports) {
   }
   for (const auto& machine :
        {MachineDesc::sandy_bridge(), MachineDesc::skylake()}) {
-    CoreCacheModel reused(machine, PrefetcherConfig::from_msr_mask(0));
+    std::vector<PrefetcherConfig> initial;
+    for (int l2 = 0; l2 < 4; ++l2)
+      initial.push_back(PrefetcherConfig::from_msr_mask(l2));
+    CoreCacheModel reused(machine, initial);
     for (std::size_t t = 0; t < traces.size(); ++t) {
       auto check = [&](const std::vector<PrefetcherConfig>& variants) {
         reused.reset(variants);
@@ -255,8 +258,7 @@ TEST(LockstepTest, ResetModelReportsWhatAFreshModelReports) {
                                 " mask " +
                                 std::to_string(variants[v].msr_mask()));
       };
-      check({PrefetcherConfig::from_msr_mask(5)});
-      for (int dcu = 0; dcu < 4; ++dcu) {
+      for (int dcu : {3, 0, 1, 2, 3}) {
         std::vector<PrefetcherConfig> variants;
         for (int l2 = 0; l2 < 4; ++l2)
           variants.push_back(PrefetcherConfig::from_msr_mask(4 * dcu + l2));
@@ -266,12 +268,15 @@ TEST(LockstepTest, ResetModelReportsWhatAFreshModelReports) {
   }
 }
 
-TEST(LockstepTest, ResetRefusesVariantsThatSplitTheDcuBits) {
+TEST(LockstepTest, ResetRefusesVariantsTheConstructorWouldRefuseOrRecount) {
   MachineDesc machine = MachineDesc::skylake();
-  CoreCacheModel core(machine, PrefetcherConfig::from_msr_mask(0));
+  CoreCacheModel core(machine, {PrefetcherConfig::from_msr_mask(0),
+                                PrefetcherConfig::from_msr_mask(1)});
   EXPECT_THROW(core.reset({}), std::invalid_argument);
   EXPECT_THROW(core.reset({PrefetcherConfig::from_msr_mask(0),
                            PrefetcherConfig::from_msr_mask(4)}),
+               std::invalid_argument);
+  EXPECT_THROW(core.reset({PrefetcherConfig::from_msr_mask(8)}),
                std::invalid_argument);
   EXPECT_NO_THROW(core.reset({PrefetcherConfig::from_msr_mask(8),
                               PrefetcherConfig::from_msr_mask(11)}));

@@ -476,9 +476,9 @@ TEST(SimdTest, ColumnLaneGemmBitIdenticalToRowwise) {
 
 TEST(SimdTest, AxpyGemmBitIdenticalToRowwiseAxpyForEverySource) {
   // The dB GEMM against the per-row simd::axpy loop, compared bit for bit,
-  // reading A three ways: in place ([m, k], gemm_axpy_natural without an
-  // index), through a row index (A[idx[i], :] of a taller A, repeated
-  // indices included) and packed transposed (the kernel bench's baseline).
+  // reading A three ways: in place ([m, k], NaturalA), through a row index
+  // (GatheredA: A[idx[i], :] of a taller A, repeated indices included) and
+  // packed transposed (PackedTransposedA, the kernel bench's baseline).
   // The A[i,l]==0 skip is what keeps a -0 in dB: an all-zero A column
   // (both signs) over a dB row of -0s must leave it -0, where an
   // unconditional add of 0 * g would make it +0. Shapes: empty dimensions,
@@ -537,10 +537,10 @@ TEST(SimdTest, AxpyGemmBitIdenticalToRowwiseAxpyForEverySource) {
                    c.n);
       }
     }
-    detail::gemm_axpy_natural(a.data() + l0, k, nullptr, g.data(), c.n,
-                              c.rows, c.m, c.n, d_nat.data(), c.n);
-    detail::gemm_axpy_natural(a_src.data() + l0, k, idx.data(), g.data(), c.n,
-                              c.rows, c.m, c.n, d_idx.data(), c.n);
+    detail::gemm_axpy(detail::NaturalA{a.data() + l0, k}, g.data(), c.n,
+                      c.rows, c.m, c.n, d_nat.data(), c.n);
+    detail::gemm_axpy(detail::GatheredA{a_src.data() + l0, k, idx.data()},
+                      g.data(), c.n, c.rows, c.m, c.n, d_idx.data(), c.n);
     detail::gemm_axpy(detail::PackedTransposedA{at.data(), c.m}, g.data(),
                       c.n, c.rows, c.m, c.n, d_packed.data(), c.n);
     const std::string shape = std::to_string(c.rows) + "x" +
