@@ -19,7 +19,7 @@
 //
 // The simulator is deterministic; a Simulator instance is not thread-safe
 // (it memoizes trace results and reuses one cache model across trace
-// passes), so parallel drivers use one instance per region.
+// passes), so parallel callers use one instance per region.
 #pragma once
 
 #include <array>

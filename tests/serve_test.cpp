@@ -416,10 +416,10 @@ TEST(InferenceServerTest, WarmMissesThroughThenPerformZeroHeapAllocations) {
         ++fired;
       });
     }
-    serve::StatusOr<serve::InferenceServer::Future> driver =
+    serve::StatusOr<serve::InferenceServer::Future> pumper =
         server.submit(serve::Request(graphs[0]));
-    ASSERT_TRUE(driver.ok());
-    const serve::Response r = driver.value().get();
+    ASSERT_TRUE(pumper.ok());
+    const serve::Response r = pumper.value().get();
     ASSERT_TRUE(r.ok());
     ASSERT_EQ(r.label, expected[0]);
     ASSERT_EQ(r.source, serve::Source::Coalesced);
