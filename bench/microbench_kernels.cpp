@@ -355,15 +355,15 @@ int main(int argc, char** argv) {
   // and once split 2 ways exactly as the parallel kernels split it — so the
   // crossover shows whatever the constant is set to. Right: tensor::matmul
   // at kernel parallelism 1 and 2, i.e. what the constant makes of it.
-  // 94 rows is one mean suite graph (a lone serve miss); 1504 rows is one
-  // 16-graph inference shard.
+  // 94 rows is one mean suite graph (a lone serve miss); 1024 rows is one
+  // full inference shard (gnn::StaticModel's node budget).
   {
     Table fan_table({"matmul shape", "MACs", "serial [ms]", "2-way split [ms]",
                      "split/serial", "matmul kpar 1 [ms]",
                      "matmul kpar 2 [ms]", "malloc B/rep"});
     const Tensor b = Tensor::xavier({64, 64}, rng);
     const std::int64_t k = b.rows(), n = b.cols();
-    const int rows_sweep[] = {32, 64, 94, 128, 192, 256, 384, 512, 1024, 1504};
+    const int rows_sweep[] = {32, 64, 94, 128, 192, 256, 384, 512, 1024};
     for (int m : rows_sweep) {
       std::vector<float> a(static_cast<std::size_t>(m * k));
       for (float& v : a) v = static_cast<float>(rng.uniform(-1.0, 1.0));
@@ -394,7 +394,7 @@ int main(int argc, char** argv) {
       tensor::set_kernel_parallelism(threads);
       const std::string shape = std::to_string(m) + "x64x64" +
                                 (m == 94     ? " (1 graph)"
-                                 : m == 1504 ? " (16-graph shard)"
+                                 : m == 1024 ? " (full shard)"
                                              : "");
       fanout_records.push_back({shape, serial.median_ms, split.median_ms,
                                 kpar1.median_ms, kpar2.median_ms});

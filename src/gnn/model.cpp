@@ -229,18 +229,27 @@ void StaticModel::forward_shards(
   if (graphs.empty()) return;
   std::lock_guard<std::mutex> lock(infer_mutex_);
   const std::size_t G = graphs.size();
-  const std::size_t num_shards =
-      (G + kInferenceShardGraphs - 1) / kInferenceShardGraphs;
-  if (infer_shards_.size() < num_shards) infer_shards_.resize(num_shards);
+  std::size_t num_shards = 0;
+  std::size_t shard_nodes = 0;
+  for (std::size_t g = 0; g < G; ++g) {
+    const std::size_t n = graphs[g]->num_nodes();
+    if (num_shards == 0 || shard_nodes + n > kInferenceShardNodes) {
+      if (infer_shards_.size() == num_shards) infer_shards_.emplace_back();
+      infer_shards_[num_shards++].first = g;
+      shard_nodes = 0;
+    }
+    shard_nodes += n;
+  }
 
   auto run_shard = [&](std::int64_t s) {
     // Arm the tape switch on whichever thread runs this shard: forward
     // records no nodes, touches no grad buffers, builds no backward scratch.
     tensor::InferenceGuard guard;
-    const std::size_t g0 =
-        static_cast<std::size_t>(s) * kInferenceShardGraphs;
-    const std::size_t g1 = std::min(G, g0 + kInferenceShardGraphs);
     InferenceShard& shard = infer_shards_[s];
+    const std::size_t g0 = shard.first;
+    const std::size_t g1 = static_cast<std::size_t>(s) + 1 < num_shards
+                               ? infer_shards_[s + 1].first
+                               : G;
     shard.chunk.clear();
     for (std::size_t g = g0; g < g1; ++g) shard.chunk.push_back(graphs[g]);
     // Shards are small; build serially and spend workers on whole shards.
@@ -255,7 +264,8 @@ void StaticModel::forward_shards(
   // (message passing stays inside a graph, pooling is per segment, and
   // every kernel's reduction order is per output element), so the sharded
   // results are bit-identical to one full-batch forward — and to each
-  // other for every thread count, since shards partition by index.
+  // other for every thread count, since the partition depends only on the
+  // graphs' node counts.
   if (num_shards == 1)
     run_shard(0);
   else

@@ -23,9 +23,10 @@
 //
 // Inference is a separate fast path: predict / predict_log_probs / embed /
 // evaluate run tape-free under tensor::InferenceGuard (no autograd nodes,
-// no gradient buffers), shard the graph set in fixed 16-graph chunks across
-// the shared pool against a persistent per-model context of pooled
-// GraphBatch scratch, and concatenate per-shard results in shard order.
+// no gradient buffers), shard the graph set in runs of consecutive graphs
+// of at most 1024 nodes across the shared pool against a persistent
+// per-model context of pooled GraphBatch scratch, and concatenate per-shard
+// results in shard order.
 // Results are bit-identical to a serial full-batch forward for every thread
 // count, and a warm query into caller-reused storage performs zero heap
 // allocations.
@@ -91,7 +92,7 @@ class StaticModel {
   // --- Inference fast path --------------------------------------------------
   // Every query below runs tape-free (tensor::InferenceGuard): forward
   // records no autograd nodes and touches no gradient buffers. Graph sets
-  // shard across the shared ThreadPool in fixed-size index chunks against a
+  // shard across the shared ThreadPool in node-budgeted index runs against a
   // persistent per-model context (pooled GraphBatch scratch reused via
   // make_batch_into), and per-shard results concatenate in shard order —
   // so results are bit-identical to a serial full-batch forward for every
@@ -162,19 +163,27 @@ class StaticModel {
   static void refresh_replica(const std::vector<tensor::Tensor>& src,
                               std::vector<tensor::Tensor>& dst);
 
-  /// Graphs per inference shard. A fixed constant (never derived from the
-  /// thread count) so the shard partition — and with it every float — is
-  /// identical no matter how many workers run the shards.
-  static constexpr std::size_t kInferenceShardGraphs = 16;
+  /// Nodes per inference shard: a shard takes consecutive graphs while its
+  /// node count stays within this (a larger graph is a shard alone). The
+  /// shard's [nodes, hidden] activations are sized by its node count, so a
+  /// node budget (not a graph count) keeps every full shard's buffers in
+  /// the same pool buckets whatever the graphs, and the memory a forward
+  /// leaves in the pool does not depend on how callers batched. A fixed
+  /// constant (never derived from the thread count) so the shard partition
+  /// — and with it every float — is identical no matter how many workers
+  /// run the shards.
+  static constexpr std::size_t kInferenceShardNodes = 1024;
 
-  /// One shard's persistent scratch: the graph chunk and its pooled batch,
-  /// reused across queries so a warm shard assembles allocation-free.
+  /// One shard's persistent scratch: its first graph index, the graph chunk
+  /// and its pooled batch, reused across queries so a warm shard assembles
+  /// allocation-free.
   struct InferenceShard {
+    std::size_t first = 0;
     std::vector<const graph::ProgramGraph*> chunk;
     GraphBatch batch;
   };
 
-  /// Shards `graphs` in fixed chunks across the pool; each shard builds its
+  /// Shards `graphs` by node budget across the pool; each shard builds its
   /// batch into persistent scratch and runs one tape-free forward, then
   /// `consume(first_graph_index, logits, embeddings)` fires per shard
   /// (embeddings is undefined unless want_embeddings). consume runs

@@ -296,9 +296,13 @@ void NetServer::read_conn(std::uint32_t slot) {
       return;
     }
     conn.in.insert(conn.in.end(), buf, buf + n);
+    // Parse each chunk as it arrives, so `in` holds at most one chunk and a
+    // partial frame however far the loop fell behind the socket. A blocked
+    // connection stops reading; level-triggered EPOLLIN resumes it.
+    parse_frames(slot);
+    if (!conn.open || conn.flow_blocked) return;
     if (static_cast<std::size_t>(n) < sizeof(buf)) break;  // socket drained
   }
-  parse_frames(slot);
 }
 
 void NetServer::parse_frames(std::uint32_t slot) {

@@ -230,15 +230,24 @@ TEST(StaticModelTest, EmbeddingsHaveConfiguredWidth) {
 }
 
 TEST(StaticModelTest, ShardedInferenceBitIdenticalToPerGraphQueries) {
-  // The inference engine shards graph sets in fixed 16-graph chunks; per
-  // graph results must be bit-identical to querying each graph alone (no
-  // leakage through shard composition) and to each other for every thread
-  // count.
+  // The inference engine shards graph sets into runs of consecutive graphs
+  // under a node budget (1024 nodes); per graph results must be
+  // bit-identical to querying each graph alone (no leakage through shard
+  // composition) and to each other for every thread count. The graphs here
+  // total several budgets, and one of them exceeds a budget on its own.
   std::vector<graph::ProgramGraph> owned;
   for (int i = 0; i < 40; ++i) {
     graph::ProgramGraph g = tiny_graph(i % 7);
     if (i % 3 == 0)  // structural variety across shards
       g.edges.push_back({1, 2, graph::EdgeKind::Data, 0});
+    // Chains of varying length so shard boundaries fall mid-set.
+    const int extra = i == 17 ? 1500 : (i * 37) % 200;
+    for (int k = 0; k < extra; ++k) {
+      const int id = static_cast<int>(g.nodes.size());
+      g.nodes.push_back({graph::NodeKind::Instruction, (i + k) % 11, "c"});
+      g.edges.push_back({id - 1, id, graph::EdgeKind::Control, 0});
+      if (k % 5 == 0) g.edges.push_back({2, id, graph::EdgeKind::Data, 0});
+    }
     owned.push_back(std::move(g));
   }
   std::vector<const graph::ProgramGraph*> graphs;
