@@ -91,6 +91,7 @@ int main(int argc, char** argv) {
 
   const bool predict = parser.get_bool("predict");
   std::optional<serve::InferenceServer> server;  // typed front door
+  std::uint64_t served_version = 0;  // as the responses report it
   std::vector<int> labels;
   sim::MachineDesc machine = parser.get_string("machine") == "Skylake"
                                  ? sim::MachineDesc::skylake()
@@ -139,6 +140,7 @@ int main(int argc, char** argv) {
                      response.status.code_name(), response.status.message());
         return 1;
       }
+      served_version = response.model_version;
       row.push_back(labels.empty()
                         ? std::to_string(response.label)
                         : std::to_string(labels[static_cast<std::size_t>(
@@ -157,7 +159,7 @@ int main(int argc, char** argv) {
                 "%llu micro-batches, %llu cache hits (%.0f%% of variant "
                 "queries answered without a forward), %llu shed\n",
                 machine.name.c_str(),
-                static_cast<unsigned long long>(server->model_version()),
+                static_cast<unsigned long long>(served_version),
                 static_cast<unsigned long long>(stats.queries),
                 static_cast<unsigned long long>(stats.forwards),
                 static_cast<unsigned long long>(stats.batches),

@@ -315,35 +315,4 @@ void StaticModel::evaluate(
       });
 }
 
-std::vector<std::vector<float>> StaticModel::predict_log_probs(
-    const std::vector<const graph::ProgramGraph*>& graphs) const {
-  const int L = config_.num_labels;
-  std::vector<std::vector<float>> out(graphs.size());
-  forward_shards(
-      graphs, /*want_embeddings=*/false,
-      [&](std::size_t g0, const Tensor& logits, const Tensor&) {
-        Tensor logp = tensor::log_softmax(logits);
-        for (int i = 0; i < logits.rows(); ++i)
-          out[g0 + static_cast<std::size_t>(i)].assign(
-              logp.data() + static_cast<std::int64_t>(i) * L,
-              logp.data() + static_cast<std::int64_t>(i + 1) * L);
-      });
-  return out;
-}
-
-std::vector<std::vector<float>> StaticModel::embed(
-    const std::vector<const graph::ProgramGraph*>& graphs) const {
-  const int H = config_.hidden_dim;
-  std::vector<std::vector<float>> out(graphs.size());
-  forward_shards(
-      graphs, /*want_embeddings=*/true,
-      [&](std::size_t g0, const Tensor&, const Tensor& embeddings) {
-        for (std::int64_t i = 0;
-             i < static_cast<std::int64_t>(embeddings.rows()); ++i)
-          out[g0 + static_cast<std::size_t>(i)].assign(
-              embeddings.data() + i * H, embeddings.data() + (i + 1) * H);
-      });
-  return out;
-}
-
 }  // namespace irgnn::gnn

@@ -21,19 +21,18 @@
 // storage through the arena, and the gradient reduction runs 8-wide over
 // the cached handles.
 //
-// Inference is a separate fast path: predict / predict_log_probs / embed /
-// evaluate run tape-free under tensor::InferenceGuard (no autograd nodes,
-// no gradient buffers), shard the graph set in runs of consecutive graphs
-// of at most 1024 nodes across the shared pool against a persistent
-// per-model context of pooled GraphBatch scratch, and concatenate per-shard
-// results in shard order.
+// Inference is a separate fast path: predict and evaluate run tape-free
+// under tensor::InferenceGuard (no autograd nodes, no gradient buffers),
+// shard the graph set in runs of consecutive graphs of at most 1024 nodes
+// across the shared pool against a persistent per-model context of pooled
+// GraphBatch scratch, and concatenate per-shard results in shard order.
 // Results are bit-identical to a serial full-batch forward for every thread
 // count, and a warm query into caller-reused storage performs zero heap
 // allocations.
 //
-// This is the one model the serving layer publishes: serve::InferenceServer
-// holds it as shared_ptr<const StaticModel> (through its serve::ModelSlot)
-// and answers every miss through predict_into under the contract above.
+// This is the one model the serving layer serves: serve::InferenceServer
+// holds it as a shared_ptr<const StaticModel> for its whole life and
+// answers every miss through predict_into under the contract above.
 #pragma once
 
 #include <cstdint>
@@ -114,21 +113,12 @@ class StaticModel {
     return out;
   }
 
-  /// Predictions + log-probabilities (+ graph embeddings when requested)
+  /// Predictions + log-probabilities (+ graph embeddings — the static
+  /// feature vectors the hybrid and flag models consume — when requested)
   /// from one batch build and one forward per shard. The allocation-free
-  /// workhorse behind predict_log_probs()/embed() and the experiment's
-  /// evaluation path.
+  /// query behind the experiment's evaluation path.
   void evaluate(const std::vector<const graph::ProgramGraph*>& graphs,
                 Evaluation& out, bool want_embeddings = false) const;
-
-  /// Per-graph log-probabilities [G, num_labels] (row-major).
-  std::vector<std::vector<float>> predict_log_probs(
-      const std::vector<const graph::ProgramGraph*>& graphs) const;
-
-  /// Graph embedding vectors [G, hidden_dim] — the static feature vectors
-  /// the hybrid and flag models consume.
-  std::vector<std::vector<float>> embed(
-      const std::vector<const graph::ProgramGraph*>& graphs) const;
 
   const ModelConfig& config() const { return config_; }
   int num_labels() const { return config_.num_labels; }

@@ -4,20 +4,19 @@
 
 namespace irgnn::serve {
 
-PredictionCache::PredictionCache(std::size_t capacity, int num_shards) {
-  num_shards_ = static_cast<std::size_t>(std::max(1, num_shards));
+PredictionCache::PredictionCache(std::size_t capacity) {
   capacity_ = capacity;
   if (capacity_ == 0) {
-    num_shards_ = 1;
+    shard_count_ = 1;
     per_shard_capacity_ = 0;
     shards_ = std::make_unique<Shard[]>(1);
     return;
   }
-  if (num_shards_ > capacity_) num_shards_ = capacity_;
-  per_shard_capacity_ = (capacity_ + num_shards_ - 1) / num_shards_;
-  capacity_ = per_shard_capacity_ * num_shards_;
-  shards_ = std::make_unique<Shard[]>(num_shards_);
-  for (std::size_t s = 0; s < num_shards_; ++s) {
+  shard_count_ = std::min(kShards, capacity_);
+  per_shard_capacity_ = (capacity_ + shard_count_ - 1) / shard_count_;
+  capacity_ = per_shard_capacity_ * shard_count_;
+  shards_ = std::make_unique<Shard[]>(shard_count_);
+  for (std::size_t s = 0; s < shard_count_; ++s) {
     shards_[s].slots.resize(per_shard_capacity_);
     // Reserve the full bucket table now so steady-state insert/evict never
     // rehashes; the map's nodes recycle through the arena either way.
@@ -114,22 +113,9 @@ void PredictionCache::insert(std::uint64_t key, int label) {
   ++shard.stats.insertions;
 }
 
-void PredictionCache::clear() {
-  for (std::size_t s = 0; s < num_shards_; ++s) {
-    Shard& shard = shards_[s];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.index.clear();
-    shard.lru_head = shard.lru_tail = -1;
-    shard.next_free = 0;
-    // New epoch, fresh counters: hit-rate gates measured after a hot-swap
-    // + clear must not blend the previous epoch's hits and misses.
-    shard.stats = CacheStats{};
-  }
-}
-
 CacheStats PredictionCache::stats() const {
   CacheStats total;
-  for (std::size_t s = 0; s < num_shards_; ++s) {
+  for (std::size_t s = 0; s < shard_count_; ++s) {
     const Shard& shard = shards_[s];
     std::lock_guard<std::mutex> lock(shard.mutex);
     total.hits += shard.stats.hits;

@@ -1,6 +1,6 @@
 // Sharded LRU cache of served predictions, keyed by the 64-bit structural
-// graph fingerprint (mixed with the serving model's version, so a hot-swap
-// can never surface a stale answer — see server.h).
+// graph fingerprint. A server serves one model for its whole life, so the
+// fingerprint alone names an answer (see server.h).
 //
 // Design goals, in order:
 //   1. A warm hit performs zero heap allocations: every shard preallocates
@@ -8,9 +8,9 @@
 //      lookup is a hash-map find plus two link splices. The hash map itself
 //      reserves its full bucket count up front and allocates its nodes
 //      through the buffer arena, so steady-state insert/evict recycles too.
-//   2. Reads from distinct shards never contend: the key's high bits pick
-//      the shard, each shard has its own mutex, and the stats fold per-shard
-//      counters only when asked.
+//   2. Reads from distinct shards never contend: a mix of the full key
+//      picks one of kShards shards, each shard has its own mutex, and the
+//      stats fold per-shard counters only when asked.
 //
 // The cache stores the predicted label only. It is semantically transparent:
 // the model is a pure function of graph structure, so a hit returns exactly
@@ -44,10 +44,14 @@ struct CacheStats {
 
 class PredictionCache {
  public:
+  /// Shards of a cache with at least kShards entries; a smaller cache has
+  /// one shard per entry.
+  static constexpr std::size_t kShards = 8;
+
   /// `capacity` is the total entry budget across all shards (rounded up to
-  /// give every shard at least one slot). capacity == 0 disables the cache:
+  /// a multiple of the shard count). capacity == 0 disables the cache:
   /// every lookup misses (and is counted, like any miss) and inserts drop.
-  explicit PredictionCache(std::size_t capacity, int num_shards = 8);
+  explicit PredictionCache(std::size_t capacity);
 
   PredictionCache(const PredictionCache&) = delete;
   PredictionCache& operator=(const PredictionCache&) = delete;
@@ -68,31 +72,24 @@ class PredictionCache {
   /// entry of the shard when it is full.
   void insert(std::uint64_t key, int label);
 
-  /// Drops every entry (capacity and slot storage are kept) AND resets the
-  /// per-shard stats: a clear starts a new cache epoch (hot-swap, test
-  /// reset), and hit-rate gates over the new epoch must not blend the old
-  /// epoch's counters.
-  void clear();
-
   std::size_t capacity() const { return capacity_; }
   CacheStats stats() const;
 
-  /// Shard choice for `key` among `num_shards`. Finalizer-style multiply-
-  /// shift mix of the FULL key: every input bit reaches every output bit
-  /// before the modulo, so non-power-of-two shard counts stay unbiased and
-  /// shard counts above 256 keep every shard reachable (the old top-8-bits
-  /// scheme, `(key >> 56) % num_shards`, could reach at most 256 shards and
-  /// collapsed entirely for keys whose high byte is constant). Public and
-  /// static so the distribution test can pin it directly.
+  /// Shard choice for `key` among `shards`. Finalizer-style multiply-shift
+  /// mix of the FULL key: every input bit reaches every output bit before
+  /// the modulo, so the clamped (non-power-of-two) shard counts of small
+  /// caches stay unbiased and low-entropy keys (small counters, keys with a
+  /// constant high byte) still reach every shard. Public and static so the
+  /// distribution test can pin it directly.
   static std::size_t shard_index(std::uint64_t key,
-                                 std::size_t num_shards) noexcept {
+                                 std::size_t shards) noexcept {
     std::uint64_t h = key;
     h ^= h >> 33;
     h *= 0xFF51AFD7ED558CCDULL;
     h ^= h >> 33;
     h *= 0xC4CEB9FE1A85EC53ULL;
     h ^= h >> 33;
-    return static_cast<std::size_t>(h % num_shards);
+    return static_cast<std::size_t>(h % shards);
   }
 
  private:
@@ -127,12 +124,12 @@ class PredictionCache {
   };
 
   Shard& shard_of(std::uint64_t key) {
-    return shards_[shard_index(key, num_shards_)];
+    return shards_[shard_index(key, shard_count_)];
   }
 
   std::size_t capacity_ = 0;
   std::size_t per_shard_capacity_ = 0;
-  std::size_t num_shards_ = 0;
+  std::size_t shard_count_ = 0;
   // Shards hold a mutex (immovable), so they live in a fixed-size array.
   std::unique_ptr<Shard[]> shards_;
 };

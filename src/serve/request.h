@@ -4,10 +4,10 @@
 // query: the graph, the target model's name (checked by the TCP front door,
 // net::NetServer), a queue-time deadline and a priority that admission
 // control consults when it must shed load. A Response answers with the
-// predicted label plus the provenance a production client wants: which
-// model version answered, whether the answer came from the prediction
-// cache, a batched forward, or shedding, and where the time went (queue
-// wait vs compute).
+// predicted label plus the provenance a production client wants: the
+// model version, whether the answer came from the prediction cache, a
+// batched forward, or shedding, and where the time went (queue wait vs
+// compute).
 //
 // Both are plain structs built on the stack: constructing a Request and
 // reading a Response never allocates, which is what keeps the warm
@@ -26,6 +26,11 @@ using support::Status;
 using support::StatusCode;
 template <typename T>
 using StatusOr = support::StatusOr<T>;
+
+/// Response::model_version of every answer the cache or a forward produced:
+/// a server serves one model for its whole life, so it is always 1 (wire
+/// v1 carries the field).
+inline constexpr std::uint64_t kModelVersion = 1;
 
 /// Consulted only under overload: when a bounded admission queue must shed,
 /// lower-priority requests go first (see ShedPolicy::DropOldest).
@@ -114,8 +119,8 @@ struct Response {
   /// Predicted label; meaningful only when status.ok().
   int label = -1;
 
-  /// Version of the publication that answered (see ModelSlot); 0 when shed
-  /// before any model saw the request.
+  /// kModelVersion (always 1) when the cache or a forward handled the
+  /// request, a failed forward included; 0 when shed before either.
   std::uint64_t model_version = 0;
 
   Source source = Source::Batch;

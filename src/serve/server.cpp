@@ -8,7 +8,6 @@
 #include "gnn/model.h"
 #include "graph/fingerprint.h"
 #include "support/failpoint.h"
-#include "support/rng.h"
 #include "support/thread_pool.h"
 
 namespace irgnn::serve {
@@ -25,9 +24,9 @@ std::int64_t us_between(Clock::time_point from, Clock::time_point to) {
 }  // namespace
 
 InferenceServer::InferenceServer(ModelPtr model, const ServerConfig& config)
-    : config_(config), cache_(config.cache_capacity) {
-  assert(model && "InferenceServer requires a model");
-  slot_.publish(std::move(model));
+    : config_(config), model_(std::move(model)),
+      cache_(config.cache_capacity) {
+  assert(model_ && "InferenceServer requires a model");
   config_.max_batch = std::max(1, config_.max_batch);
   // A worker-less pool would run the loop inline and never return; fall
   // back to client-driven pumping there.
@@ -184,7 +183,6 @@ void InferenceServer::free_slot_locked(std::uint32_t slot) {
   s.abandoned = false;
   s.graph = nullptr;
   s.next_waiter = -1;
-  s.inflight_key = 0;
   s.callback.reset();
   free_slots_.push_back(slot);
 }
@@ -232,8 +230,8 @@ void InferenceServer::resolve_slot_locked(std::uint32_t slot,
     QuerySlot& s = slots_[slot];
     // Precise erase: a Block-policy admission that slept through this
     // leader's lifetime may have registered a newer leader under the same
-    // key — never remove someone else's entry.
-    auto it = in_flight_.find(s.inflight_key);
+    // fingerprint — never remove someone else's entry.
+    auto it = in_flight_.find(s.fp);
     if (it != in_flight_.end() && it->second == slot) in_flight_.erase(it);
     waiter = s.next_waiter;
     s.next_waiter = -1;
@@ -258,7 +256,6 @@ void InferenceServer::resolve_slot_locked(std::uint32_t slot,
 
 Status InferenceServer::admit_locked(std::unique_lock<std::mutex>& lock,
                                      const Request& request, std::uint64_t fp,
-                                     std::uint64_t key,
                                      std::uint32_t* slot_out,
                                      std::uint64_t* gen_out,
                                      FiredList& fired) {
@@ -333,7 +330,7 @@ Status InferenceServer::admit_locked(std::unique_lock<std::mutex>& lock,
     slot = alloc_slot_locked();
     queue_.push_back(slot);
     queued = true;
-    in_flight_[key] = slot;
+    in_flight_[fp] = slot;
   } catch (const std::bad_alloc&) {
     if (queued) queue_.pop_back();
     if (slot != kNoSlot) free_slot_locked(slot);
@@ -349,7 +346,6 @@ Status InferenceServer::admit_locked(std::unique_lock<std::mutex>& lock,
   s.response = Response{};
   s.state = SlotState::Queued;
   s.abandoned = false;
-  s.inflight_key = key;
   *slot_out = slot;
   *gen_out = s.gen;
   peak_queue_ = std::max<std::uint64_t>(peak_queue_, queue_.size());
@@ -358,10 +354,10 @@ Status InferenceServer::admit_locked(std::unique_lock<std::mutex>& lock,
 }
 
 bool InferenceServer::try_coalesce_locked(const Request& request,
-                                          std::uint64_t fp, std::uint64_t key,
+                                          std::uint64_t fp,
                                           std::uint32_t* slot_out,
                                           std::uint64_t* gen_out) {
-  auto it = in_flight_.find(key);
+  auto it = in_flight_.find(fp);
   if (it == in_flight_.end()) return false;
   const std::uint32_t leader = it->second;
   std::uint32_t waiter;
@@ -381,7 +377,7 @@ bool InferenceServer::try_coalesce_locked(const Request& request,
   w.state = SlotState::Queued;
   w.abandoned = false;
   QuerySlot& l = slots_[leader];
-  assert(l.state == SlotState::Queued && l.inflight_key == key &&
+  assert(l.state == SlotState::Queued && l.fp == fp &&
          "in-flight map points at a live leader until resolution erases it");
   w.next_waiter = l.next_waiter;
   l.next_waiter = static_cast<std::int32_t>(waiter);
@@ -395,8 +391,7 @@ bool InferenceServer::try_coalesce_locked(const Request& request,
 }
 
 StatusOr<InferenceServer::Future> InferenceServer::admit_or_coalesce(
-    const Request& request, std::uint64_t fp, std::uint64_t version) {
-  const std::uint64_t key = hash_combine64(version, fp);
+    const Request& request, std::uint64_t fp) {
   std::uint32_t slot = 0;
   std::uint64_t gen = 0;
   FiredList fired;
@@ -407,13 +402,13 @@ StatusOr<InferenceServer::Future> InferenceServer::admit_or_coalesce(
     // leader is guaranteed to resolve (the drain pumps the queue dry), so
     // attaching is as safe as the cache-hit-during-drain exception and
     // cheaper than refusing.
-    if (try_coalesce_locked(request, fp, key, &slot, &gen))
+    if (try_coalesce_locked(request, fp, &slot, &gen))
       return Future(this, slot, gen);
     // A genuine miss (neither cached nor in flight): count it against the
     // cache before admission, so hits + misses + coalesced partitions the
     // queries even when admission then rejects.
-    cache_.note_miss(key);
-    admitted = admit_locked(lock, request, fp, key, &slot, &gen, fired);
+    cache_.note_miss(fp);
+    admitted = admit_locked(lock, request, fp, &slot, &gen, fired);
   }
   // A shed victim's continuation runs on the thread that shed it, outside
   // the lock.
@@ -435,23 +430,21 @@ StatusOr<InferenceServer::Future> InferenceServer::submit(
   }
   queries_.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t fp = graph::fingerprint(*request.graph);
-  const std::shared_ptr<const PublishedModel> published = slot_.snapshot();
   int label = 0;
-  if (cache_.lookup(hash_combine64(published->version, fp), &label,
-                    /*count_miss=*/false)) {
+  if (cache_.lookup(fp, &label, /*count_miss=*/false)) {
     Response response;
     response.label = label;
-    response.model_version = published->version;
+    response.model_version = kModelVersion;
     response.source = Source::Cache;
     return Future(response);
   }
-  return admit_or_coalesce(request, fp, published->version);
+  return admit_or_coalesce(request, fp);
 }
 
 Response InferenceServer::predict(const Request& request) {
   // Inlined hit path (rather than submit().get()) so a warm cache hit
-  // provably performs zero heap allocations: fingerprint, snapshot, lookup
-  // and the Response all run off preallocated storage.
+  // provably performs zero heap allocations: fingerprint, lookup and the
+  // Response all run off preallocated storage.
   assert(request.graph && "Request without a graph");
   if (request.graph->num_nodes() == 0) {
     invalid_arguments_.fetch_add(1, std::memory_order_relaxed);
@@ -463,18 +456,15 @@ Response InferenceServer::predict(const Request& request) {
   }
   queries_.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t fp = graph::fingerprint(*request.graph);
-  const std::shared_ptr<const PublishedModel> published = slot_.snapshot();
   int label = 0;
-  if (cache_.lookup(hash_combine64(published->version, fp), &label,
-                    /*count_miss=*/false)) {
+  if (cache_.lookup(fp, &label, /*count_miss=*/false)) {
     Response response;
     response.label = label;
-    response.model_version = published->version;
+    response.model_version = kModelVersion;
     response.source = Source::Cache;
     return response;
   }
-  StatusOr<Future> submitted =
-      admit_or_coalesce(request, fp, published->version);
+  StatusOr<Future> submitted = admit_or_coalesce(request, fp);
   if (!submitted.ok()) {
     // Submit-side failures fold into the one result type sync callers see.
     Response response;
@@ -483,10 +473,6 @@ Response InferenceServer::predict(const Request& request) {
     return response;
   }
   return std::move(submitted).value().get();
-}
-
-std::uint64_t InferenceServer::publish(ModelPtr model) {
-  return slot_.publish(std::move(model));
 }
 
 void InferenceServer::attach_callback(std::uint32_t slot, std::uint64_t gen,
@@ -543,11 +529,6 @@ void InferenceServer::pump_one(std::unique_lock<std::mutex>& lock) {
     batch_graphs_.push_back(s.graph);
     batch_fps_.push_back(s.fp);
   }
-  // One consistent (model, version) snapshot answers the whole batch; a
-  // concurrent publish only affects later batches. The snapshot's
-  // shared_ptr keeps the model alive even if a publish replaces it
-  // mid-forward.
-  const std::shared_ptr<const PublishedModel> published = slot_.snapshot();
   if (!batch_slots_.empty()) {
     Status forward_status;
     std::int64_t compute_us = 0;
@@ -562,7 +543,7 @@ void InferenceServer::pump_one(std::unique_lock<std::mutex>& lock) {
         forward_status = Status::Internal("injected forward fault"));
     if (forward_status.ok()) {
       try {
-        published->model->predict_into(batch_graphs_, batch_preds_);
+        model_->predict_into(batch_graphs_, batch_preds_);
         compute_us = us_between(t0, Clock::now());
         // Fault injection: a fired serve.cache_insert drops the batch's
         // inserts (cache unavailability) — answers still flow, later
@@ -573,8 +554,7 @@ void InferenceServer::pump_one(std::unique_lock<std::mutex>& lock) {
         IRGNN_FAILPOINT("serve.cache_insert", drop_inserts = true);
         if (!drop_inserts) {
           for (std::size_t i = 0; i < batch_slots_.size(); ++i)
-            cache_.insert(hash_combine64(published->version, batch_fps_[i]),
-                          batch_preds_[i]);
+            cache_.insert(batch_fps_[i], batch_preds_[i]);
         }
       } catch (...) {
         // The query path is exception-free: a failed forward (realistically
@@ -586,7 +566,7 @@ void InferenceServer::pump_one(std::unique_lock<std::mutex>& lock) {
     lock.lock();
     for (std::size_t i = 0; i < batch_slots_.size(); ++i) {
       Response response = slots_[batch_slots_[i]].response;  // queue_us
-      response.model_version = published->version;
+      response.model_version = kModelVersion;
       response.compute_us = compute_us;
       response.status = forward_status;
       if (forward_status.ok()) {
@@ -604,10 +584,6 @@ void InferenceServer::pump_one(std::unique_lock<std::mutex>& lock) {
       forwards_ += batch_slots_.size();
       max_batch_seen_ =
           std::max<std::uint64_t>(max_batch_seen_, batch_slots_.size());
-      if (published->version != last_served_version_) {
-        if (last_served_version_ != 0) ++model_swaps_;
-        last_served_version_ = published->version;
-      }
     }
   }
   // Hand the pump role back before running continuations: another pumper
@@ -675,7 +651,6 @@ ServerStats InferenceServer::stats() const {
   out.forwards = forwards_;
   out.batches = batches_;
   out.max_batch = max_batch_seen_;
-  out.model_swaps = model_swaps_;
   out.coalesced = coalesced_;
   out.shed = shed_;
   out.rejected = rejected_;

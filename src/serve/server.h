@@ -4,7 +4,7 @@
 //
 // Clients build a serve::Request (graph, deadline, priority), submit it
 // through a lock-guarded admission queue and receive lightweight futures
-// that resolve to a serve::Response (label, answering model version,
+// that resolve to a serve::Response (label, model version,
 // Source::{Cache,Batch,Shed}, queue/compute micro-timings). Batching is
 // greedy: whenever the pump is free it takes whatever is queued (up to
 // `max_batch`) and answers it with one StaticModel::predict_into call, so
@@ -39,25 +39,22 @@
 //   required when a server is created inside pool-parallel work, where a
 //   parked loop task could otherwise starve.
 //
-// Hot answers skip the forward: results are cached under
-// hash_combine64(model version, graph::fingerprint(graph)), and a warm hit
-// through predict() performs zero heap allocations. Hot swap: the server
-// reads its model through its ModelSlot (publish() swaps it); in-flight
-// batches finish on the snapshot they took, and version-keyed caching means
-// a replaced model can never answer.
+// Hot answers skip the forward: results are cached under the graph's
+// structural fingerprint (graph::fingerprint), and a warm hit through
+// predict() performs zero heap allocations. The server holds its one model
+// for its whole life, so a cached label is always that model's answer.
 //
 // In-flight coalescing backs the cache up. A cache miss consults an
-// in-flight map keyed by (version, fingerprint): if an identical query is
+// in-flight map keyed by the same fingerprint: if an identical query is
 // already queued or mid-forward, the newcomer attaches as a waiter on that
 // leader's slot instead of enqueuing — N duplicate queries cost one batch
 // slot and one forward (a flash crowd on one cold hot region performs
 // exactly one), and each waiter resolves with the leader's outcome,
 // Source::Coalesced. Waiters survive an abandoned leader (resolution walks
-// the waiter chain before recycling the slot), ride hot-swaps (they report
-// the version that actually answered), and are drained by shutdown() like
-// every admitted query. Coalescing changes WHEN a forward runs, never its
-// bits; a waiter's label is bit-identical to a serial predict by the
-// reported version. Accounting partitions exactly:
+// the waiter chain before recycling the slot) and are drained by
+// shutdown() like every admitted query. Coalescing changes WHEN a forward
+// runs, never its bits; a waiter's label is bit-identical to a serial
+// predict. Accounting partitions exactly:
 // cache hits + cache misses + coalesced == queries.
 //
 // Failure containment: a failed forward resolves its whole batch Internal
@@ -84,13 +81,28 @@
 #include <vector>
 
 #include "graph/program_graph.h"
-#include "serve/model_slot.h"
 #include "serve/prediction_cache.h"
 #include "serve/request.h"
 #include "support/arena.h"
 #include "support/inline_function.h"
 
+namespace irgnn::gnn {
+class StaticModel;
+}
+
 namespace irgnn::serve {
+
+/// The float gnn::StaticModel (gnn/model.h) a server answers with; only the
+/// files that call into a model include its header.
+using ModelPtr = std::shared_ptr<const gnn::StaticModel>;
+
+/// Non-owning ModelPtr over a caller-kept model (shared_ptr aliasing): for
+/// stack- or member-owned models served in-process, e.g. the trained model
+/// examples/quickstart.cpp serves. The caller must keep `model` alive for
+/// the server's lifetime.
+inline ModelPtr borrow_model(const gnn::StaticModel& model) {
+  return ModelPtr(std::shared_ptr<void>(), &model);
+}
 
 struct ServerConfig {
   /// Largest micro-batch. There is no batch window: a free pump (the
@@ -122,7 +134,6 @@ struct ServerStats {
   std::uint64_t forwards = 0;    // slots answered by the model
   std::uint64_t batches = 0;     // micro-batches launched
   std::uint64_t max_batch = 0;   // largest micro-batch observed
-  std::uint64_t model_swaps = 0; // version changes observed between batches
 
   // In-flight coalescing. `coalesced` counts every query that attached to
   // a leader — the conservation invariant is
@@ -206,8 +217,8 @@ class InferenceServer {
     Response response_;
   };
 
-  /// Serves `model` (non-null) through the server's slot, as version 1;
-  /// publish() hot-swaps it.
+  /// Serves `model` (non-null) for the server's whole life; every answer
+  /// reports kModelVersion.
   explicit InferenceServer(ModelPtr model, const ServerConfig& config = {});
 
   ~InferenceServer();
@@ -232,13 +243,6 @@ class InferenceServer {
     return predict(Request(graph));
   }
 
-  /// Hot-swaps the served model (publishes to the server's slot). Returns
-  /// the new version. In-flight batches finish on their snapshot.
-  std::uint64_t publish(ModelPtr model);
-
-  /// Version of the current publication (monotonic).
-  std::uint64_t model_version() const { return slot_.snapshot()->version; }
-
   const ServerConfig& config() const { return config_; }
   ServerStats stats() const;
 
@@ -247,7 +251,7 @@ class InferenceServer {
   /// own queries (they pump); submits from then on return ShuttingDown —
   /// with one deliberate exception: a query whose fingerprint is already
   /// cached is still answered Ok from the cache (the hit path takes no
-  /// lock and the answer is a completed publication's bits, so serving it
+  /// lock and the answer is the model's own bits, so serving it
   /// during drain is both safe and cheaper than refusing it).
   void shutdown();
 
@@ -257,7 +261,7 @@ class InferenceServer {
 
   struct QuerySlot {
     const graph::ProgramGraph* graph = nullptr;
-    std::uint64_t fp = 0;  // raw structural fingerprint (version-free)
+    std::uint64_t fp = 0;  // structural fingerprint: cache and in-flight key
     std::uint64_t gen = 0;
     Clock::time_point admitted{};
     std::int64_t deadline_us = 0;
@@ -269,9 +273,8 @@ class InferenceServer {
     // (waiters are never in queue_; they resolve with the leader, before
     // the leader's own slot is recycled — an abandoned leader still
     // answers them). Every slot admitted to queue_ leads the in_flight_
-    // entry under `inflight_key`, which its resolution erases.
+    // entry under `fp`, which its resolution erases.
     std::int32_t next_waiter = -1;
-    std::uint64_t inflight_key = 0;
     ResponseCallback callback;  // then() continuation
   };
 
@@ -299,30 +302,28 @@ class InferenceServer {
   void resolve_one_locked(std::uint32_t slot, const Response& response,
                           FiredList& fired);
 
-  /// Attaches the request as a waiter on an in-flight leader for `key`
-  /// (version-mixed fingerprint), if one exists. On true, *slot/*gen
-  /// identify the waiter and the leader's priority was raised to at least
-  /// the request's. Pre: lock held.
+  /// Attaches the request as a waiter on an in-flight leader for `fp`, if
+  /// one exists. On true, *slot/*gen identify the waiter and the leader's
+  /// priority was raised to at least the request's. Pre: lock held.
   bool try_coalesce_locked(const Request& request, std::uint64_t fp,
-                           std::uint64_t key, std::uint32_t* slot,
-                           std::uint64_t* gen);
+                           std::uint32_t* slot, std::uint64_t* gen);
 
   /// Admission control. Pre: lock held, not a cache hit. Applies stop_ and
   /// the bounded-queue policy (shedding a victim into `fired`, or blocking
   /// while helping pump), then enqueues the query and registers it as the
-  /// in-flight leader for `key`. An allocation failure on the way is undone
+  /// in-flight leader for `fp`. An allocation failure on the way is undone
   /// in full and refused Overloaded. On Ok, *slot/*gen identify the
   /// admitted query.
   Status admit_locked(std::unique_lock<std::mutex>& lock,
                       const Request& request, std::uint64_t fp,
-                      std::uint64_t key, std::uint32_t* slot,
-                      std::uint64_t* gen, FiredList& fired);
+                      std::uint32_t* slot, std::uint64_t* gen,
+                      FiredList& fired);
 
   /// The shared miss path of submit()/predict(): coalesce onto an in-
   /// flight leader, or count the miss and admit a new leader. Runs any
   /// shed-victim continuations before returning.
-  StatusOr<Future> admit_or_coalesce(const Request& request, std::uint64_t fp,
-                                     std::uint64_t version);
+  StatusOr<Future> admit_or_coalesce(const Request& request,
+                                     std::uint64_t fp);
 
   /// Runs one micro-batch: pops up to max_batch queries in admission order
   /// without waiting for more (expired deadlines resolve as shed instead of
@@ -355,7 +356,7 @@ class InferenceServer {
   };
 
   ServerConfig config_;
-  ModelSlot slot_;
+  const ModelPtr model_;
   PredictionCache cache_;
   std::shared_ptr<LoopToken> loop_token_;
 
@@ -369,14 +370,14 @@ class InferenceServer {
   bool stop_ = false;
   bool loop_running_ = false;
 
-  /// Keys are hash_combine64(version, fingerprint) — already well mixed,
-  /// so identity hashing suffices (same reasoning as the cache shards).
+  /// Keys are fingerprints — already splitmix-mixed, so identity hashing
+  /// suffices (same reasoning as the cache shards).
   struct IdentityHash {
     std::size_t operator()(std::uint64_t k) const noexcept {
       return static_cast<std::size_t>(k);
     }
   };
-  /// (version, fingerprint) -> leader slot of every queued or mid-forward
+  /// fingerprint -> leader slot of every queued or mid-forward
   /// query; entries erased at resolution (guarded by mutex_).
   std::unordered_map<
       std::uint64_t, std::uint32_t, IdentityHash, std::equal_to<std::uint64_t>,
@@ -402,7 +403,6 @@ class InferenceServer {
   std::uint64_t forwards_ = 0;
   std::uint64_t batches_ = 0;
   std::uint64_t max_batch_seen_ = 0;
-  std::uint64_t model_swaps_ = 0;
   std::uint64_t coalesced_ = 0;
   std::uint64_t source_batch_ = 0;
   std::uint64_t source_coalesced_ = 0;
@@ -411,7 +411,6 @@ class InferenceServer {
   std::uint64_t deadline_exceeded_ = 0;
   std::uint64_t internal_errors_ = 0;
   std::uint64_t peak_queue_ = 0;
-  std::uint64_t last_served_version_ = 0;
 };
 
 }  // namespace irgnn::serve

@@ -11,8 +11,9 @@
 //   Concurrent chaos (free-running clients against one InferenceServer,
 //   faults firing mid-flight): interleavings vary, so these assert
 //   invariants instead of exact counts — every Ok answer bit-identical to a
-//   serial predict by the version that reports it, hits + misses +
-//   coalesced == queries, every future resolved exactly once by shutdown.
+//   serial predict of the served model and reporting kModelVersion, hits +
+//   misses + coalesced == queries, every future resolved exactly once by
+//   shutdown.
 //
 // The binary builds and passes in BOTH library configurations: with
 // IRGNN_FAILPOINTS compiled out, fault-dependent tests GTEST_SKIP and the
@@ -310,11 +311,10 @@ struct ScriptedRun {
 bool operator==(const serve::ServerStats& a, const serve::ServerStats& b) {
   auto key = [](const serve::ServerStats& s) {
     return std::make_tuple(
-        s.queries, s.forwards, s.batches, s.max_batch, s.model_swaps,
-        s.coalesced, s.shed, s.rejected, s.deadline_exceeded,
-        s.internal_errors, s.peak_queue, s.invalid_arguments, s.source_cache,
-        s.source_batch, s.source_coalesced, s.source_shed, s.cache.hits,
-        s.cache.misses);
+        s.queries, s.forwards, s.batches, s.max_batch, s.coalesced, s.shed,
+        s.rejected, s.deadline_exceeded, s.internal_errors, s.peak_queue,
+        s.invalid_arguments, s.source_cache, s.source_batch,
+        s.source_coalesced, s.source_shed, s.cache.hits, s.cache.misses);
   };
   return key(a) == key(b);
 }
@@ -385,16 +385,12 @@ TEST_F(ChaosTest, ScriptedFaultWindowReproducesBitForBit) {
 
 // --- Concurrent chaos against one server ------------------------------------
 
-/// Free-running clients, optional fault injection, a mid-run hot swap, and
-/// a mix of sync predicts and submit+then futures. Asserts invariants that
-/// hold under EVERY interleaving.
+/// Free-running clients, optional fault injection, and a mix of sync
+/// predicts and submit+then futures. Asserts invariants that hold under
+/// EVERY interleaving.
 void run_concurrent_chaos(bool with_faults) {
-  auto model_v1 =
-      std::make_shared<const gnn::StaticModel>(small_config(0xC0C0A));
-  auto model_v2 =
-      std::make_shared<const gnn::StaticModel>(small_config(0xFACADE));
-  const std::vector<int> expected_v1 = serial_predict(*model_v1);
-  const std::vector<int> expected_v2 = serial_predict(*model_v2);
+  auto model = std::make_shared<const gnn::StaticModel>(small_config(0xC0C0A));
+  const std::vector<int> expected = serial_predict(*model);
   const auto& graphs = test_graphs();
 
   serve::ServerConfig config;
@@ -402,8 +398,7 @@ void run_concurrent_chaos(bool with_faults) {
   config.shed_policy = serve::ShedPolicy::DropOldest;
   config.max_batch = 8;
   config.cache_capacity = 64;
-  serve::InferenceServer server(model_v1, config);
-  const std::uint64_t v1 = server.model_version();
+  serve::InferenceServer server(model, config);
 
   if (with_faults) {
     failpoints::set_seed(0xBAD5EED);
@@ -424,21 +419,15 @@ void run_concurrent_chaos(bool with_faults) {
   std::atomic<std::uint64_t> futures_submitted{0};
   std::atomic<bool> wrong_bits{false};
 
-  // Every Ok answer must be the serial predict of its graph BY THE VERSION
-  // THAT REPORTS IT — a failing server may refuse, never lie, and
-  // never answer from a version it does not name.
+  // Every Ok answer must be the serial predict of its graph and name the
+  // one model — a failing server may refuse, never lie.
   auto check = [&](std::size_t g, const serve::Response& r) {
     if (!r.ok()) {
       failed_answers.fetch_add(1, std::memory_order_relaxed);
       return;
     }
     ok_answers.fetch_add(1, std::memory_order_relaxed);
-    const std::vector<int>* expected = nullptr;
-    if (r.model_version == v1)
-      expected = &expected_v1;
-    else if (r.model_version == v1 + 1)
-      expected = &expected_v2;
-    if (!expected || (*expected)[g] != r.label)
+    if (r.model_version != serve::kModelVersion || expected[g] != r.label)
       wrong_bits.store(true, std::memory_order_relaxed);
   };
 
@@ -469,12 +458,6 @@ void run_concurrent_chaos(bool with_faults) {
       }
     });
   }
-  // Hot swap mid-storm: in-flight batches finish on v1, later ones serve
-  // v2; version-keyed caching makes stale answers structurally impossible,
-  // and check() would catch one anyway.
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  const std::uint64_t v2 = server.publish(model_v2);
-  EXPECT_EQ(v2, v1 + 1);
   for (auto& t : clients) t.join();
 
   // Shutdown drains every admitted query: all continuations fire exactly
@@ -483,10 +466,10 @@ void run_concurrent_chaos(bool with_faults) {
   server.shutdown();
   EXPECT_EQ(callbacks_fired.load(), futures_submitted.load());
   EXPECT_FALSE(wrong_bits.load())
-      << "an admitted answer differed from serial predict by its version";
+      << "an admitted answer differed from serial predict";
 
   const serve::ServerStats stats = server.stats();
-  // Conservation under injection, concurrency and hot swap:
+  // Conservation under injection and concurrency:
   EXPECT_EQ(stats.cache.hits + stats.cache.misses + stats.coalesced,
             stats.queries);
   // Sources partition resolved client queries exactly.

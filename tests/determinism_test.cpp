@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "gnn/model.h"
@@ -63,10 +64,11 @@ TrainOutcome train_with_threads(int num_threads) {
   TrainOutcome out;
   out.epoch_loss = stats.epoch_loss;
   out.predictions = model.predict(graphs);
-  const std::vector<std::vector<float>> embeddings = model.embed(graphs);
-  out.embedding = embeddings[0];
-  for (const auto& e : embeddings)
-    out.all_embeddings.insert(out.all_embeddings.end(), e.begin(), e.end());
+  gnn::Evaluation eval;
+  model.evaluate(graphs, eval, /*want_embeddings=*/true);
+  out.embedding.assign(eval.embeddings.begin(),
+                       eval.embeddings.begin() + cfg.hidden_dim);
+  out.all_embeddings = std::move(eval.embeddings);
   for (const tensor::Tensor& p : model.parameters())
     out.parameters.insert(out.parameters.end(), p.data(),
                           p.data() + p.numel());

@@ -2,6 +2,7 @@
 // model's ability to fit / generalize on controlled graph data.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "gnn/graph_batch.h"
@@ -193,9 +194,11 @@ TEST(StaticModelTest, DeterministicForSeed) {
   cfg.seed = 77;
   StaticModel a(cfg);
   StaticModel b(cfg);
-  auto ea = a.embed({&pg});
-  auto eb = b.embed({&pg});
-  EXPECT_EQ(ea[0], eb[0]);
+  Evaluation ea;
+  Evaluation eb;
+  a.evaluate({&pg}, ea, /*want_embeddings=*/true);
+  b.evaluate({&pg}, eb, /*want_embeddings=*/true);
+  EXPECT_EQ(ea.embeddings, eb.embeddings);
 }
 
 TEST(StaticModelTest, BatchingInvariance) {
@@ -210,10 +213,12 @@ TEST(StaticModelTest, BatchingInvariance) {
   cfg.num_labels = 5;
   cfg.hidden_dim = 16;
   StaticModel model(cfg);
-  auto solo = model.predict_log_probs({&g0});
-  auto batched = model.predict_log_probs({&g0, &g1});
+  Evaluation solo;
+  Evaluation batched;
+  model.evaluate({&g0}, solo);
+  model.evaluate({&g0, &g1}, batched);
   for (int j = 0; j < 5; ++j)
-    EXPECT_NEAR(solo[0][j], batched[0][j], 1e-4f);
+    EXPECT_NEAR(solo.log_probs[j], batched.log_probs[j], 1e-4f);
 }
 
 TEST(StaticModelTest, EmbeddingsHaveConfiguredWidth) {
@@ -225,8 +230,9 @@ TEST(StaticModelTest, EmbeddingsHaveConfiguredWidth) {
   cfg.num_labels = 13;
   cfg.hidden_dim = 24;
   StaticModel model(cfg);
-  auto embedding = model.embed({&pg});
-  EXPECT_EQ(embedding[0].size(), 24u);
+  Evaluation eval;
+  model.evaluate({&pg}, eval, /*want_embeddings=*/true);
+  EXPECT_EQ(eval.embeddings.size(), 24u);
 }
 
 TEST(StaticModelTest, ShardedInferenceBitIdenticalToPerGraphQueries) {
@@ -263,20 +269,26 @@ TEST(StaticModelTest, ShardedInferenceBitIdenticalToPerGraphQueries) {
   cfg.num_threads = 8;
   StaticModel parallel(cfg);
 
-  auto batched = serial.predict_log_probs(graphs);
-  auto batched_mt = parallel.predict_log_probs(graphs);
-  ASSERT_EQ(batched.size(), graphs.size());
+  Evaluation batched;
+  Evaluation batched_mt;
+  Evaluation solo;
+  serial.evaluate(graphs, batched);
+  parallel.evaluate(graphs, batched_mt);
+  ASSERT_EQ(batched.log_probs.size(), graphs.size() * 3);
+  EXPECT_EQ(batched.log_probs, batched_mt.log_probs);
   for (std::size_t g = 0; g < graphs.size(); ++g) {
-    auto solo = serial.predict_log_probs({graphs[g]});
-    EXPECT_EQ(batched[g], solo[0]) << "graph " << g;
-    EXPECT_EQ(batched[g], batched_mt[g]) << "graph " << g;
+    serial.evaluate({graphs[g]}, solo);
+    EXPECT_TRUE(std::equal(solo.log_probs.begin(), solo.log_probs.end(),
+                           batched.log_probs.begin() + g * 3))
+        << "graph " << g;
   }
   EXPECT_EQ(serial.predict(graphs), parallel.predict(graphs));
 }
 
 TEST(StaticModelTest, EvaluateMatchesSeparateQueries) {
   // evaluate() derives predictions, log-probs and embeddings from one batch
-  // build + forward per shard; each slice must equal the dedicated query.
+  // build + forward per shard. Each slice must equal predict(), the same
+  // call without embeddings, and each graph evaluated alone.
   std::vector<graph::ProgramGraph> owned;
   for (int i = 0; i < 21; ++i) owned.push_back(tiny_graph(i % 5));
   std::vector<const graph::ProgramGraph*> graphs;
@@ -296,18 +308,22 @@ TEST(StaticModelTest, EvaluateMatchesSeparateQueries) {
   ASSERT_EQ(eval.embeddings.size(), graphs.size() * 12);
 
   EXPECT_EQ(eval.predictions, model.predict(graphs));
-  auto log_probs = model.predict_log_probs(graphs);
-  auto embeddings = model.embed(graphs);
+  Evaluation solo;
   for (std::size_t g = 0; g < graphs.size(); ++g) {
+    model.evaluate({graphs[g]}, solo, /*want_embeddings=*/true);
     for (int j = 0; j < 4; ++j)
-      EXPECT_EQ(eval.log_probs[g * 4 + j], log_probs[g][j])
+      EXPECT_EQ(eval.log_probs[g * 4 + j], solo.log_probs[j])
           << "log_prob (" << g << "," << j << ")";
     for (int j = 0; j < 12; ++j)
-      EXPECT_EQ(eval.embeddings[g * 12 + j], embeddings[g][j])
+      EXPECT_EQ(eval.embeddings[g * 12 + j], solo.embeddings[j])
           << "embedding (" << g << "," << j << ")";
   }
-  // Without embeddings the buffer empties rather than keeping stale data.
+  // Asking for embeddings never moves the log-probs. Without embeddings the
+  // buffer empties rather than keeping stale data.
+  const Evaluation with_embeddings = eval;
   model.evaluate(graphs, eval, /*want_embeddings=*/false);
+  EXPECT_EQ(eval.predictions, with_embeddings.predictions);
+  EXPECT_EQ(eval.log_probs, with_embeddings.log_probs);
   EXPECT_TRUE(eval.embeddings.empty());
 }
 

@@ -497,7 +497,6 @@ TEST(NetServerTest, LoopbackAnswersAreBitIdenticalToTheServer) {
       serve::ServerConfig config = daemon_config();
       config.shed_policy = policy;
       serve::InferenceServer inference(small_model(), config);
-      const std::uint64_t version = inference.model_version();
       net::NetServer server(inference, {});
       ASSERT_TRUE(server.start().ok());
       ASSERT_NE(server.port(), 0);
@@ -515,7 +514,7 @@ TEST(NetServerTest, LoopbackAnswersAreBitIdenticalToTheServer) {
             for (std::size_t g = 0; g < graphs.size(); ++g) {
               auto wire = client.predict(serve::Request(graphs[g]));
               if (!wire.ok() || !wire->ok() || wire->label != expected[g] ||
-                  wire->model_version != version)
+                  wire->model_version != serve::kModelVersion)
                 ++wrong;
             }
         });
@@ -711,6 +710,7 @@ TEST(NetServerTest, ForeignModelNameIsModelNotFound) {
   ASSERT_TRUE(foreign.ok());
   EXPECT_EQ(foreign->status.code(), StatusCode::kModelNotFound);
   EXPECT_EQ(foreign->source, serve::Source::Shed);
+  EXPECT_EQ(foreign->model_version, 0u);
 
   WireStats stats{};
   ASSERT_TRUE(client.get_stats(&stats).ok());
@@ -760,14 +760,17 @@ void drain_mid_burst(const serve::ServerConfig& config,
     ++received;
     EXPECT_LT(decoded->tag, static_cast<std::uint64_t>(burst));
     const serve::Response& r = decoded->response;
-    if (r.ok())
+    if (r.ok()) {
       EXPECT_EQ(r.label, expected[decoded->tag % graphs.size()])
           << "tag " << decoded->tag;
-    else if (r.status.code() == StatusCode::kOverloaded)
+      EXPECT_EQ(r.model_version, serve::kModelVersion);
+    } else if (r.status.code() == StatusCode::kOverloaded) {
       ++*refused;
-    else
+      EXPECT_EQ(r.model_version, 0u) << "a shed answer names no model";
+    } else {
       ADD_FAILURE() << "tag " << decoded->tag << " answered "
                     << r.status.code_name();
+    }
     return true;
   };
   if (after_first_refusal)

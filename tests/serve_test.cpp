@@ -2,8 +2,8 @@
 // concurrent serving against serial StaticModel::predict, the
 // zero-allocation warm cache-hit contract (this binary counts global
 // operator new, like arena_test), admission control (every shed policy and
-// queue bound, priorities, deadlines), hot-swap under load, the model slot,
-// and the sharded LRU prediction cache.
+// queue bound, priorities, deadlines), in-flight coalescing, and the
+// sharded LRU prediction cache.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +19,6 @@
 #include "gnn/model.h"
 #include "graph/fingerprint.h"
 #include "graph/graph_builder.h"
-#include "serve/model_slot.h"
 #include "serve/prediction_cache.h"
 #include "serve/server.h"
 #include "support/rng.h"
@@ -240,7 +239,7 @@ TEST(InferenceServerTest, FuturesResolveAndMixWithSyncClients) {
                   r.source == serve::Source::Coalesced);
     else
       EXPECT_EQ(r.source, serve::Source::Batch);
-    EXPECT_EQ(r.model_version, server.model_version());
+    EXPECT_EQ(r.model_version, serve::kModelVersion);
     EXPECT_GE(r.queue_us, 0);
     EXPECT_GE(r.compute_us, 0);
   }
@@ -448,59 +447,6 @@ TEST(InferenceServerTest, WarmMissesThroughThenPerformZeroHeapAllocations) {
             10 * (graphs.size() + 1 - distinct.size()));
 }
 
-TEST(InferenceServerTest, HotSwapUnderLoadNeverDropsOrMixesQueries) {
-  auto model_a = std::make_shared<const gnn::StaticModel>(small_config(0xAA));
-  auto model_b = std::make_shared<const gnn::StaticModel>(small_config(0xBB));
-  const std::vector<int> expected_a = serial_predict(*model_a);
-  const std::vector<int> expected_b = serial_predict(*model_b);
-  const auto& graphs = test_graphs();
-  // Differently seeded random models disagree somewhere; if this ever
-  // flakes the seeds just need a nudge.
-  ASSERT_NE(expected_a, expected_b);
-
-  serve::ServerConfig config;
-  config.max_batch = 8;
-  config.cache_capacity = 256;
-  serve::InferenceServer server(model_a, config);
-
-  constexpr int kClients = 4;
-  constexpr int kQueriesPerClient = 200;
-  std::atomic<int> wrong{0};
-  std::atomic<int> answered{0};
-  std::vector<std::thread> clients;
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
-      Rng rng(hash_combine64(0x50AB, static_cast<std::uint64_t>(c)));
-      for (int q = 0; q < kQueriesPerClient; ++q) {
-        const std::size_t g = rng.next_below(graphs.size());
-        const serve::Response r = server.predict(graphs[g]);
-        // Every answer is exactly one publication's serial-predict bits —
-        // never dropped (the queue is unbounded, so r is always Ok) and
-        // never a mix.
-        if (!r.ok() || (r.label != expected_a[g] && r.label != expected_b[g]))
-          wrong.fetch_add(1);
-        answered.fetch_add(1);
-      }
-    });
-  }
-  // Swap mid-load.
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  const std::uint64_t v2 = server.publish(model_b);
-  for (auto& t : clients) t.join();
-
-  EXPECT_EQ(wrong.load(), 0);
-  EXPECT_EQ(answered.load(), kClients * kQueriesPerClient);
-  EXPECT_EQ(server.model_version(), v2);
-
-  // Quiesced post-swap queries must be the new model's bits — the
-  // version-keyed cache can never serve the retired model's labels.
-  for (std::size_t g = 0; g < graphs.size(); ++g) {
-    const serve::Response r = server.predict(graphs[g]);
-    EXPECT_EQ(r.label, expected_b[g]);
-    EXPECT_EQ(r.model_version, v2);
-  }
-}
-
 // --- Admission control ------------------------------------------------------
 
 TEST(InferenceServerTest, AdmittedResponsesBitIdenticalForEveryPolicyAndBound) {
@@ -631,62 +577,6 @@ TEST(InferenceServerTest, SheddingUnderOverloadNeverCorruptsAdmittedResults) {
     EXPECT_LE(stats.peak_queue, config.max_queue);
     EXPECT_EQ(stats.shed, static_cast<std::uint64_t>(shed));
     EXPECT_EQ(stats.rejected, static_cast<std::uint64_t>(rejected));
-  }
-}
-
-TEST(InferenceServerTest, HotSwapDuringSheddingKeepsEveryAnswerOnePublication) {
-  auto model_a = std::make_shared<const gnn::StaticModel>(small_config(0x3A));
-  auto model_b = std::make_shared<const gnn::StaticModel>(small_config(0x3B));
-  const std::vector<int> expected_a = serial_predict(*model_a);
-  const std::vector<int> expected_b = serial_predict(*model_b);
-  ASSERT_NE(expected_a, expected_b);
-  const auto& graphs = test_graphs();
-
-  serve::ServerConfig config;
-  config.max_queue = 3;
-  config.shed_policy = serve::ShedPolicy::DropOldest;
-  config.max_batch = 4;
-  config.cache_capacity = 64;
-  serve::InferenceServer server(model_a, config);
-
-  constexpr int kClients = 4;
-  constexpr int kQueriesPerClient = 150;
-  std::atomic<int> wrong{0};
-  std::atomic<int> resolved{0};
-  std::vector<std::thread> clients;
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
-      Rng rng(hash_combine64(0x50AB, static_cast<std::uint64_t>(c)));
-      for (int q = 0; q < kQueriesPerClient; ++q) {
-        const std::size_t g = rng.next_below(graphs.size());
-        const serve::Response r = server.predict(graphs[g]);
-        if (r.ok()) {
-          // Exactly one publication's serial bits — never a mix, even
-          // while the queue is shedding around the swap.
-          if (r.label != expected_a[g] && r.label != expected_b[g])
-            wrong.fetch_add(1);
-        } else if (r.status.code() != serve::StatusCode::kOverloaded) {
-          wrong.fetch_add(1);
-        }
-        resolved.fetch_add(1);
-      }
-    });
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  const std::uint64_t v2 = server.publish(model_b);
-  EXPECT_EQ(v2, 2u);
-  for (auto& t : clients) t.join();
-  EXPECT_EQ(wrong.load(), 0);
-  EXPECT_EQ(resolved.load(), kClients * kQueriesPerClient);
-
-  // Quiesced: the new model answers, never the replaced publication's
-  // cache.
-  for (std::size_t g = 0; g < graphs.size(); ++g) {
-    serve::Response r = server.predict(graphs[g]);
-    // Drain any shedding backwash: retry the rare Overloaded result.
-    while (!r.ok()) r = server.predict(graphs[g]);
-    EXPECT_EQ(r.label, expected_b[g]);
-    EXPECT_EQ(r.model_version, v2);
   }
 }
 
@@ -853,7 +743,7 @@ TEST(InferenceServerTest, DuplicateInFlightQueriesCoalesceOntoOneForward) {
       const serve::Response r = f.get();
       ASSERT_TRUE(r.ok());
       EXPECT_EQ(r.label, expected[2]);  // bit-identical to serial predict
-      EXPECT_EQ(r.model_version, server.model_version());
+      EXPECT_EQ(r.model_version, serve::kModelVersion);
       EXPECT_GE(r.queue_us, 0);
       if (r.source == serve::Source::Batch)
         saw_batch = true;  // exactly the leader
@@ -904,36 +794,6 @@ TEST(InferenceServerTest, AbandonedLeaderStillAnswersItsWaiters) {
   const serve::ServerStats stats = server.stats();
   EXPECT_EQ(stats.forwards, 1u);
   EXPECT_EQ(stats.coalesced, 2u);
-}
-
-TEST(InferenceServerTest, WaitersAcrossHotSwapReportTheAnsweringVersion) {
-  // Leader and waiter admitted under v1, model swapped to v2 before
-  // anything pumps: the batch snapshots v2, so both must carry v2's
-  // serial-predict bits and report model_version == v2 — never a mix.
-  auto model_a = std::make_shared<const gnn::StaticModel>(small_config(0x23));
-  auto model_b = std::make_shared<const gnn::StaticModel>(small_config(0x24));
-  const std::vector<int> expected_b = serial_predict(*model_b);
-  const auto& graphs = test_graphs();
-  serve::ServerConfig config;
-  config.background_loop = false;
-  config.cache_capacity = 64;
-  serve::InferenceServer server(model_a, config);
-
-  auto leader = server.submit(serve::Request(graphs[1]));
-  auto waiter = server.submit(serve::Request(graphs[1]));
-  ASSERT_TRUE(leader.ok() && waiter.ok());
-  const std::uint64_t v2 = server.publish(model_b);
-
-  serve::Response rw = waiter.value().get();
-  serve::Response rl = leader.value().get();
-  EXPECT_TRUE(rw.ok() && rl.ok());
-  EXPECT_EQ(rl.label, expected_b[1]);
-  EXPECT_EQ(rw.label, expected_b[1]);
-  EXPECT_EQ(rl.model_version, v2);
-  EXPECT_EQ(rw.model_version, v2);
-  EXPECT_EQ(rl.source, serve::Source::Batch);
-  EXPECT_EQ(rw.source, serve::Source::Coalesced);
-  EXPECT_EQ(server.stats().forwards, 1u);
 }
 
 TEST(InferenceServerTest, ShutdownDrainAnswersPendingWaiters) {
@@ -1060,56 +920,47 @@ TEST(InferenceServerFutureTest, AbandonAfterMoveReleasesTheRightSlot) {
   EXPECT_EQ(server.predict(graphs[1]).label, expected[1]);
 }
 
-TEST(ModelSlotTest, PublishVersionsAndSnapshots) {
-  auto model_a = std::make_shared<const gnn::StaticModel>(small_config(0x1));
-  auto model_b = std::make_shared<const gnn::StaticModel>(small_config(0x2));
-  serve::ModelSlot slot;
-
-  EXPECT_EQ(slot.snapshot()->model, nullptr);
-  EXPECT_EQ(slot.snapshot()->version, 0u);
-
-  EXPECT_EQ(slot.publish(model_a), 1u);
-  EXPECT_EQ(slot.snapshot()->model.get(), model_a.get());
-  // A snapshot taken before a publish keeps its (model, version) pair:
-  // a batch in flight finishes on the publication it started with.
-  const auto before = slot.snapshot();
-  EXPECT_EQ(slot.publish(model_b), 2u);
-  EXPECT_EQ(slot.snapshot()->model.get(), model_b.get());
-  EXPECT_EQ(slot.snapshot()->version, 2u);
-  EXPECT_EQ(before->model.get(), model_a.get());
-  EXPECT_EQ(before->version, 1u);
+/// The first `n` keys from 0 up that shard_index puts in key 0's shard, so
+/// a test can drive one shard's LRU order directly.
+std::vector<std::uint64_t> keys_in_one_shard(std::size_t n) {
+  constexpr std::size_t kShards = serve::PredictionCache::kShards;
+  const std::size_t shard = serve::PredictionCache::shard_index(0, kShards);
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t k = 0; keys.size() < n; ++k)
+    if (serve::PredictionCache::shard_index(k, kShards) == shard)
+      keys.push_back(k);
+  return keys;
 }
 
 TEST(PredictionCacheTest, LRUEvictionAndStats) {
-  serve::PredictionCache cache(4, /*num_shards=*/1);
+  // 8 shards of 4 entries; every key below lands in one shard.
+  serve::PredictionCache cache(serve::PredictionCache::kShards * 4);
+  ASSERT_EQ(cache.capacity(), 32u);
+  const std::vector<std::uint64_t> key = keys_in_one_shard(6);
   int label = -1;
-  EXPECT_FALSE(cache.lookup(10, &label));
-  for (std::uint64_t k = 0; k < 4; ++k)
-    cache.insert(k, static_cast<int>(k) + 100);
-  for (std::uint64_t k = 0; k < 4; ++k) {
-    EXPECT_TRUE(cache.lookup(k, &label));
-    EXPECT_EQ(label, static_cast<int>(k) + 100);
+  EXPECT_FALSE(cache.lookup(key[5], &label));
+  for (int i = 0; i < 4; ++i) cache.insert(key[i], i + 100);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_TRUE(cache.lookup(key[i], &label));
+    EXPECT_EQ(label, i + 100);
   }
-  // 0..3 were re-touched in order; inserting 4 must evict 0 (the LRU).
-  cache.insert(4, 104);
-  EXPECT_FALSE(cache.lookup(0, &label));
-  EXPECT_TRUE(cache.lookup(4, &label));
-  EXPECT_TRUE(cache.lookup(1, &label));
-  // Touch 2 then insert again: 3 is now least recent.
-  EXPECT_TRUE(cache.lookup(2, &label));
-  cache.insert(5, 105);
-  EXPECT_FALSE(cache.lookup(3, &label));
+  // key[0..3] were re-touched in order; inserting key[4] must evict key[0]
+  // (the shard's LRU).
+  cache.insert(key[4], 104);
+  EXPECT_FALSE(cache.lookup(key[0], &label));
+  EXPECT_TRUE(cache.lookup(key[4], &label));
+  EXPECT_TRUE(cache.lookup(key[1], &label));
+  // Touch key[2] then insert again: key[3] is now least recent.
+  EXPECT_TRUE(cache.lookup(key[2], &label));
+  cache.insert(key[5], 105);
+  EXPECT_FALSE(cache.lookup(key[3], &label));
 
   serve::CacheStats stats = cache.stats();
   EXPECT_EQ(stats.evictions, 2u);
   EXPECT_EQ(stats.entries, 4u);
   EXPECT_EQ(stats.insertions, 6u);
-  EXPECT_GT(stats.hits, 0u);
-  EXPECT_GT(stats.misses, 0u);
-
-  cache.clear();
-  EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_FALSE(cache.lookup(4, &label));
+  EXPECT_EQ(stats.hits, 7u);
+  EXPECT_EQ(stats.misses, 3u);
 }
 
 TEST(PredictionCacheTest, ZeroCapacityDisables) {
@@ -1170,54 +1021,21 @@ TEST(InferenceServerTest, DisabledCacheKeepsConservation) {
 }
 
 TEST(PredictionCacheTest, ShardedCapacityHolds) {
-  serve::PredictionCache cache(64, 8);
+  // 8 shards of 8 entries: sequential keys fill every shard.
+  serve::PredictionCache cache(64);
   EXPECT_EQ(cache.capacity(), 64u);
   for (std::uint64_t k = 0; k < 10000; ++k)
-    cache.insert(hash_combine64(0x5EED, k), static_cast<int>(k % 7));
-  EXPECT_LE(cache.stats().entries, 64u);
+    cache.insert(k, static_cast<int>(k % 7));
+  EXPECT_EQ(cache.stats().entries, 64u);
   EXPECT_EQ(cache.stats().insertions, 10000u);
-  EXPECT_EQ(cache.stats().evictions, 10000u - cache.stats().entries);
-}
-
-TEST(PredictionCacheTest, ClearResetsStatsForANewEpoch) {
-  serve::PredictionCache cache(4, /*num_shards=*/1);
-  int label = -1;
-  for (std::uint64_t k = 0; k < 6; ++k)
-    cache.insert(k, static_cast<int>(k));
-  cache.insert(5, 50);  // refresh
-  EXPECT_TRUE(cache.lookup(5, &label));
-  EXPECT_FALSE(cache.lookup(99, &label));
-  const serve::CacheStats before = cache.stats();
-  EXPECT_GT(before.hits, 0u);
-  EXPECT_GT(before.misses, 0u);
-  EXPECT_GT(before.insertions, 0u);
-  EXPECT_GT(before.refreshes, 0u);
-  EXPECT_GT(before.evictions, 0u);
-
-  // clear() starts a new epoch: entries AND every counter go to zero, so a
-  // hit-rate measured after the clear never blends the old epoch's traffic.
-  cache.clear();
-  const serve::CacheStats after = cache.stats();
-  EXPECT_EQ(after.hits, 0u);
-  EXPECT_EQ(after.misses, 0u);
-  EXPECT_EQ(after.insertions, 0u);
-  EXPECT_EQ(after.refreshes, 0u);
-  EXPECT_EQ(after.evictions, 0u);
-  EXPECT_EQ(after.entries, 0u);
-  EXPECT_EQ(after.hit_rate(), 0.0);
-
-  // The cleared cache is fully usable: capacity and slots were kept.
-  cache.insert(1, 10);
-  EXPECT_TRUE(cache.lookup(1, &label));
-  EXPECT_EQ(label, 10);
-  EXPECT_EQ(cache.stats().insertions, 1u);
+  EXPECT_EQ(cache.stats().evictions, 10000u - 64u);
 }
 
 TEST(PredictionCacheTest, DuplicateInsertCountsARefreshNotAnInsertion) {
-  serve::PredictionCache cache(4, /*num_shards=*/1);
+  serve::PredictionCache cache(4);
   cache.insert(7, 1);
   cache.insert(7, 1);  // racing double-insert of the same fingerprint
-  cache.insert(7, 2);  // refresh may also change the label (new epoch key)
+  cache.insert(7, 2);  // a refresh stores the label it is given
   serve::CacheStats stats = cache.stats();
   EXPECT_EQ(stats.insertions, 1u);
   EXPECT_EQ(stats.refreshes, 2u);
@@ -1267,31 +1085,37 @@ TEST(InferenceServerTest, EmptyGraphIsRejectedBeforeAdmission) {
 TEST(PredictionCacheTest, ShardIndexMixesTheFullKey) {
   // The old shard choice used only the top 8 bits ((key >> 56) % shards):
   // sequential keys — and any key population with a constant high byte,
-  // like small counters or version-mixed fingerprints with few versions —
-  // all collapsed into one shard, shrinking the effective capacity to a
-  // single shard's and serializing every lookup on one mutex. The fixed
-  // mix must reach every shard from low-entropy keys.
-  constexpr std::size_t kShards = 300;  // > 256: unreachable in the old scheme
-  std::vector<bool> seen(kShards, false);
-  std::size_t distinct = 0;
-  for (std::uint64_t k = 0; k < 20000 && distinct < kShards; ++k) {
-    const std::size_t s = serve::PredictionCache::shard_index(k, kShards);
-    ASSERT_LT(s, kShards);
-    if (!seen[s]) {
-      seen[s] = true;
-      ++distinct;
+  // like small counters — all collapsed into one shard, shrinking the
+  // effective capacity to a single shard's and serializing every lookup on
+  // one mutex. The mix must reach every shard from low-entropy keys, at
+  // the fixed 8 shards and at a small cache's clamped count (5).
+  for (std::size_t shards : {serve::PredictionCache::kShards,
+                             std::size_t{5}}) {
+    std::vector<bool> seen(shards, false);
+    std::size_t distinct = 0;
+    for (std::uint64_t k = 0; k < 1000 && distinct < shards; ++k) {
+      const std::size_t s = serve::PredictionCache::shard_index(k, shards);
+      ASSERT_LT(s, shards);
+      if (!seen[s]) {
+        seen[s] = true;
+        ++distinct;
+      }
     }
+    EXPECT_EQ(distinct, shards) << shards << " shards";
   }
-  EXPECT_EQ(distinct, kShards);
 
   // End to end: sequential keys must fill the whole sharded capacity, not
-  // one shard's slice (3000/300 = 10 entries under the old scheme).
-  serve::PredictionCache cache(3000, 300);
-  for (std::uint64_t k = 0; k < 20000; ++k)
-    cache.insert(k, static_cast<int>(k & 3));
-  EXPECT_EQ(cache.stats().entries, cache.capacity());
-  EXPECT_EQ(cache.stats().insertions - cache.stats().evictions,
-            cache.stats().entries);
+  // one shard's slice (3000/8 = 375 entries under the old scheme), and a
+  // cache below 8 entries keeps its exact capacity, one entry per shard.
+  for (std::size_t capacity : {std::size_t{3000}, std::size_t{5}}) {
+    serve::PredictionCache cache(capacity);
+    EXPECT_EQ(cache.capacity(), capacity);
+    for (std::uint64_t k = 0; k < 20000; ++k)
+      cache.insert(k, static_cast<int>(k & 3));
+    EXPECT_EQ(cache.stats().entries, capacity);
+    EXPECT_EQ(cache.stats().insertions - cache.stats().evictions,
+              cache.stats().entries);
+  }
 }
 
 }  // namespace
