@@ -102,6 +102,12 @@ class Reader {
   bool ok_ = true;
 };
 
+/// A kRequest's byte after the deadline once carried a shedding priority
+/// (0 Low, 1 Normal, 2 High). Wire v1 keeps it: encoders write 1, decoders
+/// refuse a byte above 2 and otherwise discard it.
+constexpr std::uint8_t kPriorityByte = 1;
+constexpr std::uint8_t kMaxPriorityByte = 2;
+
 /// Appends a frame header with a zero length, returning the offset of the
 /// length field for finish_frame to backpatch once the payload is written.
 std::size_t begin_frame(FrameBytes& out, FrameType type) {
@@ -217,7 +223,7 @@ void encode_request_into(std::uint64_t tag, const serve::Request& request,
   std::size_t length_at = begin_frame(out, FrameType::kRequest);
   put_u64(out, tag);
   put_i64(out, request.deadline_us);
-  put_u8(out, static_cast<std::uint8_t>(request.priority));
+  put_u8(out, kPriorityByte);
   put_u16(out, static_cast<std::uint16_t>(request.model.size()));
   for (char c : request.model) out.push_back(static_cast<std::uint8_t>(c));
   put_graph_body(*request.graph, out);
@@ -291,9 +297,8 @@ Status decode_request(const std::uint8_t* payload, std::size_t size,
   const std::uint16_t model_len = r.get_u16();
   const std::uint8_t* model = r.get_bytes(model_len);
   if (!r.ok()) return Status::InvalidArgument("truncated request fields");
-  if (priority > static_cast<std::uint8_t>(serve::Priority::High))
+  if (priority > kMaxPriorityByte)
     return Status::InvalidArgument("priority out of range");
-  out->priority = static_cast<serve::Priority>(priority);
   out->model = std::string_view(reinterpret_cast<const char*>(model),
                                 model_len);
   Status status = get_graph_body(r, graph, limits);

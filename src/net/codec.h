@@ -105,7 +105,6 @@ Status status_from_wire(std::uint8_t wire, bool* valid);
 struct DecodedRequest {
   std::uint64_t tag = 0;
   std::int64_t deadline_us = 0;
-  serve::Priority priority = serve::Priority::Normal;
   std::string_view model{};
 };
 
@@ -127,7 +126,7 @@ struct WireStats {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t coalesced = 0;
-  std::uint64_t shed = 0;
+  std::uint64_t shed = 0;  // always 0: no admitted query is dropped
   std::uint64_t rejected = 0;
   std::uint64_t deadline_exceeded = 0;
   std::uint64_t internal_errors = 0;
@@ -189,7 +188,8 @@ Status decode_graph(const std::uint8_t* payload, std::size_t size,
                     graph::ProgramGraph* out, const DecodeLimits& limits = {});
 
 /// Decodes a kRequest payload: fixed fields into *out, the inline graph into
-/// *graph (reused storage). out->model views into `payload`.
+/// *graph (reused storage). out->model views into `payload`. The retired
+/// priority byte is checked against its old range and discarded.
 Status decode_request(const std::uint8_t* payload, std::size_t size,
                       DecodedRequest* out, graph::ProgramGraph* graph,
                       const DecodeLimits& limits = {});

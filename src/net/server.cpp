@@ -189,8 +189,7 @@ void NetServer::begin_drain() {
     // those — drain answers only what was admitted).
     conn.in.clear();
     conn.in_ofs = 0;
-    conn.flow_blocked = true;
-    update_epoll(slot);
+    update_epoll(slot);  // draining_ masks EPOLLIN
     maybe_close_drained(slot);
   }
 }
@@ -229,7 +228,6 @@ void NetServer::do_accept() {
     Connection& conn = *conns_[slot];
     conn.fd = fd;
     conn.want_write = false;
-    conn.flow_blocked = false;
     conn.in.clear();
     conn.in_ofs = 0;
     conn.wbuf.clear();
@@ -263,7 +261,8 @@ void NetServer::handle_io(std::uint32_t slot, std::uint32_t events) {
   }
   if (events & EPOLLOUT) flush_conn(slot);
   if (!conn.open) return;
-  if ((events & EPOLLIN) && !conn.flow_blocked) read_conn(slot);
+  if ((events & EPOLLIN) && !draining_.load(std::memory_order_relaxed))
+    read_conn(slot);
 }
 
 void NetServer::read_conn(std::uint32_t slot) {
@@ -297,17 +296,16 @@ void NetServer::read_conn(std::uint32_t slot) {
     }
     conn.in.insert(conn.in.end(), buf, buf + n);
     // Parse each chunk as it arrives, so `in` holds at most one chunk and a
-    // partial frame however far the loop fell behind the socket. A blocked
-    // connection stops reading; level-triggered EPOLLIN resumes it.
+    // partial frame however far the loop fell behind the socket.
     parse_frames(slot);
-    if (!conn.open || conn.flow_blocked) return;
+    if (!conn.open) return;
     if (static_cast<std::size_t>(n) < sizeof(buf)) break;  // socket drained
   }
 }
 
 void NetServer::parse_frames(std::uint32_t slot) {
   Connection& conn = *conns_[slot];
-  while (conn.open && !conn.flow_blocked) {
+  while (conn.open) {
     std::size_t avail = conn.in.size() - conn.in_ofs;
     if (avail < kHeaderBytes) break;
     FrameHeader header;
@@ -324,10 +322,8 @@ void NetServer::parse_frames(std::uint32_t slot) {
     }
     std::size_t frame_bytes = kHeaderBytes + header.payload_bytes;
     if (avail < frame_bytes) break;  // wait for the rest of the frame
-    FrameAction action = handle_frame(
-        slot, header, conn.in.data() + conn.in_ofs + kHeaderBytes);
+    handle_frame(slot, header, conn.in.data() + conn.in_ofs + kHeaderBytes);
     if (!conn.open) return;
-    if (action == FrameAction::kDefer) break;  // flow control: not consumed
     conn.in_ofs += frame_bytes;
   }
   if (!conn.open) return;
@@ -341,22 +337,19 @@ void NetServer::parse_frames(std::uint32_t slot) {
   }
 }
 
-NetServer::FrameAction NetServer::handle_frame(std::uint32_t slot,
-                                               const FrameHeader& header,
-                                               const std::uint8_t* payload) {
+void NetServer::handle_frame(std::uint32_t slot, const FrameHeader& header,
+                             const std::uint8_t* payload) {
   {
     std::lock_guard<std::mutex> guard(mutex_);
     ++frames_in_;
   }
   switch (header.type) {
-    case FrameType::kRequest: {
-      FrameAction action = FrameAction::kHandled;
-      handle_request(slot, payload, header.payload_bytes, &action);
-      return action;
-    }
+    case FrameType::kRequest:
+      handle_request(slot, payload, header.payload_bytes);
+      return;
     case FrameType::kStatsRequest:
       handle_stats_request(slot);
-      return FrameAction::kHandled;
+      return;
     default:
       // kGraph/kResponse/kStatsReply are not things a client sends a server.
       {
@@ -364,23 +357,17 @@ NetServer::FrameAction NetServer::handle_frame(std::uint32_t slot,
         ++protocol_errors_;
       }
       close_conn(slot);
-      return FrameAction::kHandled;
+      return;
   }
 }
 
 void NetServer::handle_request(std::uint32_t slot, const std::uint8_t* payload,
-                               std::size_t size, FrameAction* action) {
+                               std::size_t size) {
   Connection& conn = *conns_[slot];
 
   // TCP backpressure: a client not reading its answers fills the write
-  // buffer, and the configured shed policy decides who pays (header comment).
+  // buffer, and its new requests are shed unadmitted (header comment).
   if (outstanding_bytes(conn) > config_.max_write_buffer) {
-    if (server_.config().shed_policy == serve::ShedPolicy::Block) {
-      conn.flow_blocked = true;
-      update_epoll(slot);
-      *action = FrameAction::kDefer;
-      return;
-    }
     std::uint64_t tag = 0;
     peek_request_tag(payload, size, &tag);
     {
@@ -446,9 +433,7 @@ void NetServer::handle_request(std::uint32_t slot, const std::uint8_t* payload,
   serve::Request request;
   request.graph = &query->graph;
   request.deadline_us = decoded.deadline_us;
-  request.priority = decoded.priority;
 
-  // May block under ShedPolicy::Block — pumping batches while it waits.
   auto submitted = server_.submit(request);
   if (!submitted.ok()) {
     {
@@ -573,13 +558,6 @@ void NetServer::flush_conn(std::uint32_t slot) {
     conn.want_write = false;
     update_epoll(slot);
   }
-  if (conn.flow_blocked && !draining_.load(std::memory_order_relaxed) &&
-      outstanding_bytes(conn) < config_.max_write_buffer / 2) {
-    conn.flow_blocked = false;
-    update_epoll(slot);
-    parse_frames(slot);  // frames buffered while blocked
-    if (!conn.open) return;
-  }
   maybe_close_drained(slot);
 }
 
@@ -587,7 +565,9 @@ void NetServer::update_epoll(std::uint32_t slot) {
   Connection& conn = *conns_[slot];
   if (!conn.open) return;
   epoll_event ev{};
-  ev.events = (conn.flow_blocked ? 0u : static_cast<std::uint32_t>(EPOLLIN)) |
+  // A draining server reads nothing more (begin_drain).
+  const bool reading = !draining_.load(std::memory_order_relaxed);
+  ev.events = (reading ? static_cast<std::uint32_t>(EPOLLIN) : 0u) |
               (conn.want_write ? static_cast<std::uint32_t>(EPOLLOUT) : 0u);
   ev.data.u64 = slot;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev);
@@ -600,7 +580,6 @@ void NetServer::close_conn(std::uint32_t slot) {
   ::close(conn.fd);
   conn.fd = -1;
   conn.want_write = false;
-  conn.flow_blocked = false;
   conn.in.clear();
   conn.in_ofs = 0;
   conn.wbuf.clear();
@@ -712,7 +691,7 @@ WireStats gather_wire_stats(const serve::ServerStats& server,
   w.cache_hits = server.cache.hits;
   w.cache_misses = server.cache.misses;
   w.coalesced = server.coalesced;
-  w.shed = server.shed;
+  w.shed = 0;  // wire v1 keeps the field; no admitted query is dropped
   w.rejected = server.rejected;
   w.deadline_exceeded = server.deadline_exceeded;
   w.internal_errors = server.internal_errors;

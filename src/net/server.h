@@ -8,9 +8,8 @@
 // it through Future::then continuations that run on whatever pool thread
 // pumps the answering micro-batch. The loop and the continuations meet at a
 // per-connection outbox under one server mutex; an eventfd wakes the loop
-// when a continuation deposits a response. No thread is ever spawned, no
-// call ever blocks the loop except a ShedPolicy::Block admission (which
-// pumps batches while it waits, so even that makes progress).
+// when a continuation deposits a response. No thread is ever spawned and no
+// call ever blocks the loop: a full admission queue refuses at once.
 //
 // Request lifecycle: a complete kRequest frame is decoded into a pooled
 // InflightQuery (graph storage reused across requests, so a steady-state
@@ -24,21 +23,13 @@
 // or crashes the server (tests/net_test.cpp fuzzes it; tests/chaos_test.cpp
 // disconnects mid-frame and injects read/write/decode/accept faults).
 //
-// TCP backpressure maps onto the served InferenceServer's shed policy
-// instead of unbounded buffering: each connection's encoded-but-unsent
-// bytes are capped by `max_write_buffer`. Over the cap —
-//
-//   Reject / DropOldest  new requests on that connection are answered
-//                        Overloaded immediately (a 46-byte frame) without
-//                        being admitted; the admission queue behind it
-//                        still applies the policy among admitted queries.
-//   Block                the server stops reading the connection (EPOLLIN
-//                        masked) until the buffer drains below half the cap
-//                        — genuine TCP flow control; the client's sends
-//                        eventually block in its kernel.
-//
-// A slow reader therefore costs bounded memory and sheds its own traffic;
-// it can never stall other connections or the loop.
+// TCP backpressure sheds instead of buffering without bound: each
+// connection's encoded-but-unsent bytes are capped by `max_write_buffer`.
+// Over the cap, new requests on that connection are answered Overloaded
+// at once (a 46-byte frame, Source::Shed) without being admitted, and
+// counted in backpressure_shed. A slow reader therefore costs bounded
+// memory and sheds its own traffic; it can never stall other connections
+// or the loop.
 //
 // One model per process: a request naming any model but kModelName (an
 // empty name means "the model") is answered ModelNotFound before it reaches
@@ -84,8 +75,8 @@ struct NetServerConfig {
   /// in rejected_connections) so the kernel backlog cannot wedge.
   std::size_t max_connections = 4096;
 
-  /// Per-connection cap on encoded-but-unsent response bytes; over it, TCP
-  /// backpressure maps onto the served InferenceServer's shed policy (see
+  /// Per-connection cap on encoded-but-unsent response bytes; over it, new
+  /// requests on the connection are answered Overloaded unadmitted (see
   /// the header comment).
   std::size_t max_write_buffer = 1u << 20;
 
@@ -168,7 +159,6 @@ class NetServer {
     int fd = -1;
     bool open = false;
     bool want_write = false;    // EPOLLOUT armed
-    bool flow_blocked = false;  // EPOLLIN masked (Block backpressure)
     FrameBytes in;              // unparsed inbound bytes
     std::size_t in_ofs = 0;     // parse cursor into `in`
     FrameBytes wbuf;            // spliced outbound bytes being written
@@ -182,18 +172,16 @@ class NetServer {
     bool in_use = false;
   };
 
-  enum class FrameAction { kHandled, kDefer };
-
   void run_loop();
   void begin_drain();  // loop thread; first reaction to drain_requested_
   void do_accept();
   void handle_io(std::uint32_t slot, std::uint32_t events);
   void read_conn(std::uint32_t slot);
   void parse_frames(std::uint32_t slot);
-  FrameAction handle_frame(std::uint32_t slot, const FrameHeader& header,
-                           const std::uint8_t* payload);
+  void handle_frame(std::uint32_t slot, const FrameHeader& header,
+                    const std::uint8_t* payload);
   void handle_request(std::uint32_t slot, const std::uint8_t* payload,
-                      std::size_t size, FrameAction* action);
+                      std::size_t size);
   void handle_stats_request(std::uint32_t slot);
   /// Deposits an error Response for `tag` into the connection's outbox.
   void respond_error(std::uint32_t slot, std::uint64_t tag,

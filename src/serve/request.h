@@ -2,8 +2,7 @@
 //
 // A Request names everything the front door needs to admit one region
 // query: the graph, the target model's name (checked by the TCP front door,
-// net::NetServer), a queue-time deadline and a priority that admission
-// control consults when it must shed load. A Response answers with the
+// net::NetServer) and a queue-time deadline. A Response answers with the
 // predicted label plus the provenance a production client wants: the
 // model version, whether the answer came from the prediction cache, a
 // batched forward, or shedding, and where the time went (queue wait vs
@@ -32,18 +31,14 @@ using StatusOr = support::StatusOr<T>;
 /// v1 carries the field).
 inline constexpr std::uint64_t kModelVersion = 1;
 
-/// Consulted only under overload: when a bounded admission queue must shed,
-/// lower-priority requests go first (see ShedPolicy::DropOldest).
-enum class Priority : std::uint8_t { Low = 0, Normal = 1, High = 2 };
-
 /// What produced a Response.
 enum class Source : std::uint8_t {
   Cache,      // fingerprint-keyed prediction cache, no forward
   Batch,      // a micro-batched model forward
   Coalesced,  // attached to an identical in-flight query and answered
               // with its leader's forward (no extra model work)
-  Shed,       // not answered: dropped, rejected, past deadline, or the
-              // forward failed (status Internal)
+  Shed,       // not answered: rejected, past deadline, or the forward
+              // failed (status Internal)
 };
 
 inline const char* source_name(Source source) {
@@ -52,33 +47,6 @@ inline const char* source_name(Source source) {
     case Source::Batch: return "batch";
     case Source::Coalesced: return "coalesced";
     case Source::Shed: return "shed";
-  }
-  return "unknown";
-}
-
-/// What a bounded admission queue does when it is full and one more request
-/// arrives (ServerConfig::max_queue).
-enum class ShedPolicy : std::uint8_t {
-  /// Fail the incoming submit immediately with Status::Overloaded. The
-  /// queue never exceeds its bound and nobody blocks.
-  Reject,
-  /// Admit the incoming request and shed the oldest queued request of the
-  /// lowest priority class instead (its future resolves with an Overloaded
-  /// Response, Source::Shed). If every queued request outranks the incoming
-  /// one, the incoming submit is rejected — shedding never promotes load
-  /// the queue already chose to carry.
-  DropOldest,
-  /// Block the submitting client until the queue has room (participating
-  /// in batch pumping while it waits, so a client-driven server cannot
-  /// deadlock itself). Queue depth stays bounded; submit latency does not.
-  Block,
-};
-
-inline const char* shed_policy_name(ShedPolicy policy) {
-  switch (policy) {
-    case ShedPolicy::Reject: return "Reject";
-    case ShedPolicy::DropOldest: return "DropOldest";
-    case ShedPolicy::Block: return "Block";
   }
   return "unknown";
 }
@@ -104,23 +72,21 @@ struct Request {
   /// (Source::Shed) instead of joining a batch. Cache hits are immediate
   /// and never expire.
   std::int64_t deadline_us = 0;
-
-  /// Shedding priority (see ShedPolicy::DropOldest).
-  Priority priority = Priority::Normal;
 };
 
 struct Response {
-  /// Ok, or why the request was not answered: Overloaded (shed after
-  /// admission), DeadlineExceeded, ShuttingDown, Internal. Errors that fail
-  /// the submit itself (queue full under Reject, ShuttingDown) surface
-  /// from submit()'s StatusOr instead and never build a Response.
+  /// Ok, or why the request was not answered: DeadlineExceeded (expired
+  /// while queued) or Internal (a failed forward). Errors that fail the
+  /// submit itself (Overloaded for a full queue, ShuttingDown) surface from
+  /// submit()'s StatusOr; predict() folds them into a Response.
   Status status;
 
   /// Predicted label; meaningful only when status.ok().
   int label = -1;
 
   /// kModelVersion (always 1) when the cache or a forward handled the
-  /// request, a failed forward included; 0 when shed before either.
+  /// request, a failed forward included; 0 when refused or expired before
+  /// either.
   std::uint64_t model_version = 0;
 
   Source source = Source::Batch;

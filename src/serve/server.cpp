@@ -200,9 +200,6 @@ void InferenceServer::resolve_one_locked(std::uint32_t slot,
       else
         ++source_batch_;
       break;
-    case support::StatusCode::kOverloaded:
-      ++shed_;
-      break;
     case support::StatusCode::kDeadlineExceeded:
       ++deadline_exceeded_;
       break;
@@ -228,9 +225,9 @@ void InferenceServer::resolve_slot_locked(std::uint32_t slot,
   std::int32_t waiter;
   {
     QuerySlot& s = slots_[slot];
-    // Precise erase: a Block-policy admission that slept through this
-    // leader's lifetime may have registered a newer leader under the same
-    // fingerprint — never remove someone else's entry.
+    // Precise erase: when try_coalesce_locked could not allocate a waiter
+    // slot, admit_locked registered a second leader under this fingerprint
+    // while this one was still in flight — never remove its entry.
     auto it = in_flight_.find(s.fp);
     if (it != in_flight_.end() && it->second == slot) in_flight_.erase(it);
     waiter = s.next_waiter;
@@ -238,7 +235,8 @@ void InferenceServer::resolve_slot_locked(std::uint32_t slot,
   }
   // Answer the coalesced waiters FIRST, with the leader's outcome — before
   // the leader slot is recycled, so an abandoned leader still answers them
-  // and a shed leader sheds them (counted in the shed-class buckets).
+  // and a failed or expired leader sheds them (counted in the shed-class
+  // buckets).
   const auto now = Clock::now();
   while (waiter >= 0) {
     QuerySlot& w = slots_[static_cast<std::size_t>(waiter)];
@@ -254,11 +252,9 @@ void InferenceServer::resolve_slot_locked(std::uint32_t slot,
   resolve_one_locked(slot, response, fired);
 }
 
-Status InferenceServer::admit_locked(std::unique_lock<std::mutex>& lock,
-                                     const Request& request, std::uint64_t fp,
+Status InferenceServer::admit_locked(const Request& request, std::uint64_t fp,
                                      std::uint32_t* slot_out,
-                                     std::uint64_t* gen_out,
-                                     FiredList& fired) {
+                                     std::uint64_t* gen_out) {
   if (stop_) return Status::ShuttingDown();
   // Fault injection: simulated queue exhaustion. Counted as a rejection so
   // the answered/shed/rejected conservation holds under injection. (Error
@@ -269,55 +265,8 @@ Status InferenceServer::admit_locked(std::unique_lock<std::mutex>& lock,
     return Status::Overloaded("injected admission fault");
   });
   if (config_.max_queue > 0 && queue_.size() >= config_.max_queue) {
-    switch (config_.shed_policy) {
-      case ShedPolicy::Reject:
-        ++rejected_;
-        return Status::Overloaded();
-      case ShedPolicy::DropOldest: {
-        // Victim: the oldest queued request of the lowest priority class.
-        // The queue is FIFO, so the first scan hit of the minimum priority
-        // is the oldest of that class.
-        std::size_t victim_index = 0;
-        Priority victim_priority = slots_[queue_[0]].priority;
-        for (std::size_t i = 1; i < queue_.size(); ++i) {
-          const Priority p = slots_[queue_[i]].priority;
-          if (p < victim_priority) {
-            victim_priority = p;
-            victim_index = i;
-          }
-        }
-        if (victim_priority > request.priority) {
-          // Everything queued outranks the newcomer: shedding never
-          // promotes load over requests the queue already chose to carry.
-          ++rejected_;
-          return Status::Overloaded(
-              "admission queue full of higher-priority requests");
-        }
-        const std::uint32_t victim = queue_[victim_index];
-        queue_.erase(queue_.begin() +
-                     static_cast<std::ptrdiff_t>(victim_index));
-        Response dropped;
-        dropped.status = Status::Overloaded("shed for a newer request");
-        dropped.source = Source::Shed;
-        dropped.queue_us = us_between(slots_[victim].admitted, Clock::now());
-        resolve_slot_locked(victim, dropped, fired);
-        cv_done_.notify_all();
-        break;  // room made; fall through to enqueue
-      }
-      case ShedPolicy::Block: {
-        // Wait for space, pumping batches ourselves when nobody else is —
-        // the same caller-participates rule as wait(), so a client-driven
-        // server (background_loop=false) cannot deadlock on its own bound.
-        while (!stop_ && queue_.size() >= config_.max_queue) {
-          if (!pumping_ && !queue_.empty())
-            pump_one(lock);
-          else
-            cv_done_.wait(lock);
-        }
-        if (stop_) return Status::ShuttingDown();
-        break;
-      }
-    }
+    ++rejected_;
+    return Status::Overloaded();
   }
   // A new slot may grow slots_, and the queue block and the in-flight node
   // come from the BufferPool. No other thread sees the slot before the lock
@@ -342,7 +291,6 @@ Status InferenceServer::admit_locked(std::unique_lock<std::mutex>& lock,
   s.fp = fp;
   s.admitted = Clock::now();
   s.deadline_us = request.deadline_us;
-  s.priority = request.priority;
   s.response = Response{};
   s.state = SlotState::Queued;
   s.abandoned = false;
@@ -372,7 +320,6 @@ bool InferenceServer::try_coalesce_locked(const Request& request,
   w.admitted = Clock::now();
   w.deadline_us = request.deadline_us;  // informational: a waiter rides the
                                         // leader's schedule (see header)
-  w.priority = request.priority;
   w.response = Response{};
   w.state = SlotState::Queued;
   w.abandoned = false;
@@ -381,9 +328,6 @@ bool InferenceServer::try_coalesce_locked(const Request& request,
          "in-flight map points at a live leader until resolution erases it");
   w.next_waiter = l.next_waiter;
   l.next_waiter = static_cast<std::int32_t>(waiter);
-  // Priority inheritance: a leader carrying real waiters must not be shed
-  // as if it still had only its own (possibly Low) priority.
-  if (request.priority > l.priority) l.priority = request.priority;
   ++coalesced_;
   *slot_out = waiter;
   *gen_out = w.gen;
@@ -394,25 +338,18 @@ StatusOr<InferenceServer::Future> InferenceServer::admit_or_coalesce(
     const Request& request, std::uint64_t fp) {
   std::uint32_t slot = 0;
   std::uint64_t gen = 0;
-  FiredList fired;
-  Status admitted;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    // Coalescing first — even during the shutdown drain: an in-flight
-    // leader is guaranteed to resolve (the drain pumps the queue dry), so
-    // attaching is as safe as the cache-hit-during-drain exception and
-    // cheaper than refusing.
-    if (try_coalesce_locked(request, fp, &slot, &gen))
-      return Future(this, slot, gen);
-    // A genuine miss (neither cached nor in flight): count it against the
-    // cache before admission, so hits + misses + coalesced partitions the
-    // queries even when admission then rejects.
-    cache_.note_miss(fp);
-    admitted = admit_locked(lock, request, fp, &slot, &gen, fired);
-  }
-  // A shed victim's continuation runs on the thread that shed it, outside
-  // the lock.
-  for (FiredCallback& f : fired) f.fn(f.response);
+  std::lock_guard<std::mutex> lock(mutex_);
+  // Coalescing first — even during the shutdown drain or past a full queue:
+  // an in-flight leader is guaranteed to resolve (the drain pumps the queue
+  // dry), so attaching is as safe as the cache-hit-during-drain exception
+  // and cheaper than refusing.
+  if (try_coalesce_locked(request, fp, &slot, &gen))
+    return Future(this, slot, gen);
+  // A genuine miss (neither cached nor in flight): count it against the
+  // cache before admission, so hits + misses + coalesced partitions the
+  // queries even when admission then rejects.
+  cache_.note_miss(fp);
+  Status admitted = admit_locked(request, fp, &slot, &gen);
   if (!admitted.ok()) return admitted;
   return Future(this, slot, gen);
 }
@@ -652,7 +589,6 @@ ServerStats InferenceServer::stats() const {
   out.batches = batches_;
   out.max_batch = max_batch_seen_;
   out.coalesced = coalesced_;
-  out.shed = shed_;
   out.rejected = rejected_;
   out.deadline_exceeded = deadline_exceeded_;
   out.internal_errors = internal_errors_;
@@ -661,15 +597,15 @@ ServerStats InferenceServer::stats() const {
   out.cache = cache_.stats();
   // Responses by source — a partition of every resolved query. Cache hits
   // already count per-shard; source_batch/source_coalesced come from the
-  // centralized resolution accounting; every shed-class outcome (dropped,
-  // rejected at submit, expired, failed forward — waiters of shed leaders
-  // included) reported Source::Shed.
+  // centralized resolution accounting; every shed-class outcome (rejected
+  // at submit, expired, failed forward — waiters of shed leaders included)
+  // reported Source::Shed.
   out.source_cache = out.cache.hits;
   out.source_batch = source_batch_;
   out.source_coalesced = source_coalesced_;
   // (invalid_arguments is NOT part of the partition: those were never
   // counted as queries).
-  out.source_shed = shed_ + rejected_ + deadline_exceeded_ + internal_errors_;
+  out.source_shed = rejected_ + deadline_exceeded_ + internal_errors_;
   return out;
 }
 

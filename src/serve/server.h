@@ -2,7 +2,7 @@
 // tape-free StaticModel inference engine, behind a typed, exception-free
 // front door.
 //
-// Clients build a serve::Request (graph, deadline, priority), submit it
+// Clients build a serve::Request (graph, deadline), submit it
 // through a lock-guarded admission queue and receive lightweight futures
 // that resolve to a serve::Response (label, model version,
 // Source::{Cache,Batch,Shed}, queue/compute micro-timings). Batching is
@@ -18,26 +18,26 @@
 //   Status or an error Response, never a throw.
 //
 //   Bounded admission. `max_queue` caps how many admitted queries may wait;
-//   a full queue sheds per `shed_policy` (Reject the newcomer, DropOldest
-//   victim of the lowest priority class, or Block the submitter while it
-//   helps pump). Overload therefore answers Overloaded within the bound
-//   instead of stretching every queue latency without limit.
+//   a full queue refuses the newcomer Overloaded (counted in `rejected`) and
+//   never touches what it already admitted. Overload therefore answers
+//   Overloaded at once instead of stretching every queue latency without
+//   limit.
 //
 //   Determinism. Per-graph predictions never depend on which other graphs
 //   share a forward (pinned by the PR 3 inference engine tests), and every
 //   result is keyed to its query's admission slot, not to its position in
 //   whatever batch happened to form. Every *admitted and answered* response
 //   therefore carries bits identical to a serial StaticModel::predict of
-//   its graph, for every batch size, queue bound, shed policy and client
-//   interleaving — shedding only removes requests, it can never
-//   perturb the answers of the requests that stayed.
+//   its graph, for every batch size, queue bound and client interleaving —
+//   shedding only removes requests, it can never perturb the answers of
+//   the requests that stayed.
 //
 //   No dedicated threads, no deadlocks. The serving loop is a task on the
 //   shared support::ThreadPool; in addition, any client waiting on a future
-//   (or blocked by ShedPolicy::Block) pumps batches itself when no pumper
-//   is active, so the server also works with `background_loop = false` —
-//   required when a server is created inside pool-parallel work, where a
-//   parked loop task could otherwise starve.
+//   pumps batches itself when no pumper is active, so the server also
+//   works with `background_loop = false` — required when a server is
+//   created inside pool-parallel work, where a parked loop task could
+//   otherwise starve.
 //
 // Hot answers skip the forward: results are cached under the graph's
 // structural fingerprint (graph::fingerprint), and a warm hit through
@@ -114,10 +114,9 @@ struct ServerConfig {
   /// Admission bound: at most this many admitted queries may be waiting for
   /// a batch (in-flight batches do not count). 0 means unbounded — the
   /// right setting for cooperative in-process clients that must never be
-  /// shed. When the bound is hit, `shed_policy` decides who pays (see
-  /// request.h).
+  /// shed. When the bound is hit, submit refuses the newcomer Overloaded;
+  /// a duplicate of a queued query still coalesces onto it.
   std::size_t max_queue = 0;
-  ShedPolicy shed_policy = ShedPolicy::Reject;
 
   /// Prediction-cache entry budget (0 disables caching). Coalescing (see
   /// the header comment) works with or without a cache.
@@ -143,7 +142,6 @@ struct ServerStats {
   std::uint64_t coalesced = 0;
 
   // Admission control.
-  std::uint64_t shed = 0;        // admitted, then dropped by DropOldest
   std::uint64_t rejected = 0;    // refused at submit (queue full, or out
                                  // of memory at admission)
   std::uint64_t deadline_exceeded = 0;  // expired while queued
@@ -157,8 +155,8 @@ struct ServerStats {
 
   // Responses by Source — a partition of every resolved client query
   // (cache = hits, batch = client forwards, coalesced = waiters answered
-  // Ok, shed = all four shed-class outcomes above, waiters of shed leaders
-  // included).
+  // Ok, shed = the three shed-class outcomes above, waiters of failed or
+  // expired leaders included).
   std::uint64_t source_cache = 0;
   std::uint64_t source_batch = 0;
   std::uint64_t source_coalesced = 0;
@@ -194,12 +192,11 @@ class InferenceServer {
 
     /// Async continuation: runs `callback` with the Response exactly once —
     /// inline if it is already available, otherwise on whichever thread
-    /// pumps the resolving batch (or sheds the request), and at the latest
-    /// during the server's shutdown drain (every admitted query is
-    /// answered before the server dies). One-shot: the future becomes
-    /// invalid immediately; the callback must not submit back into the
-    /// same server from the pump (it runs outside the server lock, so
-    /// anything else is fair game).
+    /// pumps the resolving batch, and at the latest during the server's
+    /// shutdown drain (every admitted query is answered before the server
+    /// dies). One-shot: the future becomes invalid immediately; the
+    /// callback must not submit back into the same server from the pump
+    /// (it runs outside the server lock, so anything else is fair game).
     void then(ResponseCallback callback);
 
    private:
@@ -228,10 +225,9 @@ class InferenceServer {
 
   /// Admits one query. Cache hits resolve immediately; misses join the next
   /// micro-batch. Fails (without admitting) with Overloaded when the
-  /// bounded queue is full under Reject — or under DropOldest when every
-  /// queued request outranks this one — and with ShuttingDown after
-  /// shutdown() began. The graph must stay alive until the future resolves.
-  /// The server ignores Request::model: it answers for its one model.
+  /// bounded queue is full and with ShuttingDown after shutdown() began.
+  /// The graph must stay alive until the future resolves. The server
+  /// ignores Request::model: it answers for its one model.
   StatusOr<Future> submit(const Request& request);
 
   /// Synchronous query: submit + get, with submit-side failures folded into
@@ -265,7 +261,6 @@ class InferenceServer {
     std::uint64_t gen = 0;
     Clock::time_point admitted{};
     std::int64_t deadline_us = 0;
-    Priority priority = Priority::Normal;
     Response response;
     SlotState state = SlotState::Free;
     bool abandoned = false;
@@ -303,25 +298,20 @@ class InferenceServer {
                           FiredList& fired);
 
   /// Attaches the request as a waiter on an in-flight leader for `fp`, if
-  /// one exists. On true, *slot/*gen identify the waiter and the leader's
-  /// priority was raised to at least the request's. Pre: lock held.
+  /// one exists. On true, *slot/*gen identify the waiter. Pre: lock held.
   bool try_coalesce_locked(const Request& request, std::uint64_t fp,
                            std::uint32_t* slot, std::uint64_t* gen);
 
-  /// Admission control. Pre: lock held, not a cache hit. Applies stop_ and
-  /// the bounded-queue policy (shedding a victim into `fired`, or blocking
-  /// while helping pump), then enqueues the query and registers it as the
-  /// in-flight leader for `fp`. An allocation failure on the way is undone
-  /// in full and refused Overloaded. On Ok, *slot/*gen identify the
-  /// admitted query.
-  Status admit_locked(std::unique_lock<std::mutex>& lock,
-                      const Request& request, std::uint64_t fp,
-                      std::uint32_t* slot, std::uint64_t* gen,
-                      FiredList& fired);
+  /// Admission control. Pre: lock held, not a cache hit; never unlocks.
+  /// Refuses ShuttingDown after stop_ and Overloaded when the bounded queue
+  /// is full, else enqueues the query and registers it as the in-flight
+  /// leader for `fp`. An allocation failure on the way is undone in full
+  /// and refused Overloaded. On Ok, *slot/*gen identify the admitted query.
+  Status admit_locked(const Request& request, std::uint64_t fp,
+                      std::uint32_t* slot, std::uint64_t* gen);
 
   /// The shared miss path of submit()/predict(): coalesce onto an in-
-  /// flight leader, or count the miss and admit a new leader. Runs any
-  /// shed-victim continuations before returning.
+  /// flight leader, or count the miss and admit a new leader.
   StatusOr<Future> admit_or_coalesce(const Request& request,
                                      std::uint64_t fp);
 
@@ -362,7 +352,8 @@ class InferenceServer {
 
   mutable std::mutex mutex_;
   std::condition_variable cv_queue_;  // signaled on admission / shutdown
-  std::condition_variable cv_done_;   // signaled when results/space appear
+  std::condition_variable cv_done_;   // signaled when results appear or the
+                                      // pump role frees
   std::deque<std::uint32_t, support::PoolAllocator<std::uint32_t>> queue_;
   std::vector<QuerySlot> slots_;
   std::vector<std::uint32_t> free_slots_;
@@ -406,7 +397,6 @@ class InferenceServer {
   std::uint64_t coalesced_ = 0;
   std::uint64_t source_batch_ = 0;
   std::uint64_t source_coalesced_ = 0;
-  std::uint64_t shed_ = 0;
   std::uint64_t rejected_ = 0;
   std::uint64_t deadline_exceeded_ = 0;
   std::uint64_t internal_errors_ = 0;

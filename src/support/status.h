@@ -35,7 +35,7 @@ namespace irgnn::support {
 // insertion fails the build instead of silently renumbering the wire enum.
 enum class StatusCode : std::uint8_t {
   kOk = 0,
-  kOverloaded = 1,        // bounded admission queue full (Reject) or shed
+  kOverloaded = 1,        // admission queue or connection write buffer full
   kDeadlineExceeded = 2,  // request out-waited its deadline_us in the queue
   kModelNotFound = 3,     // no model is served under the requested name
   kShuttingDown = 4,      // submitted after shutdown() began

@@ -190,7 +190,8 @@ TEST_F(ChaosTest, ForwardOutageFailsMissesInternalAndServesTheCache) {
   const std::uint64_t forwards_before_fault = server.stats().forwards;
 
   // 100% forward failure: every miss answers Internal, and the cached graph
-  // keeps answering from the cache with its serial label.
+  // keeps answering from the cache with its serial label. A failed forward
+  // still reached the model, so its Internal answer reports kModelVersion.
   failpoints::set_seed(7);
   failpoints::FailpointSpec always;
   always.every_nth = 1;
@@ -200,6 +201,7 @@ TEST_F(ChaosTest, ForwardOutageFailsMissesInternalAndServesTheCache) {
         server.predict(graphs[static_cast<std::size_t>(1 + (i % 3))]);
     EXPECT_EQ(miss.status.code(), support::StatusCode::kInternal);
     EXPECT_EQ(miss.source, serve::Source::Shed);
+    EXPECT_EQ(miss.model_version, serve::kModelVersion);
     const serve::Response hit = server.predict(graphs[0]);
     EXPECT_TRUE(hit.ok());
     EXPECT_EQ(hit.label, expected[0]);
@@ -311,7 +313,7 @@ struct ScriptedRun {
 bool operator==(const serve::ServerStats& a, const serve::ServerStats& b) {
   auto key = [](const serve::ServerStats& s) {
     return std::make_tuple(
-        s.queries, s.forwards, s.batches, s.max_batch, s.coalesced, s.shed,
+        s.queries, s.forwards, s.batches, s.max_batch, s.coalesced,
         s.rejected, s.deadline_exceeded, s.internal_errors, s.peak_queue,
         s.invalid_arguments, s.source_cache, s.source_batch,
         s.source_coalesced, s.source_shed, s.cache.hits, s.cache.misses);
@@ -395,7 +397,6 @@ void run_concurrent_chaos(bool with_faults) {
 
   serve::ServerConfig config;
   config.max_queue = 16;
-  config.shed_policy = serve::ShedPolicy::DropOldest;
   config.max_batch = 8;
   config.cache_capacity = 64;
   serve::InferenceServer server(model, config);
@@ -541,7 +542,7 @@ TEST_F(ChaosTest, ShutdownDrainsEveryFutureUnderTotalForwardFailure) {
 // no failpoints and runs in every build; the injected-fault legs are gated
 // on IRGNN_FAILPOINTS like the rest of this file.
 
-/// The daemon's admission defaults (irgnn_served --max-queue 256, Reject).
+/// The daemon's admission default (irgnn_served --max-queue 256).
 serve::ServerConfig daemon_config() {
   serve::ServerConfig config;
   config.max_queue = 256;

@@ -18,6 +18,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -165,7 +166,6 @@ TEST(NetCodecTest, RequestRoundTripCarriesEveryField) {
   const graph::ProgramGraph g = suite_graph(3);
   serve::Request request(g, "Skylake");
   request.deadline_us = 12345678;
-  request.priority = serve::Priority::High;
 
   FrameBytes frame;
   net::encode_request_into(0xDEADBEEFCAFEull, request, frame);
@@ -180,7 +180,6 @@ TEST(NetCodecTest, RequestRoundTripCarriesEveryField) {
                   .ok());
   EXPECT_EQ(decoded.tag, 0xDEADBEEFCAFEull);
   EXPECT_EQ(decoded.deadline_us, 12345678);
-  EXPECT_EQ(decoded.priority, serve::Priority::High);
   EXPECT_EQ(decoded.model, "Skylake");
   expect_same_structure(g, storage);
 
@@ -188,6 +187,39 @@ TEST(NetCodecTest, RequestRoundTripCarriesEveryField) {
   ASSERT_TRUE(net::peek_request_tag(frame.data() + net::kHeaderBytes,
                                     header.payload_bytes, &tag));
   EXPECT_EQ(tag, 0xDEADBEEFCAFEull);
+}
+
+TEST(NetCodecTest, RetiredPriorityByteKeepsItsWireRange) {
+  // Wire v1 still carries a priority byte after the tag and the deadline.
+  // Encoders write 1; decoders accept 0..2, refuse anything above, and
+  // ignore the value.
+  const graph::ProgramGraph g = suite_graph(3);
+  FrameBytes frame;
+  net::encode_request_into(7, serve::Request(g), frame);
+  constexpr std::size_t kPriorityAt = net::kHeaderBytes + 8 + 8;
+  ASSERT_GT(frame.size(), kPriorityAt);
+  EXPECT_EQ(frame[kPriorityAt], 1);
+
+  const struct {
+    std::uint8_t byte;
+    StatusCode code;
+  } kTable[] = {{0, StatusCode::kOk},
+                {1, StatusCode::kOk},
+                {2, StatusCode::kOk},
+                {3, StatusCode::kInvalidArgument},
+                {255, StatusCode::kInvalidArgument}};
+  for (const auto& row : kTable) {
+    FrameBytes mutated = frame;
+    mutated[kPriorityAt] = row.byte;
+    DecodedRequest decoded;
+    graph::ProgramGraph storage;
+    const Status status =
+        net::decode_request(mutated.data() + net::kHeaderBytes,
+                            mutated.size() - net::kHeaderBytes, &decoded,
+                            &storage);
+    EXPECT_EQ(status.code(), row.code) << "priority byte " << int(row.byte);
+    if (status.ok()) EXPECT_EQ(decoded.tag, 7u);
+  }
 }
 
 TEST(NetCodecTest, ResponseRoundTripEveryStatusCode) {
@@ -468,15 +500,64 @@ serve::ModelPtr small_model() {
   return std::make_shared<const gnn::StaticModel>(small_config());
 }
 
-/// The daemon's admission defaults (irgnn_served --max-queue 256, Reject).
+/// The daemon's admission default (irgnn_served --max-queue 256).
 serve::ServerConfig daemon_config() {
   serve::ServerConfig config;
   config.max_queue = 256;
   return config;
 }
 
+/// A blocking raw TCP connection to 127.0.0.1:`port`, for bytes NetClient
+/// would not send; -1 on failure.
+int connect_loopback(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  if (::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr) != 1 ||
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+bool send_all(int fd, const std::uint8_t* data, std::size_t size) {
+  while (size > 0) {
+    const ssize_t n = ::send(fd, data, size, MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    data += n;
+    size -= static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+bool recv_exact(int fd, std::uint8_t* dst, std::size_t size) {
+  while (size > 0) {
+    const ssize_t n = ::recv(fd, dst, size, 0);
+    if (n <= 0) return false;
+    dst += n;
+    size -= static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+/// Reads and decodes one kResponse frame off a raw connection.
+bool recv_response(int fd, DecodedResponse* out) {
+  std::uint8_t head[net::kHeaderBytes];
+  FrameHeader header;
+  if (!recv_exact(fd, head, sizeof(head)) ||
+      !net::decode_header(head, sizeof(head), &header).ok() ||
+      header.type != FrameType::kResponse)
+    return false;
+  std::vector<std::uint8_t> payload(header.payload_bytes);
+  return recv_exact(fd, payload.data(), payload.size()) &&
+         net::decode_response(payload.data(), payload.size(), out).ok();
+}
+
 TEST(NetServerTest, LoopbackAnswersAreBitIdenticalToTheServer) {
-  // Every shed policy at 1 and 4 connections. The reference model is built
+  // At 1 and 4 connections. The reference model is built
   // apart from the served one, from the same config: deterministic
   // construction is what lets a client rebuild the served model instead of
   // receiving its weights.
@@ -488,64 +569,57 @@ TEST(NetServerTest, LoopbackAnswersAreBitIdenticalToTheServer) {
       gnn::StaticModel(small_config()).predict(ptrs);
   constexpr int kPasses = 3;  // pass 1 misses, later passes hit
 
-  for (serve::ShedPolicy policy :
-       {serve::ShedPolicy::Reject, serve::ShedPolicy::DropOldest,
-        serve::ShedPolicy::Block}) {
-    for (int connections : {1, 4}) {
-      SCOPED_TRACE(std::string(serve::shed_policy_name(policy)) + " x " +
-                   std::to_string(connections) + " connections");
-      serve::ServerConfig config = daemon_config();
-      config.shed_policy = policy;
-      serve::InferenceServer inference(small_model(), config);
-      net::NetServer server(inference, {});
-      ASSERT_TRUE(server.start().ok());
-      ASSERT_NE(server.port(), 0);
+  for (int connections : {1, 4}) {
+    SCOPED_TRACE(std::to_string(connections) + " connections");
+    serve::InferenceServer inference(small_model(), daemon_config());
+    net::NetServer server(inference, {});
+    ASSERT_TRUE(server.start().ok());
+    ASSERT_NE(server.port(), 0);
 
-      std::atomic<int> wrong{0};
-      std::vector<std::thread> clients;
-      for (int c = 0; c < connections; ++c) {
-        clients.emplace_back([&] {
-          net::NetClient client;
-          if (!client.connect("127.0.0.1", server.port()).ok()) {
-            wrong += kPasses * static_cast<int>(graphs.size());
-            return;
+    std::atomic<int> wrong{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < connections; ++c) {
+      clients.emplace_back([&] {
+        net::NetClient client;
+        if (!client.connect("127.0.0.1", server.port()).ok()) {
+          wrong += kPasses * static_cast<int>(graphs.size());
+          return;
+        }
+        for (int pass = 0; pass < kPasses; ++pass)
+          for (std::size_t g = 0; g < graphs.size(); ++g) {
+            auto wire = client.predict(serve::Request(graphs[g]));
+            if (!wire.ok() || !wire->ok() || wire->label != expected[g] ||
+                wire->model_version != serve::kModelVersion)
+              ++wrong;
           }
-          for (int pass = 0; pass < kPasses; ++pass)
-            for (std::size_t g = 0; g < graphs.size(); ++g) {
-              auto wire = client.predict(serve::Request(graphs[g]));
-              if (!wire.ok() || !wire->ok() || wire->label != expected[g] ||
-                  wire->model_version != serve::kModelVersion)
-                ++wrong;
-            }
-        });
-      }
-      for (auto& t : clients) t.join();
-      EXPECT_EQ(wrong.load(), 0);
-      for (std::size_t g = 0; g < graphs.size(); ++g) {
-        const serve::Response local = inference.predict(graphs[g]);
-        ASSERT_TRUE(local.ok());
-        EXPECT_EQ(local.label, expected[g]);
-      }
-
-      // Conservation, read back over the wire.
-      net::NetClient stats_client;
-      ASSERT_TRUE(stats_client.connect("127.0.0.1", server.port()).ok());
-      net::WireStats stats{};
-      ASSERT_TRUE(stats_client.get_stats(&stats).ok());
-      EXPECT_EQ(stats.cache_hits + stats.cache_misses + stats.coalesced,
-                stats.queries);
-      EXPECT_EQ(stats.net_requests,
-                static_cast<std::uint64_t>(connections * kPasses) *
-                    graphs.size());
-      EXPECT_EQ(stats.net_decode_errors, 0u);
-      EXPECT_EQ(stats.net_protocol_errors, 0u);
-
-      stats_client.close();
-      server.shutdown();
-      const net::NetServerStats net_stats = server.stats();
-      EXPECT_TRUE(net_stats.finished);
-      EXPECT_EQ(net_stats.open_slots, 0u);
+      });
     }
+    for (auto& t : clients) t.join();
+    EXPECT_EQ(wrong.load(), 0);
+    for (std::size_t g = 0; g < graphs.size(); ++g) {
+      const serve::Response local = inference.predict(graphs[g]);
+      ASSERT_TRUE(local.ok());
+      EXPECT_EQ(local.label, expected[g]);
+    }
+
+    // Conservation, read back over the wire.
+    net::NetClient stats_client;
+    ASSERT_TRUE(stats_client.connect("127.0.0.1", server.port()).ok());
+    net::WireStats stats{};
+    ASSERT_TRUE(stats_client.get_stats(&stats).ok());
+    EXPECT_EQ(stats.cache_hits + stats.cache_misses + stats.coalesced,
+              stats.queries);
+    EXPECT_EQ(stats.net_requests,
+              static_cast<std::uint64_t>(connections * kPasses) *
+                  graphs.size());
+    EXPECT_EQ(stats.net_decode_errors, 0u);
+    EXPECT_EQ(stats.net_protocol_errors, 0u);
+
+    stats_client.close();
+    server.shutdown();
+    const net::NetServerStats net_stats = server.stats();
+    EXPECT_TRUE(net_stats.finished);
+    EXPECT_EQ(net_stats.open_slots, 0u);
   }
 }
 
@@ -597,14 +671,8 @@ TEST(NetServerTest, GarbageBytesCloseOnlyTheGuiltyConnection) {
   ASSERT_TRUE(innocent.predict(serve::Request(g)).ok());
 
   {
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int fd = connect_loopback(server.port());
     ASSERT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(server.port());
-    ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-              0);
     const char garbage[] = "GET / HTTP/1.1\r\n\r\n";
     ASSERT_GT(::send(fd, garbage, sizeof(garbage), MSG_NOSIGNAL), 0);
     // The server must close us (bad magic = unrecoverable stream) — read
@@ -642,41 +710,11 @@ TEST(NetServerTest, WellFramedMalformedPayloadAnswersInvalidArgument) {
   std::memcpy(cut.data() + 4, &shorter, sizeof(shorter));
   cut.resize(net::kHeaderBytes + shorter);
 
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = connect_loopback(server.port());
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server.port());
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  std::size_t sent = 0;
-  while (sent < cut.size()) {
-    ssize_t n = ::send(fd, cut.data() + sent, cut.size() - sent, MSG_NOSIGNAL);
-    ASSERT_GT(n, 0);
-    sent += static_cast<std::size_t>(n);
-  }
-  // Read the full reply frame back.
-  std::uint8_t reply[net::kHeaderBytes];
-  std::size_t got = 0;
-  while (got < net::kHeaderBytes) {
-    ssize_t n = ::recv(fd, reply + got, net::kHeaderBytes - got, 0);
-    ASSERT_GT(n, 0);
-    got += static_cast<std::size_t>(n);
-  }
-  FrameHeader header;
-  ASSERT_TRUE(net::decode_header(reply, net::kHeaderBytes, &header).ok());
-  ASSERT_EQ(header.type, FrameType::kResponse);
-  std::vector<std::uint8_t> payload(header.payload_bytes);
-  got = 0;
-  while (got < payload.size()) {
-    ssize_t n = ::recv(fd, payload.data() + got, payload.size() - got, 0);
-    ASSERT_GT(n, 0);
-    got += static_cast<std::size_t>(n);
-  }
+  ASSERT_TRUE(send_all(fd, cut.data(), cut.size()));
   DecodedResponse decoded;
-  ASSERT_TRUE(
-      net::decode_response(payload.data(), payload.size(), &decoded).ok());
+  ASSERT_TRUE(recv_response(fd, &decoded));
   EXPECT_EQ(decoded.tag, 77u);
   EXPECT_EQ(decoded.response.status.code(), StatusCode::kInvalidArgument);
   ::close(fd);
@@ -724,6 +762,66 @@ TEST(NetServerTest, ForeignModelNameIsModelNotFound) {
   client.close();
   server.shutdown();
   EXPECT_EQ(server.stats().open_slots, 0u);
+}
+
+TEST(NetServerTest, FullWriteBufferShedsPipelinedRequestsUnadmitted) {
+  // With no write budget, a request parsed while an answer is still unsent
+  // on its connection is answered Overloaded without reaching the
+  // InferenceServer. One send carries the whole burst and nothing is read
+  // until it is sent, so the loop parses several frames before it flushes.
+  const graph::ProgramGraph g = suite_graph(3);
+  const int expected = gnn::StaticModel(small_config()).predict({&g})[0];
+  serve::InferenceServer inference(small_model(), daemon_config());
+  ASSERT_EQ(inference.predict(g).label, expected);  // cached from here on
+  net::NetServerConfig config;
+  config.max_write_buffer = 0;
+  net::NetServer server(inference, config);
+  ASSERT_TRUE(server.start().ok());
+
+  constexpr int kBurst = 16;
+  FrameBytes burst;
+  for (int q = 0; q < kBurst; ++q)
+    net::encode_request_into(static_cast<std::uint64_t>(q), serve::Request(g),
+                             burst);
+  const int fd = connect_loopback(server.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::send(fd, burst.data(), burst.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(burst.size()));
+
+  std::vector<int> answers(kBurst, 0);
+  std::uint64_t shed = 0;
+  for (int i = 0; i < kBurst; ++i) {
+    DecodedResponse decoded;
+    ASSERT_TRUE(recv_response(fd, &decoded));
+    ASSERT_LT(decoded.tag, static_cast<std::uint64_t>(kBurst));
+    ++answers[decoded.tag];
+    const serve::Response& r = decoded.response;
+    if (r.ok()) {
+      EXPECT_EQ(r.label, expected) << "tag " << decoded.tag;
+    } else {
+      EXPECT_EQ(r.status.code(), StatusCode::kOverloaded);
+      EXPECT_EQ(r.source, serve::Source::Shed);
+      ++shed;
+    }
+  }
+  for (int q = 0; q < kBurst; ++q) EXPECT_EQ(answers[q], 1) << "tag " << q;
+  EXPECT_GE(shed, 1u) << "the burst never met a full write buffer";
+
+  net::NetClient stats_client;
+  ASSERT_TRUE(stats_client.connect("127.0.0.1", server.port()).ok());
+  WireStats stats{};
+  ASSERT_TRUE(stats_client.get_stats(&stats).ok());
+  EXPECT_EQ(stats.net_backpressure_shed, shed);
+  // A shed request was never admitted: the queries are the warm-up plus
+  // the answered part of the burst.
+  EXPECT_EQ(stats.queries, 1 + kBurst - shed);
+
+  ::close(fd);
+  stats_client.close();
+  for (int i = 0; i < 500 && server.stats().open_slots != 0; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_EQ(server.stats().open_slots, 0u);
+  server.shutdown();
 }
 
 /// Pipelines `burst` requests cycling over `graphs` on one connection,

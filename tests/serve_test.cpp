@@ -1,8 +1,8 @@
 // Inference-server tests: determinism of dynamically micro-batched
 // concurrent serving against serial StaticModel::predict, the
 // zero-allocation warm cache-hit contract (this binary counts global
-// operator new, like arena_test), admission control (every shed policy and
-// queue bound, priorities, deadlines), in-flight coalescing, and the
+// operator new, like arena_test), admission control (queue bounds and
+// deadlines), in-flight coalescing, and the
 // sharded LRU prediction cache.
 #include <gtest/gtest.h>
 
@@ -449,228 +449,117 @@ TEST(InferenceServerTest, WarmMissesThroughThenPerformZeroHeapAllocations) {
 
 // --- Admission control ------------------------------------------------------
 
-TEST(InferenceServerTest, AdmittedResponsesBitIdenticalForEveryPolicyAndBound) {
-  // The pinned determinism contract: N concurrent clients, for every shed
-  // policy and several queue bounds — every response that comes back Ok
-  // must equal the model's serial predict of that graph. Shedding may
-  // remove answers, never change them.
+TEST(InferenceServerTest, AdmittedResponsesBitIdenticalForEveryBound) {
+  // The pinned determinism contract: N concurrent clients, for several
+  // queue bounds — every response that comes back Ok must equal the
+  // model's serial predict of that graph. Shedding may remove answers,
+  // never change them.
   auto model = std::make_shared<const gnn::StaticModel>(small_config(0x1A));
   const std::vector<int> expected = serial_predict(*model);
   const auto& graphs = test_graphs();
 
-  for (serve::ShedPolicy policy :
-       {serve::ShedPolicy::Reject, serve::ShedPolicy::DropOldest,
-        serve::ShedPolicy::Block}) {
-    for (std::size_t max_queue : {std::size_t{0}, std::size_t{2},
-                                  std::size_t{16}}) {
-      serve::ServerConfig config;
-      config.max_queue = max_queue;
-      config.shed_policy = policy;
-      config.max_batch = 4;
-      config.cache_capacity = 16;
-      serve::InferenceServer server(model, config);
+  for (std::size_t max_queue : {std::size_t{0}, std::size_t{2},
+                                std::size_t{16}}) {
+    serve::ServerConfig config;
+    config.max_queue = max_queue;
+    config.max_batch = 4;
+    config.cache_capacity = 16;
+    serve::InferenceServer server(model, config);
 
-      constexpr int kClients = 4;
-      constexpr int kQueriesPerClient = 64;
-      std::atomic<int> wrong{0};
-      std::atomic<int> ok_answers{0};
-      std::atomic<int> shed_answers{0};
-      std::vector<std::thread> clients;
-      for (int c = 0; c < kClients; ++c) {
-        clients.emplace_back([&, c] {
-          Rng rng(hash_combine64(0x2071E, static_cast<std::uint64_t>(c)));
-          for (int q = 0; q < kQueriesPerClient; ++q) {
-            const std::size_t g = rng.next_below(graphs.size());
-            const serve::Response r = server.predict(graphs[g]);
-            if (r.ok()) {
-              ok_answers.fetch_add(1);
-              if (r.label != expected[g]) wrong.fetch_add(1);
-            } else {
-              shed_answers.fetch_add(1);
-              if (r.status.code() != serve::StatusCode::kOverloaded)
-                wrong.fetch_add(1);
-            }
+    constexpr int kClients = 4;
+    constexpr int kQueriesPerClient = 64;
+    std::atomic<int> wrong{0};
+    std::atomic<int> ok_answers{0};
+    std::atomic<int> shed_answers{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        Rng rng(hash_combine64(0x2071E, static_cast<std::uint64_t>(c)));
+        for (int q = 0; q < kQueriesPerClient; ++q) {
+          const std::size_t g = rng.next_below(graphs.size());
+          const serve::Response r = server.predict(graphs[g]);
+          if (r.ok()) {
+            ok_answers.fetch_add(1);
+            if (r.label != expected[g]) wrong.fetch_add(1);
+          } else {
+            shed_answers.fetch_add(1);
+            if (r.status.code() != serve::StatusCode::kOverloaded)
+              wrong.fetch_add(1);
           }
-        });
-      }
-      for (auto& t : clients) t.join();
-      EXPECT_EQ(wrong.load(), 0)
-          << "policy=" << serve::shed_policy_name(policy)
-          << " max_queue=" << max_queue;
-      EXPECT_EQ(ok_answers.load() + shed_answers.load(),
-                kClients * kQueriesPerClient);
-      if (max_queue == 0 || policy == serve::ShedPolicy::Block) {
-        // Unbounded or blocking admission: nothing may be shed.
-        EXPECT_EQ(shed_answers.load(), 0)
-            << "policy=" << serve::shed_policy_name(policy)
-            << " max_queue=" << max_queue;
-      }
-      const serve::ServerStats stats = server.stats();
-      EXPECT_EQ(stats.shed + stats.rejected,
-                static_cast<std::uint64_t>(shed_answers.load()));
+        }
+      });
     }
+    for (auto& t : clients) t.join();
+    EXPECT_EQ(wrong.load(), 0) << "max_queue=" << max_queue;
+    EXPECT_EQ(ok_answers.load() + shed_answers.load(),
+              kClients * kQueriesPerClient);
+    if (max_queue == 0) {
+      // Unbounded admission: nothing may be shed.
+      EXPECT_EQ(shed_answers.load(), 0);
+    }
+    const serve::ServerStats stats = server.stats();
+    EXPECT_EQ(stats.rejected,
+              static_cast<std::uint64_t>(shed_answers.load()));
   }
 }
 
 TEST(InferenceServerTest, SheddingUnderOverloadNeverCorruptsAdmittedResults) {
   // An async burst far beyond the bound: admitted answers must stay serial-
-  // predict bits, everything must resolve (answered or shed), and the
+  // predict bits, everything must resolve (answered or refused), and the
   // admitted queue depth must never exceed the bound.
   auto model = std::make_shared<const gnn::StaticModel>(small_config(0x2A));
   const std::vector<int> expected = serial_predict(*model);
   const auto& graphs = test_graphs();
 
-  for (serve::ShedPolicy policy :
-       {serve::ShedPolicy::Reject, serve::ShedPolicy::DropOldest}) {
-    serve::ServerConfig config;
-    config.max_queue = 4;
-    config.shed_policy = policy;
-    config.max_batch = 2;
-    config.cache_capacity = 0;  // every admitted query = a forward
-    config.background_loop = false;  // this thread drives the pump
-    serve::InferenceServer server(model, config);
-
-    constexpr int kBurst = 96;
-    int rejected = 0;
-    std::vector<std::pair<std::size_t, serve::InferenceServer::Future>>
-        admitted;
-    for (int q = 0; q < kBurst; ++q) {
-      const std::size_t g =
-          static_cast<std::size_t>(q) % graphs.size();
-      serve::StatusOr<serve::InferenceServer::Future> submitted =
-          server.submit(serve::Request(graphs[g]));
-      if (!submitted.ok()) {
-        EXPECT_EQ(submitted.status().code(),
-                  serve::StatusCode::kOverloaded);
-        ++rejected;
-        continue;
-      }
-      admitted.emplace_back(g, std::move(submitted).value());
-    }
-    int answered = 0, shed = 0, corrupted = 0;
-    for (auto& [g, future] : admitted) {
-      const serve::Response r = future.get();
-      if (r.ok()) {
-        ++answered;
-        if (r.label != expected[g]) ++corrupted;
-      } else {
-        EXPECT_EQ(r.status.code(), serve::StatusCode::kOverloaded);
-        EXPECT_EQ(r.source, serve::Source::Shed);
-        ++shed;
-      }
-    }
-    EXPECT_EQ(corrupted, 0) << serve::shed_policy_name(policy);
-    EXPECT_EQ(answered + shed + rejected, kBurst);
-    EXPECT_GT(answered, 0);
-    // With nobody pumping during the burst, a bound of 4 must have shed
-    // (DropOldest admits the newcomer and drops a victim) or rejected
-    // (Reject refuses the newcomer) most of it.
-    if (policy == serve::ShedPolicy::Reject) {
-      EXPECT_EQ(shed, 0);
-      EXPECT_GT(rejected, 0);
-    }
-    if (policy == serve::ShedPolicy::DropOldest) {
-      EXPECT_EQ(rejected, 0);
-      EXPECT_GT(shed, 0);
-    }
-    const serve::ServerStats stats = server.stats();
-    EXPECT_LE(stats.peak_queue, config.max_queue);
-    EXPECT_EQ(stats.shed, static_cast<std::uint64_t>(shed));
-    EXPECT_EQ(stats.rejected, static_cast<std::uint64_t>(rejected));
-  }
-}
-
-TEST(InferenceServerTest,
-     DropOldestShedsLowestPriorityAndRejectsOutrankedNewcomers) {
-  // Deterministic single-threaded shedding: background_loop off and nobody
-  // pumping, so the queue evolves exactly as admission control dictates.
-  auto model = std::make_shared<const gnn::StaticModel>(small_config(0x6A));
-  const std::vector<int> expected = serial_predict(*model);
-  const auto& graphs = test_graphs();
-
   serve::ServerConfig config;
-  config.background_loop = false;
-  config.cache_capacity = 0;
-  config.max_queue = 3;
-  config.shed_policy = serve::ShedPolicy::DropOldest;
-  serve::InferenceServer server(model, config);
-
-  auto submit_with = [&](std::size_t g, serve::Priority priority) {
-    serve::Request request(graphs[g]);
-    request.priority = priority;
-    return server.submit(request);
-  };
-
-  // Fill the queue: [High(0), Low(1), High(2)].
-  auto high1 = submit_with(0, serve::Priority::High);
-  auto low1 = submit_with(1, serve::Priority::Low);
-  auto high2 = submit_with(2, serve::Priority::High);
-  ASSERT_TRUE(high1.ok());
-  ASSERT_TRUE(low1.ok());
-  ASSERT_TRUE(high2.ok());
-
-  // A Normal newcomer sheds the oldest of the LOWEST priority class — the
-  // Low request, not the older High one.
-  auto normal1 = submit_with(3, serve::Priority::Normal);
-  ASSERT_TRUE(normal1.ok());
-  const serve::Response dropped = low1.value().get();
-  EXPECT_EQ(dropped.status.code(), serve::StatusCode::kOverloaded);
-  EXPECT_EQ(dropped.source, serve::Source::Shed);
-
-  // A Low newcomer is outranked by everything queued (High, High, Normal):
-  // it is rejected instead of promoting itself over admitted work.
-  auto low2 = submit_with(4, serve::Priority::Low);
-  EXPECT_FALSE(low2.ok());
-  EXPECT_EQ(low2.status().code(), serve::StatusCode::kOverloaded);
-
-  // The survivors answer with their serial bits.
-  EXPECT_EQ(high1.value().get().label, expected[0]);
-  EXPECT_EQ(high2.value().get().label, expected[2]);
-  EXPECT_EQ(normal1.value().get().label, expected[3]);
-
-  const serve::ServerStats stats = server.stats();
-  EXPECT_EQ(stats.shed, 1u);
-  EXPECT_EQ(stats.rejected, 1u);
-  EXPECT_EQ(stats.forwards, 3u);
-  EXPECT_EQ(stats.peak_queue, 3u);
-  EXPECT_EQ(stats.source_shed, 2u);
-}
-
-TEST(InferenceServerTest, BlockPolicyBoundsQueueAndAnswersEverything) {
-  auto model = std::make_shared<const gnn::StaticModel>(small_config(0x4A));
-  const std::vector<int> expected = serial_predict(*model);
-  const auto& graphs = test_graphs();
-
-  serve::ServerConfig config;
-  config.max_queue = 3;
-  config.shed_policy = serve::ShedPolicy::Block;
+  config.max_queue = 4;
   config.max_batch = 2;
-  config.cache_capacity = 0;
-  config.background_loop = false;  // the submitter must self-pump
+  config.cache_capacity = 0;  // every admitted query = a forward
+  config.background_loop = false;  // this thread drives the pump
   serve::InferenceServer server(model, config);
 
-  // A single thread async-submitting past the bound: Block admits
-  // everything (pumping while it waits for space) and nothing is shed.
-  std::vector<std::pair<std::size_t, serve::InferenceServer::Future>> futures;
-  for (int q = 0; q < 40; ++q) {
-    const std::size_t g = static_cast<std::size_t>(q) % graphs.size();
+  constexpr int kBurst = 96;
+  int rejected = 0;
+  std::vector<std::pair<std::size_t, serve::InferenceServer::Future>>
+      admitted;
+  for (int q = 0; q < kBurst; ++q) {
+    const std::size_t g =
+        static_cast<std::size_t>(q) % graphs.size();
     serve::StatusOr<serve::InferenceServer::Future> submitted =
         server.submit(serve::Request(graphs[g]));
-    ASSERT_TRUE(submitted.ok()) << submitted.status().code_name();
-    futures.emplace_back(g, std::move(submitted).value());
+    if (!submitted.ok()) {
+      EXPECT_EQ(submitted.status().code(),
+                serve::StatusCode::kOverloaded);
+      ++rejected;
+      continue;
+    }
+    admitted.emplace_back(g, std::move(submitted).value());
   }
-  for (auto& [g, future] : futures) {
+  int answered = 0, shed = 0, corrupted = 0;
+  for (auto& [g, future] : admitted) {
     const serve::Response r = future.get();
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r.label, expected[g]);
+    if (r.ok()) {
+      ++answered;
+      if (r.label != expected[g]) ++corrupted;
+    } else {
+      ++shed;
+    }
   }
+  EXPECT_EQ(corrupted, 0);
+  EXPECT_EQ(answered + shed + rejected, kBurst);
+  EXPECT_GT(answered, 0);
+  // With nobody pumping during the burst, a bound of 4 must have refused
+  // most of it; nothing it admitted is shed.
+  EXPECT_EQ(shed, 0);
+  EXPECT_GT(rejected, 0);
   const serve::ServerStats stats = server.stats();
-  EXPECT_EQ(stats.shed + stats.rejected, 0u);
   EXPECT_LE(stats.peak_queue, config.max_queue);
+  EXPECT_EQ(stats.rejected, static_cast<std::uint64_t>(rejected));
+  EXPECT_EQ(stats.source_shed, static_cast<std::uint64_t>(rejected));
   // A few suite regions share a fingerprint, so a submit whose twin is
-  // still queued coalesces instead of forwarding (the cache is off);
-  // either way every query is answered by exactly one of the two.
-  EXPECT_EQ(stats.forwards + stats.coalesced, 40u);
+  // still queued coalesces past the full queue instead of forwarding (the
+  // cache is off); every admitted query is answered by one of the two.
+  EXPECT_EQ(stats.forwards + stats.coalesced, admitted.size());
 }
 
 TEST(InferenceServerTest, QueueTimeDeadlineExpiresToDeadlineExceeded) {
@@ -703,6 +592,9 @@ TEST(InferenceServerTest, QueueTimeDeadlineExpiresToDeadlineExceeded) {
   EXPECT_EQ(r2.status.code(), serve::StatusCode::kDeadlineExceeded);
   EXPECT_EQ(r2.source, serve::Source::Shed);
   EXPECT_GE(r2.queue_us, 1);
+  // Refused before a forward: the answer names no model.
+  EXPECT_EQ(r1.model_version, serve::kModelVersion);
+  EXPECT_EQ(r2.model_version, 0u);
   const serve::ServerStats stats = server.stats();
   EXPECT_EQ(stats.deadline_exceeded, 1u);
   EXPECT_EQ(stats.forwards, 1u);
@@ -826,10 +718,9 @@ TEST(InferenceServerTest, ShutdownDrainAnswersPendingWaiters) {
   EXPECT_EQ(wrong.load(), 0);
 }
 
-TEST(InferenceServerTest, CoalescedWaiterPromotesItsLeaderPriority) {
-  // A Low leader with a High waiter attached must be shed-protected as
-  // High: a Normal newcomer into the full queue is rejected instead of
-  // displacing it.
+TEST(InferenceServerTest, CoalescedWaiterBypassesAFullQueue) {
+  // A duplicate of the one queued query attaches to it past the full
+  // queue; a distinct newcomer is refused and leaves the leader alone.
   auto model = std::make_shared<const gnn::StaticModel>(small_config(0x26));
   const std::vector<int> expected = serial_predict(*model);
   const auto& graphs = test_graphs();
@@ -837,29 +728,28 @@ TEST(InferenceServerTest, CoalescedWaiterPromotesItsLeaderPriority) {
   config.background_loop = false;
   config.cache_capacity = 64;
   config.max_queue = 1;
-  config.shed_policy = serve::ShedPolicy::DropOldest;
   serve::InferenceServer server(model, config);
 
-  serve::Request low(graphs[0]);
-  low.priority = serve::Priority::Low;
-  auto leader = server.submit(low);
+  auto leader = server.submit(serve::Request(graphs[0]));
   ASSERT_TRUE(leader.ok());
-  serve::Request high(graphs[0]);
-  high.priority = serve::Priority::High;
-  auto waiter = server.submit(high);  // coalesces: bypasses the full queue
+  auto waiter = server.submit(serve::Request(graphs[0]));  // coalesces
   ASSERT_TRUE(waiter.ok());
 
-  auto newcomer = server.submit(serve::Request(graphs[1]));  // Normal
-  EXPECT_FALSE(newcomer.ok());
-  EXPECT_EQ(newcomer.status().code(), serve::StatusCode::kOverloaded);
+  // A sync predict is refused at once, folded into a Response that names
+  // no model: nothing forwarded it.
+  const serve::Response newcomer = server.predict(graphs[1]);
+  EXPECT_EQ(newcomer.status.code(), serve::StatusCode::kOverloaded);
+  EXPECT_EQ(newcomer.source, serve::Source::Shed);
+  EXPECT_EQ(newcomer.model_version, 0u);
 
   EXPECT_EQ(waiter.value().get().label, expected[0]);
   EXPECT_EQ(leader.value().get().label, expected[0]);
   const serve::ServerStats stats = server.stats();
   EXPECT_EQ(stats.forwards, 1u);
   EXPECT_EQ(stats.coalesced, 1u);
-  EXPECT_EQ(stats.shed, 0u);  // the promoted leader was never displaced
   EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.source_shed, 1u);  // the refusal alone
+  EXPECT_EQ(stats.peak_queue, 1u);
 }
 
 // --- Future move semantics --------------------------------------------------

@@ -52,15 +52,14 @@ int main(int argc, char** argv) {
            "weight seed; a client rebuilds the served model from the same "
            "four model flags (deterministic construction replaces weight "
            "shipping)")
-      .add("max-queue", "256", "admission bound (0: unbounded)")
-      .add("shed", "Reject",
-           "admission shed policy: Reject | DropOldest | Block (also maps "
-           "TCP write-buffer backpressure)")
+      .add("max-queue", "256",
+           "admission bound: a full queue refuses new queries Overloaded "
+           "(0: unbounded)")
       .add("max-batch", "64", "largest micro-batch")
       .add("cache", "4096", "prediction cache entries (0 disables)")
       .add("write-buffer", "1048576",
-           "per-connection cap on unsent response bytes before the shed "
-           "policy applies")
+           "per-connection cap on unsent response bytes; over it, new "
+           "requests are answered Overloaded")
       .add("threads", "0",
            "max worker threads (0: all cores; answers are identical for "
            "every value)")
@@ -101,25 +100,6 @@ int main(int argc, char** argv) {
   const int threads = static_cast<int>(parser.get_int("threads"));
   tensor::set_kernel_parallelism(threads);
 
-  const std::string shed = parser.get_string("shed");
-  serve::ShedPolicy policy = serve::ShedPolicy::Reject;
-  bool known_policy = false;
-  for (serve::ShedPolicy p :
-       {serve::ShedPolicy::Reject, serve::ShedPolicy::DropOldest,
-        serve::ShedPolicy::Block}) {
-    if (shed == serve::shed_policy_name(p)) {
-      policy = p;
-      known_policy = true;
-    }
-  }
-  if (!known_policy) {
-    std::fprintf(stderr,
-                 "irgnn_served: --shed must be Reject, DropOldest or Block "
-                 "(got \"%s\")\n",
-                 shed.c_str());
-    return 1;
-  }
-
   gnn::ModelConfig cfg;
   cfg.vocab_size = graph::vocabulary_size();
   cfg.num_labels = static_cast<int>(parser.get_int("labels"));
@@ -132,7 +112,6 @@ int main(int argc, char** argv) {
   serve::ServerConfig server_config;
   server_config.max_queue =
       static_cast<std::size_t>(parser.get_int("max-queue"));
-  server_config.shed_policy = policy;
   server_config.max_batch = static_cast<int>(parser.get_int("max-batch"));
   server_config.cache_capacity =
       static_cast<std::size_t>(parser.get_int("cache"));
@@ -159,13 +138,11 @@ int main(int argc, char** argv) {
   std::signal(SIGPIPE, SIG_IGN);
 
   std::printf("irgnn_served listening on %s:%u (model static: hidden=%d "
-              "layers=%d labels=%d seed=%llu, shed=%s, max_queue=%zu, "
-              "threads=%d)\n",
+              "layers=%d labels=%d seed=%llu, max_queue=%zu, threads=%d)\n",
               net_config.host.c_str(), static_cast<unsigned>(server.port()),
               cfg.hidden_dim, cfg.num_layers, cfg.num_labels,
               static_cast<unsigned long long>(cfg.seed),
-              serve::shed_policy_name(policy), server_config.max_queue,
-              threads);
+              server_config.max_queue, threads);
   std::fflush(stdout);
 
   server.wait();  // returns when a signal triggered the drain and it finished
